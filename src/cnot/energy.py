@@ -260,6 +260,37 @@ class InteractionKernel:
                     raise ValueError(message)
                 warnings.warn(message, stacklevel=2)
 
+    def field(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``sum_k phi(points_i, points_k) weights_k`` for every ``i``.
+
+        ``points`` must be sorted non-decreasing.  Structured kernels use
+        closed-form moment expansions, O(n): prefix sums for the cubic
+        kernel, which splits at ``z = y`` on the sorted points.  Only custom
+        kernels evaluate ``phi`` densely, a block of rows at a time.
+        """
+        y = np.asarray(points, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        if self.kind == "quadratic_distance":
+            m0, m1, m2 = float(w.sum()), float(y @ w), float((y * y) @ w)
+            return self.kappa * (y * y * m0 - 2.0 * y * m1 + m2)
+        if self.kind == "product":
+            return self.kappa * y * float(y @ w)
+        if self.kind == "cubic_distance":
+            yc = y - float(y.mean())
+            c0, c1 = np.cumsum(w), np.cumsum(w * yc)
+            c2, c3 = np.cumsum(w * yc * yc), np.cumsum(w * yc**3)
+            left = yc**3 * c0 - 3.0 * yc**2 * c1 + 3.0 * yc * c2 - c3
+            r0, r1, r2, r3 = c0[-1] - c0, c1[-1] - c1, c2[-1] - c2, c3[-1] - c3
+            right = r3 - 3.0 * yc * r2 + 3.0 * yc**2 * r1 - yc**3 * r0
+            return self.kappa * (left + right)
+        out = np.empty(y.size)
+        chunk = max(1, int(4e6 // max(y.size, 1)))
+        for s in range(0, y.size, chunk):
+            out[s : s + chunk] = np.asarray(
+                self.phi(y[s : s + chunk, None], y[None, :]), dtype=float
+            ) @ w
+        return out
+
     @staticmethod
     def quadratic_distance(kappa: float, probe_interval=(0.0, 1.0)) -> "InteractionKernel":
         """``phi(y, z) = kappa |y - z|^2`` (jointly convex for kappa >= 0)."""
@@ -398,30 +429,11 @@ class EnergyModel:
     def interaction_field(self, nu: DiscreteDensity) -> np.ndarray:
         """``y -> integral phi(y, z) dnu(z)`` at the grid nodes.
 
-        Structured kernels use closed-form moment expansions (prefix sums
-        for the cubic kernel, which splits at ``z = y`` on the sorted
-        nodes); only custom kernels materialize the dense matrix.
+        See ``InteractionKernel.field`` for the closed forms used.
         """
         if self.kernel is None:
             return np.zeros(self.grid.n)
-        k = self.kernel
-        y = self.grid.nodes
-        w = nu.masses
-        if k.kind == "quadratic_distance":
-            m0, m1, m2 = float(w.sum()), float(y @ w), float((y * y) @ w)
-            return k.kappa * (y * y * m0 - 2.0 * y * m1 + m2)
-        if k.kind == "product":
-            return k.kappa * y * float(y @ w)
-        if k.kind == "cubic_distance":
-            yc = y - float(y.mean())
-            c0, c1 = np.cumsum(w), np.cumsum(w * yc)
-            c2, c3 = np.cumsum(w * yc * yc), np.cumsum(w * yc**3)
-            left = yc**3 * c0 - 3.0 * yc**2 * c1 + 3.0 * yc * c2 - c3
-            r0, r1, r2, r3 = c0[-1] - c0, c1[-1] - c1, c2[-1] - c2, c3[-1] - c3
-            right = r3 - 3.0 * yc * r2 + 3.0 * yc**2 * r1 - yc**3 * r0
-            return k.kappa * (left + right)
-        K = self.kernel_matrix()
-        return K @ w
+        return self.kernel.field(self.grid.nodes, nu.masses)
 
 
 def energy_eval(model: EnergyModel, nu: DiscreteDensity) -> float:

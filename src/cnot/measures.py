@@ -12,6 +12,11 @@ Conventions used throughout the package:
   (``support_mode="fixed_endpoints"``) are representable exactly.
 * ``density_to_quantile`` and ``quantile_to_density`` are inverse to each
   other up to O(1/m) in L1, exactly for piecewise-linear quantiles.
+* ``quantile_to_density`` and ``pushforward`` share one binning routine that
+  splits uniform segments over cells by overlap length in O(n + m) time and
+  memory.  A degenerate segment is an atom in the cell of its midpoint
+  (``Grid.cell_index``): on an interior edge it goes to the cell on the
+  right, at ``hi`` to the last cell.  Cells no segment reaches are exactly 0.
 """
 from __future__ import annotations
 
@@ -254,32 +259,57 @@ def _bin_segments(
 ) -> np.ndarray:
     """Cell masses of a measure made of uniform segments (atoms if degenerate).
 
-    Mass is split across cells proportionally to overlap length, so the
-    binning is mass-exact.  Segments are assumed to lie inside the grid
-    interval (callers validate).
+    Segment ``k`` spreads ``mass[k]`` uniformly over ``[left[k], right[k]]``
+    and is split across cells proportionally to overlap length, so the
+    binning is mass-exact.  A segment of width ``<= 1e-15 max(1, L)`` is an
+    atom and goes whole to ``grid.cell_index`` of its midpoint: an atom on an
+    interior edge goes to the cell on its right, an atom at ``hi`` to the
+    last cell.  Segments may overlap (non-monotone maps) and must lie inside
+    the grid interval (callers validate and clip).
+
+    Runs in O(n + k) time and memory for ``k`` segments on ``n`` cells: the
+    first and last (partial) cells of each segment are accumulated directly,
+    and its run of full cells goes into a difference array of densities
+    integrated by one ``cumsum``.  No mass is negative, and a cell that no
+    segment touches is exactly 0.  Runs of monotone knots never overlap, so
+    that sum is exact; where runs of a non-monotone map overlap it carries
+    the rounding of the heaviest overlapping density.
     """
-    edges = grid.edges
-    width = right - left
-    atom = width <= 1e-15 * max(1.0, grid.interval.length)
-    out = np.zeros(grid.n)
-    if np.any(atom):
-        idx = grid.cell_index(0.5 * (left[atom] + right[atom]))
-        np.add.at(out, idx, mass[atom])
-    keep = ~atom
-    if np.any(keep):
-        l, r, w = left[keep], right[keep], mass[keep]
-        chunk = max(1, int(4e6 / (grid.n + 1)))
-        for s in range(0, l.size, chunk):
-            ls, rs, ws = l[s : s + chunk], r[s : s + chunk], w[s : s + chunk]
-            # CDF of each segment's uniform mass at every cell edge
-            frac = np.clip((edges[None, :] - ls[:, None]) / (rs - ls)[:, None], 0.0, 1.0)
-            out += ws @ np.diff(frac, axis=1)
+    n, edges = grid.n, grid.edges
+    atom = right - left <= 1e-15 * max(1.0, grid.interval.length)
+    l, r, w = left[~atom], right[~atom], mass[~atom]
+    width = r - l
+    # first cell: e_a <= l < e_{a+1}; last cell: e_b < r <= e_{b+1}.  The
+    # floor estimate is off by at most one; comparing with the edges settles it
+    a = grid.cell_index(l)
+    a += (l >= edges[a + 1]).astype(int) - (l < edges[a])
+    b = grid.cell_index(r)
+    b += (r > edges[b + 1]).astype(int) - (r <= edges[b])
+    a, b = np.clip(a, 0, n - 1), np.clip(b, 0, n - 1)
+    split = a < b
+    # partial cells: the whole segment if it fits in one cell, else its two ends
+    head = np.where(split, w * ((edges[a + 1] - l) / width), w)
+    tail = np.where(split, w * (1.0 - (edges[b] - l) / width), 0.0)
+    out = np.bincount(
+        np.concatenate([grid.cell_index(0.5 * (left[atom] + right[atom])), a, b]),
+        np.concatenate([mass[atom], head, tail]),
+        minlength=n,
+    )
+    run = b - a > 1
+    a, b, density = a[run] + 1, b[run], w[run] / width[run]
+    # full cells a..b-1 carry density * delta; cells no run covers stay 0
+    covered = np.cumsum(np.bincount(a, minlength=n + 1) - np.bincount(b, minlength=n + 1))
+    full = np.cumsum(np.bincount(a, density, n + 1) - np.bincount(b, density, n + 1))
+    out += np.where(covered[:n] > 0, np.maximum(full[:n], 0.0) * grid.delta, 0.0)
     return out
 
 
 def quantile_to_density(G: QuantileFn, grid: Grid) -> DiscreteDensity:
     """Push the uniform law through ``G``: bin the ``m-1`` inter-node segments
-    (mass ``1/(m-1)`` each) onto grid cells, split proportionally by overlap."""
+    (mass ``1/(m-1)`` each) onto grid cells, split proportionally by overlap.
+
+    O(n + m) time and memory; see ``_bin_segments`` for the atom and edge
+    conventions (a run of equal knots is an atom)."""
     v = G.values
     tol = 1e-9 * max(1.0, grid.interval.length)
     if v[0] < grid.interval.lo - tol or v[-1] > grid.interval.hi + tol:
@@ -296,7 +326,8 @@ def pushforward(T: np.ndarray, mu: DiscreteDensity) -> DiscreteDensity:
     Each cell's mass is spread over the segment between the map's
     interpolated values at the cell edges (an atom when the segment is
     degenerate), then binned back onto the same grid with proportional
-    splitting at cell boundaries so that mass is conserved exactly.
+    splitting at cell boundaries so that mass is conserved exactly.  The map
+    need not be monotone (segments may overlap).  O(n) time and memory.
     """
     T = np.asarray(T, dtype=float)
     grid = mu.grid

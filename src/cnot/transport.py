@@ -252,17 +252,91 @@ def solve_lp(
     return plan, pair, value
 
 
+def _range_minima(
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    cols: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of ``value(rows, col)`` over ``rows = lo..hi`` for each column,
+    and its first (smallest) minimizing row, in one flat pass over all
+    ranges."""
+    counts = hi - lo + 1
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(cols.size), counts)
+    rows = np.arange(int(counts.sum())) - starts[owner] + lo[owner]
+    vals = value(rows, cols[owner])
+    mins = np.minimum.reduceat(vals, starts)
+    hits = np.flatnonzero(vals == mins[owner])
+    return mins, rows[hits[np.searchsorted(hits, starts)]]
+
+
+# below this many entries one dense block beats the divide and conquer
+_DENSE_ENTRIES = 1 << 15
+_MONGE_BLOCK = 8
+
+
 def c_transform(
     phi: np.ndarray, cost: CostSpec, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Exhaustive c-transform ``phi^c(y_j) = min_i c(x_i, y_j) - phi(x_i)``.
+    """Exact c-transform ``phi^c(y_j) = min_i c(x_i, y_j) - phi(x_i)``.
 
-    The minimum is exact over the source nodes; for equal values the
-    smallest source index is the (implicit, deterministic) minimizer.
+    Requires a strictly convex ``C`` (raises ``cost not strictly convex``
+    otherwise, probing on the range of ``x - y``).  Then, with ``x`` and
+    ``y`` sorted, ``C(x_i - y_j) - phi_i`` is a Monge array for any ``phi``
+    and the first minimizing row is non-decreasing in ``j`` (Aggarwal et
+    al. 1987).  Divide and conquer over the columns, one vectorised level at
+    a time, finds the minimizing row of each block's middle column and
+    splits the block's row range there; blocks of at most 8 columns finish
+    with a dense minimum over their row range.  That costs
+    O((n_x + n_y) log n_y) time and O(n_x + n_y) memory, never an
+    ``n_x x n_y`` array (arrays of at most 2^15 entries are minimized in one
+    dense block).  Every entry is evaluated as in the dense formula, so the
+    minima are exact, not interpolated.
     """
     phi = np.asarray(phi, dtype=float)
-    cm = cost.cost_matrix(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return np.min(cm - phi[:, None], axis=0)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if phi.shape != x.shape or x.ndim != 1 or y.ndim != 1 or x.size == 0:
+        raise ValueError("c_transform needs 1-D x (non-empty), matching phi, and 1-D y")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("c_transform needs finite phi")
+    if y.size == 0:
+        return np.empty(0)
+    cost.require_strictly_convex(
+        max(float(x.max() - y.min()), float(y.max() - x.min()), 1e-3)
+    )
+    if x.size * y.size <= _DENSE_ENTRIES:
+        block = np.asarray(cost.C(x[:, None] - y[None, :]), dtype=float)
+        return np.min(block - phi[:, None], axis=0)
+    xo, yo = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+    xs, ps, ys = x[xo], phi[xo], y[yo]
+
+    def value(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return np.asarray(cost.C(xs[rows] - ys[cols]), dtype=float) - ps[rows]
+
+    out = np.empty(y.size)
+    # open blocks: columns a..b-1 whose minimizing rows lie in rlo..rhi
+    a, b = np.array([0]), np.array([y.size])
+    rlo, rhi = np.array([0]), np.array([x.size - 1])
+    leaves = []
+    while True:
+        wide = b - a > _MONGE_BLOCK
+        leaves.append((a[~wide], b[~wide], rlo[~wide], rhi[~wide]))
+        a, b, rlo, rhi = a[wide], b[wide], rlo[wide], rhi[wide]
+        if not a.size:
+            break
+        mid = (a + b) // 2
+        out[mid], arg = _range_minima(value, mid, rlo, rhi)
+        a, b = np.concatenate([a, mid + 1]), np.concatenate([mid, b])
+        rlo, rhi = np.concatenate([rlo, arg]), np.concatenate([arg, rhi])
+    a, b, rlo, rhi = (np.concatenate(t) for t in zip(*leaves))
+    width = b - a
+    cols = np.arange(int(width.sum())) + np.repeat(a - (np.cumsum(width) - width), width)
+    out[cols] = _range_minima(value, cols, np.repeat(rlo, width), np.repeat(rhi, width))[0]
+    result = np.empty(y.size)
+    result[yo] = out
+    return result
 
 
 def monotone_map_1d(mu: DiscreteDensity, nu: DiscreteDensity) -> np.ndarray:
@@ -282,9 +356,12 @@ def kantorovich_potential_1d(
 
     Integrates ``phi'(x) = C'(x - T(x))`` by the trapezoid rule along the
     grid nodes, anchored to ``phi = 0`` at ``anchor_index`` (leftmost node by
-    default), and completes the pair with an exact c-transform.
+    default), and completes the pair with the exact ``c_transform`` over the
+    nodes.  That transform refuses a cost that is not strictly convex on the
+    nodes' difference range (``cost not strictly convex``), the condition
+    under which the monotone map is optimal.  O(n log n) time and O(n)
+    memory on an ``n``-cell grid.
     """
-    cost.require_strictly_convex(max(1e-3, mu.grid.interval.length))
     T = monotone_map_1d(mu, nu)
     nodes = mu.grid.nodes
     slope = np.asarray(cost.C_prime(nodes - T), dtype=float)

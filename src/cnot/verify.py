@@ -252,12 +252,9 @@ def monge_ampere_residual_1d(scenario: "Scenario", nu: DiscreteDensity) -> float
     u = np.concatenate([[0.0], np.cumsum(0.5 * (T[:-1] + T[1:]) * np.diff(nodes))])
     u_pp = (T[2:] - T[:-2]) / (2.0 * grid.delta)
     kernel = scenario.model.kernel
-    if kernel is not None:
-        interaction = np.asarray(
-            kernel.phi(T[:, None], T[None, :]), dtype=float
-        ) @ scenario.mu.masses
-    else:
-        interaction = np.zeros(grid.n)
+    interaction = (
+        np.zeros(grid.n) if kernel is None else kernel.field(T, scenario.mu.masses)
+    )
     exponent = -0.5 * T * T + nodes * T - u - interaction
     rhs = u_pp * np.exp(exponent[1:-1])
     mu_interior = scenario.mu.values[1:-1]

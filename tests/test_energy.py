@@ -176,6 +176,24 @@ def test_interaction_field_matches_dense_matrix():
         assert np.max(np.abs(fast - dense)) < 1e-12 * (1.0 + np.max(np.abs(dense)))
 
 
+def test_kernel_field_on_sorted_points_with_ties():
+    """The closed forms hold on arbitrary sorted points (a monotone map's
+    values, with ties), and the row-blocked custom route matches the dense
+    product."""
+    rng = np.random.default_rng(8)
+    points = np.sort(np.concatenate([rng.uniform(2.0, 5.0, 150), np.full(20, 3.5)]))
+    weights = rng.uniform(0.0, 1.0, points.size)
+    for kern in (
+        InteractionKernel.quadratic_distance(1.7, probe_interval=(2.0, 5.0)),
+        InteractionKernel.product(0.9, probe_interval=(2.0, 5.0)),
+        InteractionKernel.cubic_distance(1.3, probe_interval=(2.0, 5.0)),
+        InteractionKernel.custom(lambda y, z: np.exp(-np.abs(y - z)), probe_interval=(2.0, 5.0)),
+    ):
+        dense = np.asarray(kern.phi(points[:, None], points[None, :])) @ weights
+        fast = kern.field(points, weights)
+        assert np.max(np.abs(fast - dense)) < 1e-12 * (1.0 + np.max(np.abs(dense)))
+
+
 def test_first_variation_is_energy_derivative():
     """E[nu + t h] - E[nu] ~ t <V[nu], h> for mass-preserving h."""
     rng = np.random.default_rng(11)

@@ -1,4 +1,6 @@
 """Grids, densities, and quantile functions."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from cnot import (
     two_bumps_density,
     uniform_density,
 )
+from cnot.measures import _bin_segments
 
 
 def test_interval_validation():
@@ -182,3 +185,117 @@ def test_pushforward_conserves_mass_on_random_maps():
         T = np.sort(rng.uniform(0.0, 1.0, 32))
         out = pushforward(T, d)
         assert out.masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _dense_bin(left, right, mass, grid):
+    """Reference binning: overlap fractions against every cell edge."""
+    atom = right - left <= 1e-15 * max(1.0, grid.interval.length)
+    out = np.zeros(grid.n)
+    np.add.at(out, grid.cell_index(0.5 * (left[atom] + right[atom])), mass[atom])
+    l, r, w = left[~atom], right[~atom], mass[~atom]
+    frac = np.clip((grid.edges[None, :] - l[:, None]) / (r - l)[:, None], 0.0, 1.0)
+    return out + w @ np.diff(frac, axis=1)
+
+
+def _check_binning(left, right, mass, grid, same_support=True):
+    """Agreement with the dense formula to 1e-14, non-negative masses, exact
+    total mass, and exact zeros where no segment overlaps a cell.  Without
+    overlapping multi-cell segments the supports agree exactly as well."""
+    out = _bin_segments(left, right, mass, grid)
+    ref = _dense_bin(left, right, mass, grid)
+    assert np.max(np.abs(out - ref)) <= 1e-14
+    assert np.all(out >= 0.0)
+    assert abs(out.sum() - mass.sum()) <= 1e-14
+    assert np.all(out[ref == 0.0] == 0.0)
+    if same_support:
+        assert np.array_equal(out > 0.0, ref > 0.0)
+    return out
+
+
+def test_binning_monotone_knots_edges_atoms_and_clipped_ends():
+    """Zero gaps, knots on cell edges, atoms on edges and at hi, and runs of
+    knots clipped to lo/hi all bin as the dense overlap formula does."""
+    grid = Grid(Interval(-1.0, 2.0), 12)
+    e = grid.edges
+    rng = np.random.default_rng(8)
+    knots = np.sort(np.concatenate([
+        np.full(4, grid.interval.lo),            # clipped lower end
+        e[[3, 3, 3, 5, 6, 6]],                   # atoms and zero gaps on edges
+        rng.uniform(e[6], e[9], 20),
+        np.full(5, grid.interval.hi),            # atoms at hi
+    ]))
+    mass = np.full(knots.size - 1, 1.0 / (knots.size - 1))
+    out = _check_binning(knots[:-1], knots[1:], mass, grid)
+    # the atom on edge 3 goes right, the atoms at hi to the last cell
+    assert out[3] > 0.0 and out[-1] >= 4.0 / (knots.size - 1)
+    G = QuantileFn(knots, grid.interval)
+    d = quantile_to_density(G, grid)
+    np.testing.assert_allclose(d.masses, out / out.sum(), rtol=0.0, atol=1e-14)
+
+
+def test_binning_leaves_untouched_cells_exactly_empty():
+    """A quantile supported inside [0.3, 0.6] gives exact zeros elsewhere."""
+    grid = Grid(Interval(0.0, 1.0), 40)
+    knots = np.linspace(0.3, 0.6, 97)
+    d = quantile_to_density(QuantileFn(knots, grid.interval), grid)
+    outside = (grid.edges[1:] <= 0.3) | (grid.edges[:-1] >= 0.6)
+    assert np.all(d.values[outside] == 0.0)
+    assert np.all(d.values[~outside] > 0.0)
+    mass = np.full(96, 1.0 / 96)
+    _check_binning(knots[:-1], knots[1:], mass, grid)
+
+
+def test_binning_knots_a_hair_from_an_edge():
+    """Knots one ulp either side of a cell edge keep the overlap formula's
+    sliver masses and exact zeros, also where ``floor((x - lo) / delta)``
+    lands in the neighbouring cell (seven such edges on this grid)."""
+    grid = Grid(Interval(-3.3, 2.0), 12)
+    e = grid.edges[1:-1]
+    left = np.concatenate([e - 1e-3, np.nextafter(e, -np.inf), e, e - 2e-3])
+    right = np.concatenate([np.nextafter(e, np.inf), e + 1e-3, e + 1e-3, e])
+    mass = np.full(left.size, 1.0 / left.size)
+    _check_binning(left, right, mass, grid)
+
+
+def test_binning_overlapping_runs_of_unequal_density():
+    """Overlapping multi-cell segments whose densities differ by many orders
+    of magnitude leave every cell past them exactly empty, and no cell
+    negative where the running sum of densities cancels."""
+    grid = Grid(Interval(0.0, 2.0), 40)
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        left = rng.uniform(0.0, 0.4, 6)
+        right = left + rng.uniform(0.2, 0.6, 6)
+        mass = 10.0 ** rng.uniform(-17.0, 0.0, 6)
+        mass /= mass.sum()
+        out = _check_binning(left, right, mass, grid, same_support=False)
+        assert np.all(out[grid.edges[:-1] >= right.max()] == 0.0)
+
+
+def test_binning_overlapping_segments_from_non_monotone_map():
+    """pushforward accepts non-monotone maps, whose segments overlap."""
+    grid = Grid(Interval(0.0, 3.0), 50)
+    rng = np.random.default_rng(9)
+    mu = density_from_values(grid, rng.uniform(0.2, 1.8, grid.n))
+    T = np.clip(1.5 + 1.2 * np.sin(7.0 * grid.nodes) + 0.3 * rng.normal(size=grid.n), 0.0, 3.0)
+    T[10:14] = T[10]  # a flat stretch: degenerate segments become atoms
+    edge_vals = np.concatenate([[T[0]], 0.5 * (T[:-1] + T[1:]), [T[-1]]])
+    lo = np.minimum(edge_vals[:-1], edge_vals[1:])
+    hi = np.maximum(edge_vals[:-1], edge_vals[1:])
+    out = _check_binning(lo, hi, mu.masses, grid, same_support=False)
+    image = pushforward(T, mu)
+    np.testing.assert_allclose(image.masses, out / out.sum(), rtol=0.0, atol=1e-14)
+
+
+def test_quantile_to_density_memory_is_linear():
+    """n = 16384 cells and m = 65536 knots bin in well under 32 MB."""
+    grid = Grid(Interval(0.0, 1.0), 16384)
+    G = QuantileFn(np.sort(np.random.default_rng(10).beta(2.0, 5.0, 65536)), grid.interval)
+    tracemalloc.start()
+    try:
+        d = quantile_to_density(G, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.masses.sum() == pytest.approx(1.0, abs=1e-12)
+    assert peak < 32 * 2**20

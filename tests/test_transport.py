@@ -132,6 +132,57 @@ def test_c_transform_definition():
     assert np.allclose(out, brute, atol=1e-14)
 
 
+_MONGE_COSTS = {
+    "quadratic": CostSpec.quadratic(),
+    "p1.2": CostSpec.power(1.2),
+    "p2": CostSpec.power(2.0),
+    "p3.7": CostSpec.power(3.7),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 1000])
+@pytest.mark.parametrize("cost_name", sorted(_MONGE_COSTS))
+def test_c_transform_matches_dense_minimum(cost_name, n):
+    """The Monge divide and conquer returns the dense minimum on unsorted
+    nodes with duplicates and an arbitrary (not c-concave) phi."""
+    cost = _MONGE_COSTS[cost_name]
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 2.0, n)
+    y = rng.uniform(-1.0, 2.0, n)
+    x[rng.integers(0, n, n // 3)] = x[0]
+    y[rng.integers(0, n, n // 3)] = y[-1]
+    phi = rng.normal(size=n)
+    out = c_transform(phi, cost, x, y)
+    brute = np.min(cost.cost_matrix(x, y) - phi[:, None], axis=0)
+    np.testing.assert_allclose(out, brute, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("nx,ny", [(7, 900), (900, 7), (300, 1100), (1100, 300)])
+def test_c_transform_unequal_node_counts(nx, ny):
+    """Source and target node sets of different sizes, including a target
+    set wider than the source range."""
+    rng = np.random.default_rng(nx + ny)
+    x = rng.uniform(0.0, 1.0, nx)
+    y = rng.uniform(-0.5, 1.5, ny)
+    phi = np.cumsum(rng.normal(size=nx)) * 0.1
+    cost = CostSpec.power(2.5)
+    brute = np.min(cost.cost_matrix(x, y) - phi[:, None], axis=0)
+    np.testing.assert_allclose(c_transform(phi, cost, x, y), brute, rtol=0.0, atol=1e-14)
+
+
+def test_c_transform_refuses_non_convex_cost():
+    """The monotone argmin needs a strictly convex C; sqrt|t| is refused."""
+    flat = CostSpec.convex_difference(lambda t: np.sqrt(np.abs(t)))
+    x = np.linspace(0.0, 1.0, 200)
+    with pytest.raises(ValueError, match="cost not strictly convex"):
+        c_transform(np.zeros(200), flat, x, x)
+    with pytest.raises(ValueError, match="cost not strictly convex"):
+        c_transform(np.zeros(5), flat, x[:5], x[:5])
+    grid = Grid(Interval(0.0, 1.0), 16)
+    with pytest.raises(ValueError, match="cost not strictly convex"):
+        kantorovich_potential_1d(uniform_density(grid), uniform_density(grid), flat)
+
+
 def test_monotone_map_pushforward():
     """The monotone map pushes mu onto nu (checked through the CDF)."""
     rng = np.random.default_rng(4)
