@@ -11,6 +11,8 @@ density, showing each check separating the two:
 3. second-order residual    (pointwise elliptic equation for the map)
 4. displacement convexity   (the objective along quantile geodesics)
 """
+from pathlib import Path
+
 import numpy as np
 
 from cnot import (
@@ -24,7 +26,8 @@ from cnot import (
 )
 from cnot.cli import load_scenario
 
-scenario = load_scenario("scenarios/congested_gaussian.json")
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "congested_gaussian.json"
+scenario = load_scenario(str(SCENARIO))
 result = minimize_quantile(scenario, SolverParams(grad_tol=1e-9))
 
 # an impostor: right mass, wrong shape

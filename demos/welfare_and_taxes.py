@@ -9,6 +9,8 @@ configuration, and shows that a marginal-externality (Pigouvian) tax makes
 the efficient configuration an equilibrium of the taxed game — while the
 average-cost tax variant visibly does not.
 """
+from pathlib import Path
+
 from cnot import SolverParams, cost_of_anarchy, minimize_quantile, social_cost
 from cnot.cli import load_scenario
 from cnot.welfare import (
@@ -18,7 +20,8 @@ from cnot.welfare import (
     taxed_stationarity_residual,
 )
 
-scenario = load_scenario("scenarios/congested_gaussian.json")
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "congested_gaussian.json"
+scenario = load_scenario(str(SCENARIO))
 params = SolverParams(grad_tol=1e-9)
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .energy import (
     PotentialSpec,
     energy_eval,
     first_variation,
-    marginal_externality,
     mccann_check,
 )
 from .solver import (
@@ -94,7 +93,7 @@ __all__ = [
     "kantorovich_potential_1d", "quantile_resolution",
     # energy
     "CongestionSpec", "InteractionKernel", "PotentialSpec", "EnergyModel",
-    "energy_eval", "first_variation", "marginal_externality", "mccann_check",
+    "energy_eval", "first_variation", "mccann_check",
     # solver
     "Scenario", "SolverParams", "EquilibriumResult", "minimize_quantile",
     "objective_eval", "objective_gradient", "project_monotone",

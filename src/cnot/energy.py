@@ -19,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .measures import DiscreteDensity, Grid, Interval
+from .transport import _fd_derivative
 
 __all__ = [
     "CongestionSpec",
@@ -27,7 +28,6 @@ __all__ = [
     "EnergyModel",
     "energy_eval",
     "first_variation",
-    "marginal_externality",
     "mccann_check",
 ]
 
@@ -53,13 +53,19 @@ def _log(s: np.ndarray) -> np.ndarray:
         return np.log(np.asarray(s, dtype=float))
 
 
+def _log1(s: np.ndarray) -> np.ndarray:
+    return 1.0 + _log(s)
+
+
 @dataclass(frozen=True)
 class CongestionSpec:
     """Congestion cost ``f`` with antiderivative ``F`` and inverse.
 
     ``F_prime`` may differ from ``f`` by a constant only (bookkeeping
     conventions); the constructor probes monotonicity of ``f`` and the
-    ``F' = f + const`` relation by finite differences.
+    ``F' = f + const`` relation by finite differences.  The family's closed
+    forms live here: ``marginal_externality`` and the social counterpart
+    ``social``.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -70,8 +76,6 @@ class CongestionSpec:
     kind: str = "custom"
     convention: Optional[str] = None
     params: dict = field(default_factory=dict)
-    satisfies_inada: bool = False
-    satisfies_growth: bool = False
     satisfies_mccann: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
@@ -109,11 +113,9 @@ class CongestionSpec:
             F=_entropy_F_shifted if shifted else _entropy_F_plain,
             f_inv=np.exp,
             f_prime=lambda s: 1.0 / np.asarray(s, dtype=float),
-            F_prime=_log if shifted else (lambda s: 1.0 + _log(s)),
+            F_prime=_log if shifted else _log1,
             kind="entropy",
             convention=convention,
-            satisfies_inada=True,
-            satisfies_growth=False,
         )
 
     @staticmethod
@@ -141,7 +143,6 @@ class CongestionSpec:
         return CongestionSpec(
             f=f, F=F, f_inv=f_inv, f_prime=f_prime, F_prime=f,
             kind="power", params={"alpha": alpha, "a": a},
-            satisfies_inada=False, satisfies_growth=True,
         )
 
     @staticmethod
@@ -151,22 +152,10 @@ class CongestionSpec:
         f_inv: Callable[[np.ndarray], np.ndarray],
         f_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         F_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        satisfies_inada: Optional[bool] = None,
-        satisfies_growth: bool = False,
     ) -> "CongestionSpec":
-        if f_prime is None:
-            def f_prime(s, _f=f):  # type: ignore[misc]
-                s = np.asarray(s, dtype=float)
-                h = 1e-7 * (1.0 + np.abs(s))
-                return (_f(s + h) - _f(s - h)) / (2.0 * h)
-        if satisfies_inada is None:
-            probe_lo = float(np.asarray(f(np.array([1e-12])), dtype=float)[0])
-            probe_hi = float(np.asarray(f(np.array([1e12])), dtype=float)[0])
-            satisfies_inada = probe_lo < -20.0 and probe_hi > 20.0
         return CongestionSpec(
-            f=f, F=F, f_inv=f_inv, f_prime=f_prime, F_prime=F_prime or f,
-            kind="custom", satisfies_inada=bool(satisfies_inada),
-            satisfies_growth=satisfies_growth,
+            f=f, F=F, f_inv=f_inv, f_prime=f_prime or _fd_derivative(f),
+            F_prime=F_prime or f, kind="custom",
         )
 
     def marginal_externality(self, s: np.ndarray) -> np.ndarray:
@@ -183,10 +172,67 @@ class CongestionSpec:
             out = np.where(s > 0.0, s * np.asarray(self.f_prime(np.where(s > 0, s, 1.0))), limit)
         return out
 
+    def social(self) -> "CongestionSpec":
+        """Congestion spec whose antiderivative is ``s f(s)`` (total congestion
+        cost), i.e. marginal ``f(s) + s f'(s)`` — the social counterpart of ``f``.
 
-def marginal_externality(congestion: CongestionSpec, s: np.ndarray) -> np.ndarray:
-    """``s f'(s)``, the external part of the marginal congestion cost."""
-    return congestion.marginal_externality(s)
+        Custom specs invert the social marginal by bisection."""
+        if self.kind == "entropy":
+            return CongestionSpec(
+                f=_log1, F=_entropy_F_plain,
+                f_inv=lambda t: np.exp(np.asarray(t, dtype=float) - 1.0),
+                f_prime=self.f_prime, F_prime=_log1,
+            )
+        if self.kind == "power":
+            alpha, a = self.params["alpha"], self.params["a"]
+            return CongestionSpec.power(alpha, a * (alpha + 1.0))
+
+        f, fp = self.f, self.f_prime
+
+        def f_social(s):
+            s = np.asarray(s, dtype=float)
+            return np.asarray(f(s), dtype=float) + s * np.asarray(fp(s), dtype=float)
+
+        def F_social(s):
+            s = np.asarray(s, dtype=float)
+            return s * np.asarray(f(s), dtype=float)
+
+        def fp_social(s):
+            s = np.asarray(s, dtype=float)
+            h = 1e-6 * s
+            return (f_social(s + h) - f_social(s - h)) / (2.0 * h)
+
+        return CongestionSpec(
+            f=f_social, F=F_social, f_inv=_numeric_inverse(f_social),
+            f_prime=fp_social, F_prime=f_social,
+        )
+
+
+def _numeric_inverse(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized bisection inverse of a strictly increasing map on (0, inf)."""
+
+    def inverse(t: np.ndarray) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        lo = np.full(t.shape, 1e-12)
+        hi = np.ones(t.shape)
+        for _ in range(220):
+            mask = np.asarray(fn(lo), dtype=float) > t
+            if not mask.any():
+                break
+            lo = np.where(mask, 0.5 * lo, lo)
+        for _ in range(220):
+            mask = np.asarray(fn(hi), dtype=float) < t
+            if not mask.any():
+                break
+            hi = np.where(mask, 2.0 * hi, hi)
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            below = np.asarray(fn(mid), dtype=float) < t
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    return inverse
 
 
 def mccann_check(congestion_or_F, dimension: int = 1) -> bool:
@@ -204,13 +250,25 @@ def mccann_check(congestion_or_F, dimension: int = 1) -> bool:
     return convex and nonincreasing
 
 
-def _fd_partial(phi: Callable) -> Callable:
-    def dphi(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        h = 1e-7 * (1.0 + np.abs(y))
-        return (phi(y + h, z) - phi(y - h, z)) / (2.0 * h)
+def _dense_rows(fn: Callable, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_k fn(y_i, y_k) weights_k`` for every ``i``, a bounded block of
+    rows at a time."""
+    out = np.empty(y.size)
+    chunk = max(1, int(4e6 // max(y.size, 1)))
+    for s in range(0, y.size, chunk):
+        block = np.asarray(fn(y[s : s + chunk, None], y[None, :]), dtype=float)
+        out[s : s + chunk] = block @ weights
+    return out
 
-    return dphi
+
+def _centred_prefix_sums(G: np.ndarray) -> tuple:
+    """Centred samples ``Gc`` with the exclusive prefix sums of ``Gc``,
+    ``Gc^2`` and ``Gc^3``: on sorted ``G``, ``|G_j - G_k|^3`` and its
+    derivatives expand through these.  Centering first keeps the cancelling
+    cubes small."""
+    Gc = G - G.mean()
+    powers = (Gc, Gc * Gc, Gc * Gc * Gc)
+    return (Gc, *(np.concatenate([[0.0], np.cumsum(p)])[:-1] for p in powers))
 
 
 @dataclass(frozen=True)
@@ -221,6 +279,10 @@ class InteractionKernel:
     rejected.  If ``declared_convex`` is set, joint midpoint convexity is
     probed on random segments of ``probe_interval ** 2`` and a failing
     probe is rejected as well.
+
+    The family's closed forms live here: the grid ``field``, the quantile
+    objective's ``sample_energy``, ``sample_gradient`` and
+    ``sample_curvature`` on sorted samples, and ``scaled``.
     """
 
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -228,7 +290,6 @@ class InteractionKernel:
     kind: str = "custom"
     kappa: float = 1.0
     declared_convex: bool = False
-    declared_symmetric: bool = True
     probe_interval: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
@@ -283,13 +344,73 @@ class InteractionKernel:
             r0, r1, r2, r3 = c0[-1] - c0, c1[-1] - c1, c2[-1] - c2, c3[-1] - c3
             right = r3 - 3.0 * yc * r2 + 3.0 * yc**2 * r1 - yc**3 * r0
             return self.kappa * (left + right)
-        out = np.empty(y.size)
-        chunk = max(1, int(4e6 // max(y.size, 1)))
-        for s in range(0, y.size, chunk):
-            out[s : s + chunk] = np.asarray(
-                self.phi(y[s : s + chunk, None], y[None, :]), dtype=float
-            ) @ w
-        return out
+        return _dense_rows(self.phi, y, w)
+
+    def sample_energy(self, G: np.ndarray) -> float:
+        """``(1/(2 m^2)) sum_jk phi(G_j, G_k)`` on sorted samples ``G``."""
+        m = G.size
+        if self.kind == "quadratic_distance":
+            s1 = G.sum()
+            return float(self.kappa * (m * np.dot(G, G) - s1 * s1) / (m * m))
+        if self.kind == "product":
+            s1 = G.sum()
+            return float(self.kappa * s1 * s1 / (2.0 * m * m))
+        if self.kind == "cubic_distance":
+            Gc, q1, q2, q3 = _centred_prefix_sums(G)
+            j = np.arange(m)
+            total = np.sum(j * Gc**3 - 3.0 * Gc * Gc * q1 + 3.0 * Gc * q2 - q3)
+            return float(self.kappa * total / (m * m))
+        return float(np.sum(_dense_rows(self.phi, G, np.ones(m)))) / (2.0 * m * m)
+
+    def sample_gradient(self, G: np.ndarray) -> np.ndarray:
+        """Gradient of ``sample_energy`` in the sorted samples ``G``."""
+        m = G.size
+        if self.kind == "quadratic_distance":
+            return 2.0 * self.kappa * (m * G - G.sum()) / (m * m)
+        if self.kind == "product":
+            return np.full(m, self.kappa * G.sum() / (m * m))
+        if self.kind == "cubic_distance":
+            Gc, q1, q2, _ = _centred_prefix_sums(G)
+            r1 = Gc.sum() - q1 - Gc
+            r2 = np.dot(Gc, Gc) - q2 - Gc * Gc
+            j = np.arange(m)
+            left = j * Gc * Gc - 2.0 * Gc * q1 + q2
+            right = (m - 1 - j) * Gc * Gc - 2.0 * Gc * r1 + r2
+            return 3.0 * self.kappa * (left - right) / (m * m)
+        return _dense_rows(self.dphi_dy, G, np.ones(m)) / (m * m)
+
+    def sample_curvature(self, G: np.ndarray) -> np.ndarray:
+        """Diagonal of the Hessian of ``sample_energy`` at sorted ``G``.
+
+        Zero for ``kappa <= 0`` and for custom kernels, so that a convex
+        curvature model never loses definiteness through the interaction.
+        """
+        m = G.size
+        if self.kappa > 0.0:
+            if self.kind == "quadratic_distance":
+                return np.full(m, 2.0 * self.kappa * (m - 1) / (m * m))
+            if self.kind == "product":
+                return np.full(m, self.kappa / (m * m))
+            if self.kind == "cubic_distance":
+                Gc, q1, _, _ = _centred_prefix_sums(G)
+                r1 = Gc.sum() - q1 - Gc
+                j = np.arange(m)
+                absdist = (2.0 * j - m + 1.0) * Gc - q1 + r1
+                return 6.0 * self.kappa * np.clip(absdist, 0.0, None) / (m * m)
+        return np.zeros(m)
+
+    def scaled(self, c: float) -> "InteractionKernel":
+        """The kernel ``c * phi``, in the same family when it has one."""
+        if self.kind in ("quadratic_distance", "cubic_distance", "product"):
+            # each family's constructor is named after its kind
+            return getattr(InteractionKernel, self.kind)(c * self.kappa, self.probe_interval)
+        phi, dphi = self.phi, self.dphi_dy
+        return InteractionKernel.custom(
+            phi=lambda y, z: c * np.asarray(phi(y, z), dtype=float),
+            dphi_dy=lambda y, z: c * np.asarray(dphi(y, z), dtype=float),
+            declared_convex=self.declared_convex and c >= 0.0,
+            probe_interval=self.probe_interval,
+        )
 
     @staticmethod
     def quadratic_distance(kappa: float, probe_interval=(0.0, 1.0)) -> "InteractionKernel":
@@ -330,7 +451,7 @@ class InteractionKernel:
         probe_interval=(0.0, 1.0),
     ) -> "InteractionKernel":
         return InteractionKernel(
-            phi=phi, dphi_dy=dphi_dy or _fd_partial(phi), kind="custom",
+            phi=phi, dphi_dy=dphi_dy or _fd_derivative(phi), kind="custom",
             declared_convex=declared_convex, probe_interval=tuple(probe_interval),
         )
 
@@ -388,13 +509,8 @@ class PotentialSpec:
         declared_convex: bool = False,
         probe_interval=(0.0, 1.0),
     ) -> "PotentialSpec":
-        if v_prime is None:
-            def v_prime(x, _v=v):  # type: ignore[misc]
-                x = np.asarray(x, dtype=float)
-                h = 1e-7 * (1.0 + np.abs(x))
-                return (_v(x + h) - _v(x - h)) / (2.0 * h)
         return PotentialSpec(
-            v=v, v_prime=v_prime, kind="custom",
+            v=v, v_prime=v_prime or _fd_derivative(v), kind="custom",
             declared_convex=declared_convex, probe_interval=tuple(probe_interval),
         )
 

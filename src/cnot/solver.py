@@ -121,56 +121,6 @@ def _quantile_values(G) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=float)
 
 
-def _interaction_value(kernel, G: np.ndarray) -> float:
-    m = G.size
-    if kernel.kind == "quadratic_distance":
-        s1 = G.sum()
-        return float(kernel.kappa * (m * np.dot(G, G) - s1 * s1) / (m * m))
-    if kernel.kind == "product":
-        s1 = G.sum()
-        return float(kernel.kappa * s1 * s1 / (2.0 * m * m))
-    if kernel.kind == "cubic_distance":
-        # G is sorted, so |G_j - G_k|^3 expands through exclusive prefix
-        # sums; centering first keeps the cancelling cubes small
-        Gc = G - G.mean()
-        q1 = np.concatenate([[0.0], np.cumsum(Gc)])[:-1]
-        q2 = np.concatenate([[0.0], np.cumsum(Gc * Gc)])[:-1]
-        q3 = np.concatenate([[0.0], np.cumsum(Gc * Gc * Gc)])[:-1]
-        j = np.arange(m)
-        total = np.sum(j * Gc**3 - 3.0 * Gc * Gc * q1 + 3.0 * Gc * q2 - q3)
-        return float(kernel.kappa * total / (m * m))
-    total = 0.0
-    chunk = max(1, int(4e6 // max(m, 1)))
-    for s in range(0, m, chunk):
-        total += float(np.sum(kernel.phi(G[s : s + chunk, None], G[None, :])))
-    return total / (2.0 * m * m)
-
-
-def _interaction_gradient(kernel, G: np.ndarray) -> np.ndarray:
-    m = G.size
-    if kernel.kind == "quadratic_distance":
-        return 2.0 * kernel.kappa * (m * G - G.sum()) / (m * m)
-    if kernel.kind == "product":
-        return np.full(m, kernel.kappa * G.sum() / (m * m))
-    if kernel.kind == "cubic_distance":
-        Gc = G - G.mean()
-        q1 = np.concatenate([[0.0], np.cumsum(Gc)])[:-1]
-        q2 = np.concatenate([[0.0], np.cumsum(Gc * Gc)])[:-1]
-        r1 = Gc.sum() - q1 - Gc
-        r2 = np.dot(Gc, Gc) - q2 - Gc * Gc
-        j = np.arange(m)
-        left = j * Gc * Gc - 2.0 * Gc * q1 + q2
-        right = (m - 1 - j) * Gc * Gc - 2.0 * Gc * r1 + r2
-        return 3.0 * kernel.kappa * (left - right) / (m * m)
-    out = np.empty(m)
-    chunk = max(1, int(4e6 // max(m, 1)))
-    for s in range(0, m, chunk):
-        out[s : s + chunk] = np.sum(
-            kernel.dphi_dy(G[s : s + chunk, None], G[None, :]), axis=1
-        )
-    return out / (m * m)
-
-
 class _QuantileProblem:
     """Cached pieces of the objective for one scenario (plus optional proximal
     anchor ``(values, tau)`` contributing ``(1/(2 tau m)) sum (G - anchor)^2``)."""
@@ -206,7 +156,7 @@ class _QuantileProblem:
         if self.model.potential is not None:
             val += float(np.sum(self.model.potential.v(G)) / m)
         if self.model.kernel is not None:
-            val += _interaction_value(self.model.kernel, G)
+            val += self.model.kernel.sample_energy(G)
         if self.prox is not None:
             anchor, tau = self.prox
             val += float(np.sum((G - anchor) ** 2) / (2.0 * tau * m))
@@ -230,7 +180,7 @@ class _QuantileProblem:
         if self.model.potential is not None:
             grad += np.asarray(self.model.potential.v_prime(G), dtype=float) / m
         if self.model.kernel is not None:
-            grad += _interaction_gradient(self.model.kernel, G)
+            grad += self.model.kernel.sample_gradient(G)
         if self.prox is not None:
             anchor, tau = self.prox
             grad += (G - anchor) / (tau * m)
@@ -267,19 +217,8 @@ class _QuantileProblem:
                 - np.asarray(self.model.potential.v_prime(G - h), dtype=float)
             ) / (2.0 * h)
             diag += np.clip(v2, 0.0, None) / m
-        kernel = self.model.kernel
-        if kernel is not None and kernel.kappa > 0.0:
-            if kernel.kind == "quadratic_distance":
-                diag += 2.0 * kernel.kappa * (m - 1) / (m * m)
-            elif kernel.kind == "product":
-                diag += kernel.kappa / (m * m)
-            elif kernel.kind == "cubic_distance":
-                Gc = G - G.mean()
-                q1 = np.concatenate([[0.0], np.cumsum(Gc)])[:-1]
-                r1 = Gc.sum() - q1 - Gc
-                j = np.arange(m)
-                absdist = (2.0 * j - m + 1.0) * Gc - q1 + r1
-                diag += 6.0 * kernel.kappa * np.clip(absdist, 0.0, None) / (m * m)
+        if self.model.kernel is not None:
+            diag += self.model.kernel.sample_curvature(G)
         diag[:-1] += psi2
         diag[1:] += psi2
         if self.prox is not None:
@@ -312,25 +251,23 @@ def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
         raise ValueError("quantile values must be finite")
     if support_mode not in SUPPORT_MODES:
         raise ValueError(f"unknown support_mode {support_mode!r}")
-    v = np.clip(_isotonic(y), interval.lo, interval.hi)
-    if support_mode == "fixed_endpoints":
-        v[0] = interval.lo
-        v[-1] = interval.hi
+    v = _project_values(y, interval, support_mode)
     return QuantileFn(v, interval, support_mode=support_mode)
 
 
 def _project_values(
     y: np.ndarray,
-    scenario: Scenario,
-    monotone: bool,
+    interval,
+    support_mode: str,
+    monotone: bool = True,
     weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    iv = scenario.interval
-    v = np.clip(_isotonic(y, weights) if monotone else y, iv.lo, iv.hi)
-    if scenario.support_mode == "fixed_endpoints":
-        v = v.copy() if v is y else v
-        v[0] = iv.lo
-        v[-1] = iv.hi
+    """Isotonic projection (optional), clipped to the interval, with the
+    endpoints pinned in ``fixed_endpoints`` mode; ``y`` is never modified."""
+    v = np.clip(_isotonic(y, weights) if monotone else y, interval.lo, interval.hi)
+    if support_mode == "fixed_endpoints":
+        v[0] = interval.lo
+        v[-1] = interval.hi
     return v
 
 
@@ -400,12 +337,13 @@ def minimize_quantile(
     """
     params = params or SolverParams()
     problem = _QuantileProblem(scenario, prox=prox)
+    iv, mode, monotone = scenario.interval, scenario.support_mode, params.monotone_projection
     if G0 is not None:
-        G = _project_values(_quantile_values(G0).copy(), scenario, True)
+        G = _project_values(_quantile_values(G0), iv, mode)
         if G.size != scenario.m:
             raise ValueError("G0 must have the scenario's quantile resolution m")
     else:
-        G = _project_values(problem.H.copy(), scenario, True)
+        G = _project_values(problem.H, iv, mode)
     J = problem.value(G)
     if not np.isfinite(J):
         raise ValueError("initial quantile has non-positive gaps (infinite objective)")
@@ -419,7 +357,7 @@ def minimize_quantile(
         raise RuntimeError("objective gradient overflowed; refine the resolution")
     for iterations in range(1, params.max_iters + 1):
         pg_norm = float(
-            np.max(np.abs(G - _project_values(G - grad, scenario, params.monotone_projection)))
+            np.max(np.abs(G - _project_values(G - grad, iv, mode, monotone)))
         )
         if pg_norm <= params.grad_tol:
             converged = True
@@ -434,7 +372,7 @@ def minimize_quantile(
         for d in (d, grad / diag):
             step = params.step0
             for _ in range(_MAX_BACKTRACKS):
-                cand = _project_values(G - step * d, scenario, params.monotone_projection, diag)
+                cand = _project_values(G - step * d, iv, mode, monotone, diag)
                 direction = cand - G
                 decrease = float(np.dot(grad, direction))
                 J_cand = problem.value(cand, barrier=True)

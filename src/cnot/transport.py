@@ -37,11 +37,13 @@ def quantile_resolution(n: int) -> int:
     return 16 * n
 
 
-def _fd_derivative(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    def deriv(t: np.ndarray) -> np.ndarray:
+def _fd_derivative(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """Central difference of ``fn`` in its first argument, step ``1e-7 (1 + |t|)``."""
+
+    def deriv(t: np.ndarray, *args) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         h = 1e-7 * (1.0 + np.abs(t))
-        return (fn(t + h) - fn(t - h)) / (2.0 * h)
+        return (fn(t + h, *args) - fn(t - h, *args)) / (2.0 * h)
 
     return deriv
 

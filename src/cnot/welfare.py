@@ -7,23 +7,23 @@ and the interaction term enters un-halved,
     SC[nu] = W_c(mu, nu) + int f(nu) dnu + int v dnu + double-int phi dnu dnu.
 
 Minimizing it therefore reuses the quantile solver on a *derived* scenario:
-congestion with antiderivative ``s f(s)`` (marginal ``f(s) + s f'(s)``) and
-the kernel doubled.  Two corrective taxes are provided side by side: the
-average-cost form ``f(nu) nu - F(nu) + int phi dnu`` and the marginal
-(Pigouvian) form ``nu f'(nu) + int phi dnu``; their stationarity residuals at
-the social optimum are both reported, since the two differ for power
-congestion and the average-cost form depends on the antiderivative
-convention.
+congestion with antiderivative ``s f(s)`` (marginal ``f(s) + s f'(s)``, see
+``CongestionSpec.social``) and the kernel doubled (``InteractionKernel.scaled``).
+Two corrective taxes are provided side by side: the average-cost form
+``f(nu) nu - F(nu) + int phi dnu`` and the marginal (Pigouvian) form
+``nu f'(nu) + int phi dnu``; their stationarity residuals at the social
+optimum are both reported, since the two differ for power congestion and the
+average-cost form depends on the antiderivative convention.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .energy import CongestionSpec, EnergyModel, InteractionKernel, first_variation
+from .energy import EnergyModel, first_variation
 from .measures import DiscreteDensity
 from .solver import (
     EquilibriumResult,
@@ -32,11 +32,11 @@ from .solver import (
     minimize_quantile,
 )
 from .transport import kantorovich_potential_1d, wasserstein_cost_1d
+from .verify import _SUPPORT_EPS_FACTOR
 
 __all__ = [
     "WelfareReport",
     "social_cost",
-    "social_congestion",
     "social_scenario",
     "minimize_social_cost",
     "tax_paper",
@@ -44,9 +44,6 @@ __all__ = [
     "taxed_stationarity_residual",
     "cost_of_anarchy",
 ]
-
-_SUPPORT_EPS_FACTOR = 1e-6
-
 
 @dataclass(frozen=True)
 class WelfareReport:
@@ -88,110 +85,13 @@ def social_cost(scenario: Scenario, nu: DiscreteDensity) -> float:
     return float(total)
 
 
-def _numeric_inverse(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized bisection inverse of a strictly increasing map on (0, inf)."""
-
-    def inverse(t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        lo = np.full(t.shape, 1e-12)
-        hi = np.ones(t.shape)
-        for _ in range(220):
-            mask = np.asarray(fn(lo), dtype=float) > t
-            if not mask.any():
-                break
-            lo = np.where(mask, 0.5 * lo, lo)
-        for _ in range(220):
-            mask = np.asarray(fn(hi), dtype=float) < t
-            if not mask.any():
-                break
-            hi = np.where(mask, 2.0 * hi, hi)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(fn(mid), dtype=float) < t
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
-
-    return inverse
-
-
-def social_congestion(congestion: CongestionSpec) -> CongestionSpec:
-    """Congestion spec whose antiderivative is ``s f(s)`` (total congestion
-    cost), i.e. marginal ``f(s) + s f'(s)`` — the social counterpart of ``f``."""
-    if congestion.kind == "entropy":
-        def log1(s):
-            with np.errstate(divide="ignore"):
-                return 1.0 + np.log(np.asarray(s, dtype=float))
-
-        def slogs(s):
-            s = np.asarray(s, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(s > 0.0, s * np.log(np.where(s > 0.0, s, 1.0)), 0.0)
-
-        return CongestionSpec(
-            f=log1,
-            F=slogs,
-            f_inv=lambda t: np.exp(np.asarray(t, dtype=float) - 1.0),
-            f_prime=lambda s: 1.0 / np.asarray(s, dtype=float),
-            F_prime=log1,
-            kind="custom",
-            satisfies_inada=True,
-        )
-    if congestion.kind == "power":
-        alpha = congestion.params["alpha"]
-        a = congestion.params["a"]
-        return CongestionSpec.power(alpha, a * (alpha + 1.0))
-
-    f, fp = congestion.f, congestion.f_prime
-
-    def f_social(s):
-        s = np.asarray(s, dtype=float)
-        return np.asarray(f(s), dtype=float) + s * np.asarray(fp(s), dtype=float)
-
-    def F_social(s):
-        s = np.asarray(s, dtype=float)
-        return s * np.asarray(f(s), dtype=float)
-
-    def fp_social(s):
-        s = np.asarray(s, dtype=float)
-        h = 1e-6 * s
-        return (f_social(s + h) - f_social(s - h)) / (2.0 * h)
-
-    return CongestionSpec(
-        f=f_social,
-        F=F_social,
-        f_inv=_numeric_inverse(f_social),
-        f_prime=fp_social,
-        F_prime=f_social,
-        kind="custom",
-        satisfies_inada=congestion.satisfies_inada,
-        satisfies_growth=congestion.satisfies_growth,
-    )
-
-
-def _doubled_kernel(kernel: InteractionKernel) -> InteractionKernel:
-    if kernel.kind == "quadratic_distance":
-        return InteractionKernel.quadratic_distance(2.0 * kernel.kappa, kernel.probe_interval)
-    if kernel.kind == "cubic_distance":
-        return InteractionKernel.cubic_distance(2.0 * kernel.kappa, kernel.probe_interval)
-    if kernel.kind == "product":
-        return InteractionKernel.product(2.0 * kernel.kappa, kernel.probe_interval)
-    phi, dphi = kernel.phi, kernel.dphi_dy
-    return InteractionKernel.custom(
-        phi=lambda y, z: 2.0 * np.asarray(phi(y, z), dtype=float),
-        dphi_dy=lambda y, z: 2.0 * np.asarray(dphi(y, z), dtype=float),
-        declared_convex=kernel.declared_convex,
-        probe_interval=kernel.probe_interval,
-    )
-
-
 def social_scenario(scenario: Scenario) -> Scenario:
     """The scenario whose individual objective is the social cost."""
     model = scenario.model
     derived = EnergyModel(
         grid=model.grid,
-        congestion=social_congestion(model.congestion),
-        kernel=None if model.kernel is None else _doubled_kernel(model.kernel),
+        congestion=model.congestion.social(),
+        kernel=None if model.kernel is None else model.kernel.scaled(2.0),
         potential=model.potential,
     )
     return Scenario(

@@ -13,7 +13,6 @@ from cnot import (
     energy_eval,
     first_variation,
     gaussian_truncated_density,
-    marginal_externality,
     mccann_check,
     uniform_density,
 )
@@ -70,14 +69,14 @@ def test_congestion_probe_rejects_wrong_inverse():
 def test_marginal_externality_values():
     """s f'(s) is 1 for entropy and a*alpha*s^alpha for powers."""
     s = np.array([0.2, 1.0, 4.0])
-    assert np.allclose(marginal_externality(CongestionSpec.entropy(), s), 1.0)
+    assert np.allclose(CongestionSpec.entropy().marginal_externality(s), 1.0)
     assert np.allclose(
-        marginal_externality(CongestionSpec.power(3.0, 0.5), s), 1.5 * s**3
+        CongestionSpec.power(3.0, 0.5).marginal_externality(s), 1.5 * s**3
     )
     custom = CongestionSpec.custom(
         f=lambda t: t, F=lambda t: 0.5 * t * t, f_inv=lambda t: t
     )
-    assert np.allclose(marginal_externality(custom, s), s, atol=1e-6)
+    assert np.allclose(custom.marginal_externality(s), s, atol=1e-6)
 
 
 def test_mccann_flags():
@@ -192,6 +191,74 @@ def test_kernel_field_on_sorted_points_with_ties():
         dense = np.asarray(kern.phi(points[:, None], points[None, :])) @ weights
         fast = kern.field(points, weights)
         assert np.max(np.abs(fast - dense)) < 1e-12 * (1.0 + np.max(np.abs(dense)))
+
+
+_SAMPLE_KERNELS = {
+    "quadratic": lambda kappa: InteractionKernel.quadratic_distance(kappa, probe_interval=(2.0, 5.0)),
+    "cubic": lambda kappa: InteractionKernel.cubic_distance(kappa, probe_interval=(2.0, 5.0)),
+    "product": lambda kappa: InteractionKernel.product(kappa, probe_interval=(2.0, 5.0)),
+    "custom": lambda kappa: InteractionKernel.custom(
+        lambda y, z: kappa * np.exp(-np.abs(y - z)), probe_interval=(2.0, 5.0)
+    ),
+}
+
+
+def _sorted_samples_with_ties():
+    rng = np.random.default_rng(9)
+    return np.sort(np.concatenate([rng.uniform(2.0, 5.0, 60), np.full(6, 3.5)]))
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
+def test_kernel_sample_forms_match_dense_sums(name):
+    """Energy and gradient on sorted samples (with ties) equal the dense
+    O(m^2) sums of phi and dphi_dy."""
+    G = _sorted_samples_with_ties()
+    m = G.size
+    kern = _SAMPLE_KERNELS[name](1.3)
+    energy = np.sum(kern.phi(G[:, None], G[None, :])) / (2.0 * m * m)
+    assert kern.sample_energy(G) == pytest.approx(energy, rel=1e-12, abs=1e-14)
+    grad = np.sum(kern.dphi_dy(G[:, None], G[None, :]), axis=1) / (m * m)
+    assert np.max(np.abs(kern.sample_gradient(G) - grad)) < 1e-12 * (1.0 + np.max(np.abs(grad)))
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
+def test_kernel_sample_curvature_is_energy_diagonal(name):
+    """For kappa > 0 the curvature is the exact Hessian diagonal of the
+    sample energy (second differences in one coordinate, kept sorted); it
+    is zero for kappa <= 0 and for custom kernels."""
+    G = _sorted_samples_with_ties()
+    kern = _SAMPLE_KERNELS[name](1.3)
+    curv = kern.sample_curvature(G)
+    assert curv.shape == G.shape
+    if name == "custom":
+        assert np.all(curv == 0.0)
+        return
+    h = 1e-2
+    energy = kern.sample_energy(G)
+    rounding = 16.0 * np.finfo(float).eps * abs(energy) / h**2
+    gaps = np.diff(G)
+    room = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 2.0 * h
+    for j in np.flatnonzero(room):
+        up, down = G.copy(), G.copy()
+        up[j] += h
+        down[j] -= h
+        second = (kern.sample_energy(up) - 2.0 * energy + kern.sample_energy(down)) / h**2
+        assert curv[j] == pytest.approx(second, rel=1e-6, abs=rounding)
+    assert np.count_nonzero(room) >= 10
+    for kappa in (0.0, -1.0):
+        assert np.all(_SAMPLE_KERNELS[name](kappa).sample_curvature(G) == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
+def test_kernel_scaled_doubles_field(name):
+    """scaled(2) keeps the family and doubles the field."""
+    G = _sorted_samples_with_ties()
+    weights = np.random.default_rng(10).uniform(0.0, 1.0, G.size)
+    kern = _SAMPLE_KERNELS[name](1.3)
+    doubled = kern.scaled(2.0)
+    assert doubled.kind == kern.kind
+    assert doubled.declared_convex == kern.declared_convex
+    assert np.allclose(doubled.field(G, weights), 2.0 * kern.field(G, weights), rtol=1e-14, atol=0.0)
 
 
 def test_first_variation_is_energy_derivative():

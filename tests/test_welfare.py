@@ -24,7 +24,6 @@ from cnot import (
     gaussian_truncated_density,
     uniform_density,
 )
-from cnot.welfare import social_congestion
 
 
 def _plain_uniform(n=64, convention="shifted"):
@@ -107,14 +106,14 @@ def test_social_cost_ignores_empty_cells():
 
 def test_social_congestion_entropy_and_power():
     """The social counterpart has antiderivative s f(s) and marginal f + s f'."""
-    soc = social_congestion(CongestionSpec.entropy())
+    soc = CongestionSpec.entropy().social()
     s = np.array([0.25, 1.0, 3.0])
     assert np.allclose(soc.F(s), s * np.log(s))
     assert np.allclose(soc.f(s), 1.0 + np.log(s))
     assert np.allclose(soc.f_inv(soc.f(s)), s, atol=1e-12)
 
     base = CongestionSpec.power(2.0, 0.7)
-    soc_p = social_congestion(base)
+    soc_p = base.social()
     assert np.allclose(soc_p.f(s), 3.0 * 0.7 * s**2)
     assert np.allclose(soc_p.F(s), 0.7 * s**3)
 
@@ -129,7 +128,7 @@ def test_social_congestion_generic_path():
         F_prime=lambda s: np.asarray(s, dtype=float),
         kind="custom",
     )
-    soc = social_congestion(linear)
+    soc = linear.social()
     s = np.array([0.5, 1.0, 2.0])
     assert np.allclose(soc.f(s), 2.0 * s)
     assert np.allclose(soc.F(s), s**2)
