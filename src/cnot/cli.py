@@ -211,8 +211,7 @@ def _build_potential(raw: dict, interval: Interval) -> Optional[PotentialSpec]:
 
 def _build_solver_params(raw: dict) -> SolverParams:
     obj = _get_section(raw, "solver", "/solver", default={})
-    _check_keys(obj, {"max_iters", "grad_tol", "step0", "beta", "sigma",
-                      "monotone_projection"}, "/solver")
+    _check_keys(obj, {"max_iters", "grad_tol", "step0", "beta", "sigma"}, "/solver")
     defaults = SolverParams()
     params = dict(
         max_iters=_integer(obj, "max_iters", "/solver", default=defaults.max_iters),
@@ -221,14 +220,12 @@ def _build_solver_params(raw: dict) -> SolverParams:
         beta=_number(obj, "beta", "/solver", default=defaults.beta),
         sigma=_number(obj, "sigma", "/solver", default=defaults.sigma),
     )
-    mono = obj.get("monotone_projection", defaults.monotone_projection)
-    _require(isinstance(mono, bool), "/solver/monotone_projection", "must be a boolean")
     _require(params["max_iters"] >= 1, "/solver/max_iters", "must be >= 1")
     _require(params["grad_tol"] > 0, "/solver/grad_tol", "must be > 0")
     _require(params["step0"] > 0, "/solver/step0", "must be > 0")
     _require(0 < params["beta"] < 1, "/solver/beta", "must lie in (0, 1)")
     _require(0 < params["sigma"] < 1, "/solver/sigma", "must lie in (0, 1)")
-    return SolverParams(monotone_projection=mono, **params)
+    return SolverParams(**params)
 
 
 class _Bundle:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteDensity, QuantileFn, density_to_quantile
+from .measures import DiscreteDensity, density_to_quantile
 from .solver import Scenario, SolverParams, minimize_quantile
 
 __all__ = ["JkoParams", "TrajectoryPoint", "Trajectory", "jko_step", "jko_flow"]
@@ -84,8 +84,7 @@ def _step_from_quantile(
     inner: SolverParams,
     step_label: str,
 ):
-    G0 = QuantileFn(G_anchor, scenario.interval, support_mode="free")
-    result = minimize_quantile(scenario, inner, G0=G0, prox=(G_anchor, float(tau)))
+    result = minimize_quantile(scenario, inner, G0=G_anchor, prox=(G_anchor, float(tau)))
     if not result.converged:
         raise RuntimeError(
             f"inner minimization did not converge at {step_label}: "

@@ -63,10 +63,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -246,12 +242,12 @@ def two_bumps_density(grid: Grid) -> DiscreteDensity:
     return density_from_values(grid, v)
 
 
-def density_to_quantile(nu: DiscreteDensity, m: int, support_mode: str = "free") -> QuantileFn:
+def density_to_quantile(nu: DiscreteDensity, m: int) -> QuantileFn:
     """Sample the generalized inverse CDF of ``nu`` at ``j/(m-1)``."""
     if m < 2:
         raise ValueError("quantile resolution m must be >= 2")
     p = np.linspace(0.0, 1.0, m)
-    return QuantileFn(nu.quantile(p), nu.grid.interval, support_mode=support_mode)
+    return QuantileFn(nu.quantile(p), nu.grid.interval)
 
 
 def _bin_segments(

@@ -90,7 +90,6 @@ class SolverParams:
     step0: float = 1.0
     beta: float = 0.5
     sigma: float = 1e-4
-    monotone_projection: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iters < 1 or self.grad_tol <= 0 or self.step0 <= 0:
@@ -189,13 +188,13 @@ class _QuantileProblem:
     def curvature(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positive-definite tridiagonal surrogate of the objective Hessian.
 
-        Returns ``(diag, sub)`` with the subdiagonal in ``sub[:-1]``.  The
-        congestion term is exactly tridiagonal in the quantile values; the
-        separable cost/potential terms contribute their second derivatives
-        (clipped to be non-negative) on the diagonal; interaction kernels
-        keep only their diagonal part.  Entries are clipped to a positive
-        range that keeps the banded Cholesky factorization finite — the
-        line search absorbs any remaining model error.
+        Returns ``(diag, sub)``: ``m`` diagonal and ``m - 1`` subdiagonal
+        entries.  The congestion term is exactly tridiagonal in the quantile
+        values; the separable cost/potential terms contribute their second
+        derivatives (clipped to be non-negative) on the diagonal; interaction
+        kernels keep only their diagonal part.  Entries are clipped to a
+        positive range that keeps the banded Cholesky factorization finite —
+        the line search absorbs any remaining model error.
         """
         m = self.m
         gaps = np.diff(G)
@@ -236,11 +235,6 @@ def objective_gradient(scenario: Scenario, G) -> np.ndarray:
     return _QuantileProblem(scenario).gradient(_quantile_values(G))
 
 
-def _isotonic(y: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Projection onto non-decreasing vectors (weighted pool-adjacent-violators)."""
-    return isotonic_regression(y, weights=weights).x
-
-
 def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
     """Nearest non-decreasing vector (pool-adjacent-violators), clipped to the
     interval; ``fixed_endpoints`` additionally pins the first/last values."""
@@ -256,15 +250,12 @@ def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
 
 
 def _project_values(
-    y: np.ndarray,
-    interval,
-    support_mode: str,
-    monotone: bool = True,
-    weights: Optional[np.ndarray] = None,
+    y: np.ndarray, interval, support_mode: str, weights: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Isotonic projection (optional), clipped to the interval, with the
-    endpoints pinned in ``fixed_endpoints`` mode; ``y`` is never modified."""
-    v = np.clip(_isotonic(y, weights) if monotone else y, interval.lo, interval.hi)
+    """Isotonic projection (weighted pool-adjacent-violators), clipped to the
+    interval, with the endpoints pinned in ``fixed_endpoints`` mode; ``y`` is
+    never modified."""
+    v = np.clip(isotonic_regression(y, weights=weights).x, interval.lo, interval.hi)
     if support_mode == "fixed_endpoints":
         v[0] = interval.lo
         v[-1] = interval.hi
@@ -317,27 +308,30 @@ def _newton_direction(
 def minimize_quantile(
     scenario: Scenario,
     params: Optional[SolverParams] = None,
-    G0: Optional[QuantileFn] = None,
+    G0: Optional[QuantileFn | np.ndarray] = None,
     prox: Optional[tuple[np.ndarray, float]] = None,
 ) -> EquilibriumResult:
     """Projected Newton descent on the quantile objective.
 
-    Starts from the source quantile unless ``G0`` is given.  Each iteration
-    solves the tridiagonal curvature model of the objective (the congestion
-    Hessian is exactly tridiagonal in quantile coordinates, and it carries
-    essentially all of the stiffness) for a Newton direction, then projects
-    trial points onto the monotone cone in the diagonal curvature metric
-    (plus the box and pinned endpoints) and accepts them under the Armijo
-    rule ``J(cand) <= J + sigma * <grad, cand - G>``, backtracking from a
-    trial step of ``step0``.  Stops when the unit-step projected-gradient
-    sup-norm falls below ``grad_tol``.  ``prox`` adds a proximal anchor
-    (see ``_QuantileProblem``) for minimizing-movement use.
+    Starts from the source quantile unless ``G0`` (a quantile or its values)
+    is given.  Each iteration solves the tridiagonal curvature model of the
+    objective (the congestion Hessian is exactly tridiagonal in quantile
+    coordinates, and it carries essentially all of the stiffness) for a
+    Newton direction, then projects trial points onto the monotone cone in
+    the diagonal curvature metric (plus the box and pinned endpoints) and
+    accepts them under the Armijo rule
+    ``J(cand) <= J + sigma * <grad, cand - G>``, backtracking from a trial
+    step of ``step0``.  Stops when the unit-step projected-gradient sup-norm
+    falls below ``grad_tol``.  ``prox`` adds a proximal anchor (see
+    ``_QuantileProblem``) for minimizing-movement use.
 
-    Non-convergence is reported through ``converged=False``, not an error.
+    Non-convergence is reported through ``converged=False``, not an error;
+    ``metadata["stalled"]`` marks a solve stopped because no backtracked
+    step was accepted or the accepted step vanished.
     """
     params = params or SolverParams()
     problem = _QuantileProblem(scenario, prox=prox)
-    iv, mode, monotone = scenario.interval, scenario.support_mode, params.monotone_projection
+    iv, mode = scenario.interval, scenario.support_mode
     if G0 is not None:
         G = _project_values(_quantile_values(G0), iv, mode)
         if G.size != scenario.m:
@@ -356,32 +350,23 @@ def minimize_quantile(
     if not np.all(np.isfinite(grad)):
         raise RuntimeError("objective gradient overflowed; refine the resolution")
     for iterations in range(1, params.max_iters + 1):
-        pg_norm = float(
-            np.max(np.abs(G - _project_values(G - grad, iv, mode, monotone)))
-        )
+        pg_norm = float(np.max(np.abs(G - _project_values(G - grad, iv, mode))))
         if pg_norm <= params.grad_tol:
             converged = True
             break
         diag, sub = problem.curvature(G)
         d = _newton_direction(G, grad, diag, sub, scenario)
         accepted = False
-        # the Newton direction is not guaranteed to survive the projection as
-        # a descent direction (the projection metric is only the diagonal of
-        # the model); if the whole backtracking sweep rejects it, retry with
-        # the diagonally preconditioned gradient, which always descends
-        for d in (d, grad / diag):
-            step = params.step0
-            for _ in range(_MAX_BACKTRACKS):
-                cand = _project_values(G - step * d, iv, mode, monotone, diag)
-                direction = cand - G
-                decrease = float(np.dot(grad, direction))
-                J_cand = problem.value(cand, barrier=True)
-                if decrease <= 0.0 and J_cand <= J + params.sigma * decrease:
-                    accepted = True
-                    break
-                step *= params.beta
-            if accepted:
+        step = params.step0
+        for _ in range(_MAX_BACKTRACKS):
+            cand = _project_values(G - step * d, iv, mode, diag)
+            direction = cand - G
+            decrease = float(np.dot(grad, direction))
+            J_cand = problem.value(cand, barrier=True)
+            if decrease <= 0.0 and J_cand <= J + params.sigma * decrease:
+                accepted = True
                 break
+            step *= params.beta
         if not accepted or np.max(np.abs(direction)) <= 1e-16 * (1.0 + np.max(np.abs(G))):
             stalled = True
             break
@@ -435,24 +420,20 @@ def _solve_mass_equation(model: EnergyModel, w: np.ndarray) -> tuple[float, np.n
         return float(delta * np.sum(response(M)) - 1.0)
 
     center = float(np.median(w))
-    radius = 1.0 + float(np.max(w) - np.min(w))
-    lo, hi = center - radius, center + radius
-    for _ in range(80):
-        if excess(lo) < 0.0:
-            break
-        radius *= 2.0
-        lo = center - radius
-    else:
-        raise ValueError(f"mass equation unsolvable (M bracket [{lo!r}, {hi!r}])")
-    radius = 1.0 + float(np.max(w) - np.min(w))
-    for _ in range(80):
-        if excess(hi) > 0.0:
-            break
-        radius *= 2.0
-        hi = center + radius
-    else:
-        raise ValueError(f"mass equation unsolvable (M bracket [{lo!r}, {hi!r}])")
-    M = float(brentq(excess, lo, hi, xtol=1e-13, maxiter=200))
+    radius0 = 1.0 + float(np.max(w) - np.min(w))
+    bracket = []
+    # expand each side from the same radius until the excess changes sign
+    for side in (-1.0, 1.0):
+        radius = radius0
+        for _ in range(80):
+            end = center + side * radius
+            if side * excess(end) > 0.0:
+                break
+            radius *= 2.0
+        else:
+            raise ValueError(f"mass equation unsolvable (M bracket end {end!r})")
+        bracket.append(end)
+    M = float(brentq(excess, *bracket, xtol=1e-13, maxiter=200))
     return M, response(M)
 
 

@@ -44,7 +44,7 @@ _SUPPORT_EPS_FACTOR = 1e-6
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Deviation of ``phi_c + V[nu]`` from a constant level ``M``.
+    """Deviation of ``phi_c + V[nu]`` (plus any tax) from a constant level ``M``.
 
     ``residual_sup`` measures violations of the inequality ``>= M`` over the
     whole interval; ``residual_eq`` measures deviation from equality on the
@@ -101,21 +101,29 @@ class DerivativeReport:
     errors: np.ndarray
 
 
-def equilibrium_residual(scenario: "Scenario", nu: DiscreteDensity) -> ResidualReport:
-    """Check ``phi_c + V[nu] >= M`` everywhere with equality on the support.
+def equilibrium_residual(
+    scenario: "Scenario", nu: DiscreteDensity, tax: Optional[np.ndarray] = None
+) -> ResidualReport:
+    """Check ``phi_c + V[nu] (+ tax) >= M`` everywhere with equality on the support.
 
     ``phi_c`` comes from the quadrature route (not the solver), ``V`` is the
-    first variation of the energy.  The support is ``{nu > eps}`` with
-    ``eps = 1e-6 max(nu)``; for the equality residual (and the level ``M``,
-    its median) the support is eroded by one cell at each transition to the
-    zero set, because a cell straddling a support edge carries a cell
-    average that belongs to neither side.  The inequality residual is taken
-    over every cell.
+    first variation of the energy, and ``tax`` (a vector on the scenario
+    grid) is added for the first-order condition of a taxed game.  The
+    support is ``{nu > eps}`` with ``eps = 1e-6 max(nu)``; for the equality
+    residual (and the level ``M``, its median) the support is eroded by one
+    cell at each transition to the zero set, because a cell straddling a
+    support edge carries a cell average that belongs to neither side.  The
+    inequality residual is taken over every cell.
     """
     if nu.grid != scenario.grid:
         raise ValueError("nu must live on the scenario grid")
     pair = kantorovich_potential_1d(scenario.mu, nu, scenario.cost)
     total = pair.phi_c + first_variation(scenario.model, nu)
+    if tax is not None:
+        tax = np.asarray(tax, dtype=float)
+        if tax.shape != (scenario.n,):
+            raise ValueError("tax must be a vector on the scenario grid")
+        total = total + tax
     epsilon = _SUPPORT_EPS_FACTOR * float(np.max(nu.values))
     support = nu.values > epsilon
     padded = np.concatenate([[True], support, [True]])

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import EnergyModel, first_variation
+from .energy import EnergyModel
 from .measures import DiscreteDensity
 from .solver import (
     EquilibriumResult,
@@ -31,8 +31,8 @@ from .solver import (
     SolverParams,
     minimize_quantile,
 )
-from .transport import kantorovich_potential_1d, wasserstein_cost_1d
-from .verify import _SUPPORT_EPS_FACTOR
+from .transport import wasserstein_cost_1d
+from .verify import equilibrium_residual
 
 __all__ = [
     "WelfareReport",
@@ -142,19 +142,9 @@ def tax_marginal(scenario: Scenario, nu: DiscreteDensity) -> np.ndarray:
 def taxed_stationarity_residual(
     scenario: Scenario, nu_star: DiscreteDensity, tax: np.ndarray
 ) -> float:
-    """First-order condition of the taxed game at ``nu_star``.
-
-    Returns ``sup |phi_c + V[nu_star] + tax - M|`` over the support
-    ``{nu_star > eps}``, with ``M`` the median of the same quantity there.
-    """
-    tax = np.asarray(tax, dtype=float)
-    if tax.shape != (scenario.n,):
-        raise ValueError("tax must be a vector on the scenario grid")
-    pair = kantorovich_potential_1d(scenario.mu, nu_star, scenario.cost)
-    total = pair.phi_c + first_variation(scenario.model, nu_star) + tax
-    support = nu_star.values > _SUPPORT_EPS_FACTOR * float(np.max(nu_star.values))
-    level = float(np.median(total[support]))
-    return float(np.max(np.abs(total[support] - level)))
+    """First-order condition of the taxed game at ``nu_star``: the equality
+    residual of ``verify.equilibrium_residual`` with ``tax`` added."""
+    return equilibrium_residual(scenario, nu_star, tax=tax).residual_eq
 
 
 def _uniqueness_flags(scenario: Scenario) -> list:

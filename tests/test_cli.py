@@ -48,6 +48,10 @@ def test_unknown_scenario_key_reports_pointer(tmp_path, capsys):
     assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "/extra" in err and "unknown field" in err
+    scn = _write_scenario(tmp_path / "s.json", solver={"monotone_projection": True})
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "/solver/monotone_projection" in err and "unknown field" in err
 
 
 def test_bad_mu_kind_reports_pointer(tmp_path, capsys):

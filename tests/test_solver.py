@@ -22,6 +22,7 @@ from cnot import (
     project_monotone,
     uniform_density,
 )
+from cnot.solver import _newton_direction
 
 
 def _uniform_scenario(n=64, m=129, convention="shifted", support_mode="free"):
@@ -230,13 +231,16 @@ def test_minimize_fixed_endpoints_pins_support():
     assert result.G.values[-1] == scenario.interval.hi
 
 
-def test_minimize_without_monotone_projection():
-    """On an interior problem the solver also works without the isotonic step."""
-    scenario = _uniform_scenario(n=64, m=129)
-    result = minimize_quantile(scenario, SolverParams(monotone_projection=False))
-    assert result.converged
-    assert np.all(np.diff(result.G.values) > 0.0)
-    assert np.max(np.abs(result.nu.values - 1.0)) < 1e-5
+def test_newton_direction_falls_back_when_banded_solve_fails():
+    """A tridiagonal model that is not positive definite makes the banded
+    Cholesky raise; the direction is then the diagonally scaled gradient."""
+    scenario = _uniform_scenario(n=8, m=3)
+    G = np.array([0.25, 0.5, 0.75])
+    grad = np.array([1.0, -1.0, 0.5])
+    diag = np.array([1.0, 2.0, 4.0])
+    sub = np.array([-3.0, -3.0])
+    d = _newton_direction(G, grad, diag, sub, scenario)
+    assert np.array_equal(d, grad / diag)
 
 
 def test_minimize_power_congestion():

@@ -83,8 +83,11 @@ def test_equilibrium_residual_erodes_support_edges():
     report = equilibrium_residual(scenario, nu)
     assert report.support_cells == 11
     assert report.core_cells == 9
+    assert equilibrium_residual(scenario, nu, tax=np.zeros(32)) == report
     with pytest.raises(ValueError, match="grid"):
         equilibrium_residual(scenario, uniform_density(Grid(Interval(0.0, 1.0), 48)))
+    with pytest.raises(ValueError, match="grid"):
+        equilibrium_residual(scenario, nu, tax=np.zeros(31))
 
 
 def test_purity_of_computed_equilibrium():

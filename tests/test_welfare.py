@@ -15,6 +15,7 @@ from cnot import (
     SolverParams,
     WelfareReport,
     cost_of_anarchy,
+    equilibrium_residual,
     minimize_social_cost,
     social_cost,
     social_scenario,
@@ -172,6 +173,24 @@ def test_marginal_tax_restores_stationarity():
     assert opt.converged
     residual = taxed_stationarity_residual(scenario, opt.nu, tax_marginal(scenario, opt.nu))
     assert residual < 2e-3
+    # power congestion leaves a free boundary: the report's residual is the
+    # verify residual with the tax added, straddling edge cells eroded
+    grid = Grid(Interval(0.0, 1.0), 48)
+    model = EnergyModel(
+        grid=grid,
+        congestion=CongestionSpec.power(2.0, 0.05),
+        kernel=InteractionKernel.quadratic_distance(1.0),
+    )
+    scenario = Scenario(
+        mu=gaussian_truncated_density(grid, 0.5, 0.1), cost=CostSpec.quadratic(), model=model, m=192
+    )
+    params = SolverParams(grad_tol=1e-9)
+    opt = minimize_social_cost(scenario, params)
+    check = equilibrium_residual(scenario, opt.nu, tax=tax_marginal(scenario, opt.nu))
+    assert check.support_cells < grid.n
+    report = cost_of_anarchy(scenario, params)
+    assert report.stationarity_residual_marginal == check.residual_eq
+    assert check.residual_eq < 2e-3
 
 
 def test_cost_of_anarchy_trivial_game_is_one():
