@@ -145,10 +145,10 @@ class _QuantileProblem:
             if barrier:
                 return float("inf")
             raise ValueError("quantile values must be non-decreasing")
-        m = self.m
-        val = float(np.sum(self.cost.C(self.H - G)) / m)
         if np.any(gaps == 0.0):
             return float("inf")
+        m = self.m
+        val = float(np.sum(self.cost.C(self.H - G)) / m)
         with np.errstate(over="ignore", divide="ignore"):
             u = 1.0 / ((m - 1) * gaps)
             val += float(np.sum(gaps * np.asarray(self.model.congestion.F(u), dtype=float)))
@@ -237,7 +237,9 @@ def objective_gradient(scenario: Scenario, G) -> np.ndarray:
 
 def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
     """Nearest non-decreasing vector (pool-adjacent-violators), clipped to the
-    interval; ``fixed_endpoints`` additionally pins the first/last values."""
+    interval.  In ``fixed_endpoints`` mode the first and last values are the
+    interval ends, not unknowns: their input values are ignored and only the
+    interior is pooled, which is the exact projection onto the pinned set."""
     y = np.ascontiguousarray(np.asarray(G_raw, dtype=float))
     if y.ndim != 1 or y.size < 2:
         raise ValueError("quantile needs at least m >= 2 values")
@@ -253,12 +255,15 @@ def _project_values(
     y: np.ndarray, interval, support_mode: str, weights: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Isotonic projection (weighted pool-adjacent-violators), clipped to the
-    interval, with the endpoints pinned in ``fixed_endpoints`` mode; ``y`` is
-    never modified."""
-    v = np.clip(isotonic_regression(y, weights=weights).x, interval.lo, interval.hi)
-    if support_mode == "fixed_endpoints":
-        v[0] = interval.lo
-        v[-1] = interval.hi
+    interval; ``y`` is never modified.  In ``fixed_endpoints`` mode only the
+    interior ``y[1:-1]`` is pooled and the ends are set to the interval ends."""
+    if support_mode != "fixed_endpoints":
+        return np.clip(isotonic_regression(y, weights=weights).x, interval.lo, interval.hi)
+    v = np.empty_like(y)
+    v[0], v[-1] = interval.lo, interval.hi
+    if y.size > 2:
+        inner = None if weights is None else weights[1:-1]
+        v[1:-1] = np.clip(isotonic_regression(y[1:-1], weights=inner).x, interval.lo, interval.hi)
     return v
 
 
@@ -277,16 +282,19 @@ def _newton_direction(
 ) -> np.ndarray:
     """Solve the tridiagonal model system for a descent direction.
 
-    Coordinates pressed against the box (or pinned endpoints) are frozen out
-    of the system and given diagonally scaled components instead; if the
-    banded solve fails or the result is not a descent direction, fall back
-    to the diagonally preconditioned gradient.
+    Coordinates pressed against the box are frozen out of the system and
+    given diagonally scaled components instead.  In ``fixed_endpoints`` mode
+    the two ends are constants, not unknowns: their components are 0, so
+    they enter neither the descent test nor the fallback.  If the banded
+    solve fails or the result is not a descent direction, fall back to the
+    diagonally preconditioned gradient.
     """
     iv = scenario.interval
     active = ((G <= iv.lo + _EDGE_TOL) & (grad > 0.0)) | (
         (G >= iv.hi - _EDGE_TOL) & (grad < 0.0)
     )
-    if scenario.support_mode == "fixed_endpoints":
+    pinned = scenario.support_mode == "fixed_endpoints"
+    if pinned:
         active[0] = True
         active[-1] = True
     sub_masked = sub.copy()
@@ -294,14 +302,17 @@ def _newton_direction(
     ab = np.zeros((2, G.size))
     ab[0] = diag
     ab[1, :-1] = sub_masked
+    fallback = grad / diag
+    if pinned:
+        fallback[[0, -1]] = 0.0
     try:
         d = solveh_banded(ab, grad, lower=True)
     except np.linalg.LinAlgError:
-        return grad / diag
+        return fallback
     if active.any():
-        d[active] = grad[active] / diag[active]
+        d[active] = fallback[active]
     if not np.all(np.isfinite(d)) or float(np.dot(d, grad)) <= 0.0:
-        return grad / diag
+        return fallback
     return d
 
 

@@ -22,7 +22,7 @@ from cnot import (
     project_monotone,
     uniform_density,
 )
-from cnot.solver import _newton_direction
+from cnot.solver import _newton_direction, _project_values
 
 
 def _uniform_scenario(n=64, m=129, convention="shifted", support_mode="free"):
@@ -168,6 +168,49 @@ def test_project_monotone_pairwise_average():
         project_monotone([0.0, 1.0], iv, support_mode="weird")
 
 
+def test_project_monotone_fixed_endpoints_ignores_end_trials():
+    """Pinned ends are constants: a wild trial value at an end does not pool
+    into the interior, so the result is the exact projection onto the
+    pinned monotone set."""
+    out = project_monotone([0.0, 0.5, 0.6, -100.0], Interval(0.0, 1.0), "fixed_endpoints")
+    assert np.array_equal(out.values, [0.0, 0.5, 0.6, 1.0])
+    out = project_monotone([7.0, 0.4, 0.2, 1.0], Interval(0.0, 1.0), "fixed_endpoints")
+    assert np.allclose(out.values, [0.0, 0.3, 0.3, 1.0])
+
+
+def _isotonic_min_max(y, w):
+    """Weighted isotonic fit by the min-max formula
+    ``x_i = max_{j <= i} min_{k >= i} mean_w(y[j..k])`` (cubic, no PAVA)."""
+    n = y.size
+    x = np.empty(n)
+    for i in range(n):
+        x[i] = max(
+            min(np.dot(w[j : k + 1], y[j : k + 1]) / w[j : k + 1].sum() for k in range(i, n))
+            for j in range(i + 1)
+        )
+    return x
+
+
+def test_weighted_fixed_endpoint_projection_matches_brute_force():
+    """The weighted fixed-endpoint projection is the interior's weighted
+    isotonic fit, clipped to the interval, with the ends set to lo and hi;
+    neither the end trials nor the end weights change the interior."""
+    iv = Interval(-1.0, 2.0)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        m = int(rng.integers(3, 12))
+        y = rng.normal(0.5, 2.0, m)
+        w = rng.uniform(0.1, 5.0, m)
+        v = _project_values(y, iv, "fixed_endpoints", w)
+        assert v[0] == iv.lo and v[-1] == iv.hi
+        expected = np.clip(_isotonic_min_max(y[1:-1], w[1:-1]), iv.lo, iv.hi)
+        assert np.allclose(v[1:-1], expected, rtol=0.0, atol=1e-12)
+        y2, w2 = y.copy(), w.copy()
+        y2[[0, -1]] = rng.normal(0.0, 100.0, 2)
+        w2[[0, -1]] = rng.uniform(1e-6, 1e6, 2)
+        assert np.array_equal(_project_values(y2, iv, "fixed_endpoints", w2), v)
+
+
 def test_minimize_uniform_source_is_fixed_point():
     """With a uniform source and pure entropy the uniform density is optimal."""
     result = minimize_quantile(_uniform_scenario(n=128, m=513))
@@ -241,6 +284,48 @@ def test_newton_direction_falls_back_when_banded_solve_fails():
     sub = np.array([-3.0, -3.0])
     d = _newton_direction(G, grad, diag, sub, scenario)
     assert np.array_equal(d, grad / diag)
+
+
+def test_newton_direction_keeps_pinned_endpoints_still():
+    """In fixed_endpoints mode the ends get a zero component, on the banded
+    path and on the diagonal fallback alike; in free mode a box-active end
+    keeps its diagonally scaled gradient."""
+    G = np.array([0.0, 0.25, 0.5, 1.0])
+    grad = np.array([0.5, 1.0, -1.0, -0.25])
+    diag = np.array([1.0, 2.0, 4.0, 1e-5])
+    pinned = _uniform_scenario(n=8, m=4, support_mode="fixed_endpoints")
+    for sub in (np.array([-0.1, -0.1, -0.1]), np.array([-3.0, -3.0, -3.0])):
+        d = _newton_direction(G, grad, diag, sub, pinned)
+        assert d[0] == 0.0 and d[-1] == 0.0
+        assert np.dot(d, grad) > 0.0
+    d = _newton_direction(G, grad, diag, sub, _uniform_scenario(n=8, m=4))
+    assert d[-1] == grad[-1] / diag[-1]
+
+
+def test_fixed_endpoint_power_product_solve_converges():
+    """A pinned-end solve with power congestion and a negative product kernel
+    (one random-corpus case) converges in a few dozen Newton steps.  When the
+    pinned ends took part in the projection, the end's trial value
+    ``G - grad/diag`` pooled with its neighbour, cancelled the Newton step
+    there, and the solve crept along for thousands of iterations."""
+    iv = Interval(-2.4513, -1.6748)
+    grid = Grid(iv, 32)
+    model = EnergyModel(
+        grid=grid,
+        congestion=CongestionSpec.power(1.958, 0.03024),
+        kernel=InteractionKernel.product(-0.7803, probe_interval=(iv.lo, iv.hi)),
+    )
+    scenario = Scenario(
+        mu=gaussian_truncated_density(grid, -2.0381, 0.38686),
+        cost=CostSpec.power(2.9421),
+        model=model,
+        m=64,
+        support_mode="fixed_endpoints",
+    )
+    result = minimize_quantile(scenario, SolverParams(max_iters=200, grad_tol=1e-8))
+    assert result.converged
+    assert result.iterations <= 50
+    assert result.G.values[0] == iv.lo and result.G.values[-1] == iv.hi
 
 
 def test_minimize_power_congestion():
