@@ -312,12 +312,15 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    rows = zip(*columns)
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (int, np.integer)) else _fmt(c)
-                              for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    """One row per line: integer columns as ``%d``, the rest as ``%.17g``,
+    written with one format over the flattened rows."""
+    arrays = [np.asarray(c) for c in columns]
+    k, rows = len(arrays), len(arrays[0])
+    line = ",".join("%d" if a.dtype.kind in "iu" else "%.17g" for a in arrays) + "\n"
+    flat = [None] * (k * rows)
+    for j, a in enumerate(arrays):
+        flat[j::k] = a.tolist()
+    path.write_text(header + "\n" + ("".join([line] * rows) % tuple(flat)))
 
 
 def _jsonable(obj):
@@ -365,6 +368,7 @@ def _cmd_solve(bundle: _Bundle, args) -> int:
     diagnostics = {"command": "solve", **bundle.metadata()}
     try:
         result = minimize_quantile(scenario, params)
+        payload = _result_payload(result)  # reads the certificate, which may raise
     except (RuntimeError, ValueError) as exc:
         diagnostics["error"] = str(exc)
         _write_json(out / "diagnostics.json", diagnostics)
@@ -374,7 +378,7 @@ def _cmd_solve(bundle: _Bundle, args) -> int:
                (scenario.grid.nodes, result.nu.values))
     _write_csv(out / "quantile.csv", "p,G",
                (result.G.probabilities, result.G.values))
-    diagnostics.update(_result_payload(result))
+    diagnostics.update(payload)
     _write_json(out / "diagnostics.json", diagnostics)
     if not result.converged:
         print("solver did not converge; diagnostics written", file=sys.stderr)

@@ -19,10 +19,10 @@ first-order condition ``f(nu) = M - phi^c - interaction - v`` pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 from scipy.optimize import brentq, isotonic_regression
 
 from .energy import EnergyModel
@@ -35,6 +35,9 @@ from .measures import (
     quantile_to_density,
 )
 from .transport import CostSpec, kantorovich_potential_1d
+
+if TYPE_CHECKING:
+    from .verify import ResidualReport
 
 __all__ = [
     "Scenario",
@@ -100,17 +103,43 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Solver output: the equilibrium measure with its certificate numbers."""
+    """Solver output: the equilibrium measure with its certificate numbers.
+
+    ``M``, ``residual_sup`` and ``residual_eq`` read one
+    ``verify.equilibrium_residual(scenario, nu)`` report, computed the first
+    time one of them is read and cached.  A caller that reads none of them
+    pays nothing for the certificate; an error the certificate raises
+    surfaces on that first read, not from the solve.
+    """
 
     nu: DiscreteDensity
     G: QuantileFn
     J_value: float
-    M: float
-    residual_sup: float
-    residual_eq: float
     iterations: int
     converged: bool
+    scenario: Scenario = field(repr=False, compare=False)
     metadata: dict = field(default_factory=dict)
+
+    def _certificate(self) -> ResidualReport:
+        report = self.__dict__.get("_report")
+        if report is None:
+            from .verify import equilibrium_residual
+
+            report = equilibrium_residual(self.scenario, self.nu)
+            object.__setattr__(self, "_report", report)
+        return report
+
+    @property
+    def M(self) -> float:
+        return self._certificate().M
+
+    @property
+    def residual_sup(self) -> float:
+        return self._certificate().residual_sup
+
+    @property
+    def residual_eq(self) -> float:
+        return self._certificate().residual_eq
 
 
 def _quantile_values(G) -> np.ndarray:
@@ -118,6 +147,22 @@ def _quantile_values(G) -> np.ndarray:
     if values.ndim != 1 or values.size < 2:
         raise ValueError("quantile needs at least m >= 2 values")
     return np.ascontiguousarray(values, dtype=float)
+
+
+class _Point:
+    """The pieces that the objective, its gradient and its curvature share at
+    one strictly increasing quantile ``G``: the gaps, ``u = 1/((m-1) gaps)``,
+    ``F(u)`` and ``z = H - G``.  Built once per accepted point."""
+
+    __slots__ = ("G", "gaps", "u", "F_u", "z")
+
+    def __init__(self, problem: "_QuantileProblem", G: np.ndarray, gaps: np.ndarray):
+        self.G = G
+        self.gaps = gaps
+        with np.errstate(over="ignore", divide="ignore"):
+            self.u = 1.0 / ((problem.m - 1) * gaps)
+            self.F_u = np.asarray(problem.model.congestion.F(self.u), dtype=float)
+        self.z = problem.H - G
 
 
 class _QuantileProblem:
@@ -147,45 +192,40 @@ class _QuantileProblem:
             raise ValueError("quantile values must be non-decreasing")
         if np.any(gaps == 0.0):
             return float("inf")
+        return self.value_at(_Point(self, G, gaps))
+
+    def value_at(self, p: _Point) -> float:
         m = self.m
-        val = float(np.sum(self.cost.C(self.H - G)) / m)
-        with np.errstate(over="ignore", divide="ignore"):
-            u = 1.0 / ((m - 1) * gaps)
-            val += float(np.sum(gaps * np.asarray(self.model.congestion.F(u), dtype=float)))
+        val = float(np.sum(self.cost.C(p.z)) / m)
+        val += float(np.sum(p.gaps * p.F_u))
         if self.model.potential is not None:
-            val += float(np.sum(self.model.potential.v(G)) / m)
+            val += float(np.sum(self.model.potential.v(p.G)) / m)
         if self.model.kernel is not None:
-            val += self.model.kernel.sample_energy(G)
+            val += self.model.kernel.sample_energy(p.G)
         if self.prox is not None:
             anchor, tau = self.prox
-            val += float(np.sum((G - anchor) ** 2) / (2.0 * tau * m))
+            val += float(np.sum((p.G - anchor) ** 2) / (2.0 * tau * m))
         if np.isnan(val):
             raise ValueError("objective produced NaN")
         return val
 
-    def gradient(self, G: np.ndarray) -> np.ndarray:
-        gaps = np.diff(G)
-        if np.any(gaps <= 0.0):
-            raise ValueError("gradient requires strictly increasing quantile values")
+    def gradient(self, p: _Point) -> np.ndarray:
         m = self.m
-        grad = -np.asarray(self.cost.C_prime(self.H - G), dtype=float) / m
+        grad = -np.asarray(self.cost.C_prime(p.z), dtype=float) / m
         with np.errstate(over="ignore"):
-            u = 1.0 / ((m - 1) * gaps)
-            psi = np.asarray(self.model.congestion.F(u), dtype=float) - u * np.asarray(
-                self.model.congestion.F_prime(u), dtype=float
-            )
+            psi = p.F_u - p.u * np.asarray(self.model.congestion.F_prime(p.u), dtype=float)
         grad[1:] += psi
         grad[:-1] -= psi
         if self.model.potential is not None:
-            grad += np.asarray(self.model.potential.v_prime(G), dtype=float) / m
+            grad += np.asarray(self.model.potential.v_prime(p.G), dtype=float) / m
         if self.model.kernel is not None:
-            grad += self.model.kernel.sample_gradient(G)
+            grad += self.model.kernel.sample_gradient(p.G)
         if self.prox is not None:
             anchor, tau = self.prox
-            grad += (G - anchor) / (tau * m)
+            grad += (p.G - anchor) / (tau * m)
         return grad
 
-    def curvature(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def curvature(self, p: _Point) -> tuple[np.ndarray, np.ndarray]:
         """Positive-definite tridiagonal surrogate of the objective Hessian.
 
         Returns ``(diag, sub)``: ``m`` diagonal and ``m - 1`` subdiagonal
@@ -193,16 +233,14 @@ class _QuantileProblem:
         values; the separable cost/potential terms contribute their second
         derivatives (clipped to be non-negative) on the diagonal; interaction
         kernels keep only their diagonal part.  Entries are clipped to a
-        positive range that keeps the banded Cholesky factorization finite —
-        the line search absorbs any remaining model error.
+        positive range that keeps the tridiagonal Cholesky factorization
+        finite — the line search absorbs any remaining model error.
         """
-        m = self.m
-        gaps = np.diff(G)
+        m, G, u = self.m, p.G, p.u
         with np.errstate(over="ignore", divide="ignore"):
-            u = 1.0 / ((m - 1) * gaps)
             psi2 = (m - 1) * u**3 * np.asarray(self.model.congestion.f_prime(u), dtype=float)
         psi2 = np.where(np.isfinite(psi2), np.clip(psi2, 0.0, _CURV_MAX), _CURV_MAX)
-        z = self.H - G
+        z = p.z
         h = 1e-6 * (1.0 + np.abs(z))
         c2 = (
             np.asarray(self.cost.C_prime(z + h), dtype=float)
@@ -232,7 +270,12 @@ def objective_eval(scenario: Scenario, G) -> float:
 
 def objective_gradient(scenario: Scenario, G) -> np.ndarray:
     """Exact gradient of ``objective_eval`` in the quantile values."""
-    return _QuantileProblem(scenario).gradient(_quantile_values(G))
+    values = _quantile_values(G)
+    gaps = np.diff(values)
+    if np.any(gaps <= 0.0):
+        raise ValueError("gradient requires strictly increasing quantile values")
+    problem = _QuantileProblem(scenario)
+    return problem.gradient(_Point(problem, values, gaps))
 
 
 def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
@@ -251,19 +294,33 @@ def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
     return QuantileFn(v, interval, support_mode=support_mode)
 
 
-def _project_values(
-    y: np.ndarray, interval, support_mode: str, weights: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Isotonic projection (weighted pool-adjacent-violators), clipped to the
+def _project_values(y: np.ndarray, interval, support_mode: str) -> np.ndarray:
+    """Isotonic projection (pool-adjacent-violators), clipped to the
     interval; ``y`` is never modified.  In ``fixed_endpoints`` mode only the
     interior ``y[1:-1]`` is pooled and the ends are set to the interval ends."""
     if support_mode != "fixed_endpoints":
-        return np.clip(isotonic_regression(y, weights=weights).x, interval.lo, interval.hi)
+        return np.clip(isotonic_regression(y).x, interval.lo, interval.hi)
     v = np.empty_like(y)
     v[0], v[-1] = interval.lo, interval.hi
     if y.size > 2:
-        inner = None if weights is None else weights[1:-1]
-        v[1:-1] = np.clip(isotonic_regression(y[1:-1], weights=inner).x, interval.lo, interval.hi)
+        v[1:-1] = np.clip(isotonic_regression(y[1:-1]).x, interval.lo, interval.hi)
+    return v
+
+
+def _trial_point(y: np.ndarray, interval, support_mode: str) -> np.ndarray:
+    """Line-search trial from the raw step ``y`` (overwritten): ``y`` clipped
+    to the interval, with the ends set to the interval ends in
+    ``fixed_endpoints`` mode.
+
+    A trial with a gap ``<= 0`` is rejected without pricing it: whenever
+    ``y`` is not strictly increasing, pooling it would tie a pair, and a tie
+    is a zero gap, where the objective is ``+inf``.  A strictly increasing
+    ``y`` is its own isotonic fit, so every trial the line search prices is
+    exactly the clipped projection.
+    """
+    v = np.clip(y, interval.lo, interval.hi, out=y)
+    if support_mode == "fixed_endpoints":
+        v[0], v[-1] = interval.lo, interval.hi
     return v
 
 
@@ -285,9 +342,10 @@ def _newton_direction(
     Coordinates pressed against the box are frozen out of the system and
     given diagonally scaled components instead.  In ``fixed_endpoints`` mode
     the two ends are constants, not unknowns: their components are 0, so
-    they enter neither the descent test nor the fallback.  If the banded
-    solve fails or the result is not a descent direction, fall back to the
-    diagonally preconditioned gradient.
+    they enter neither the descent test nor the fallback.  The system is
+    solved by LAPACK ``dptsv`` (tridiagonal Cholesky).  If the model is not
+    positive definite or the result is not a descent direction, fall back
+    to the diagonally preconditioned gradient.
     """
     iv = scenario.interval
     active = ((G <= iv.lo + _EDGE_TOL) & (grad > 0.0)) | (
@@ -299,15 +357,11 @@ def _newton_direction(
         active[-1] = True
     sub_masked = sub.copy()
     sub_masked[active[:-1] | active[1:]] = 0.0
-    ab = np.zeros((2, G.size))
-    ab[0] = diag
-    ab[1, :-1] = sub_masked
     fallback = grad / diag
     if pinned:
         fallback[[0, -1]] = 0.0
-    try:
-        d = solveh_banded(ab, grad, lower=True)
-    except np.linalg.LinAlgError:
+    _, _, d, info = dptsv(diag, sub_masked, grad, overwrite_e=True)
+    if info > 0:  # a leading minor is not positive definite
         return fallback
     if active.any():
         d[active] = fallback[active]
@@ -328,9 +382,9 @@ def minimize_quantile(
     is given.  Each iteration solves the tridiagonal curvature model of the
     objective (the congestion Hessian is exactly tridiagonal in quantile
     coordinates, and it carries essentially all of the stiffness) for a
-    Newton direction, then projects trial points onto the monotone cone in
-    the diagonal curvature metric (plus the box and pinned endpoints) and
-    accepts them under the Armijo rule
+    Newton direction, clips trial points to the box (and the pinned
+    endpoints), rejects any trial that is not strictly increasing (its
+    objective is ``+inf``) and accepts under the Armijo rule
     ``J(cand) <= J + sigma * <grad, cand - G>``, backtracking from a trial
     step of ``step0``.  Stops when the unit-step projected-gradient sup-norm
     falls below ``grad_tol``.  ``prox`` adds a proximal anchor (see
@@ -338,7 +392,9 @@ def minimize_quantile(
 
     Non-convergence is reported through ``converged=False``, not an error;
     ``metadata["stalled"]`` marks a solve stopped because no backtracked
-    step was accepted or the accepted step vanished.
+    step was accepted or the accepted step vanished.  The certificate
+    fields of the result are computed on first read (see
+    ``EquilibriumResult``).
     """
     params = params or SolverParams()
     problem = _QuantileProblem(scenario, prox=prox)
@@ -349,7 +405,9 @@ def minimize_quantile(
             raise ValueError("G0 must have the scenario's quantile resolution m")
     else:
         G = _project_values(problem.H, iv, mode)
-    J = problem.value(G)
+    gaps = np.diff(G)
+    point = _Point(problem, G, gaps) if np.all(gaps > 0.0) else None
+    J = problem.value_at(point) if point is not None else float("inf")
     if not np.isfinite(J):
         raise ValueError("initial quantile has non-positive gaps (infinite objective)")
 
@@ -357,7 +415,7 @@ def minimize_quantile(
     converged = False
     stalled = False
     pg_norm = float("inf")
-    grad = problem.gradient(G)
+    grad = problem.gradient(point)
     if not np.all(np.isfinite(grad)):
         raise RuntimeError("objective gradient overflowed; refine the resolution")
     for iterations in range(1, params.max_iters + 1):
@@ -365,32 +423,31 @@ def minimize_quantile(
         if pg_norm <= params.grad_tol:
             converged = True
             break
-        diag, sub = problem.curvature(G)
+        diag, sub = problem.curvature(point)
         d = _newton_direction(G, grad, diag, sub, scenario)
         accepted = False
         step = params.step0
         for _ in range(_MAX_BACKTRACKS):
-            cand = _project_values(G - step * d, iv, mode, diag)
-            direction = cand - G
-            decrease = float(np.dot(grad, direction))
-            J_cand = problem.value(cand, barrier=True)
-            if decrease <= 0.0 and J_cand <= J + params.sigma * decrease:
-                accepted = True
-                break
+            cand = _trial_point(G - step * d, iv, mode)
+            gaps = np.diff(cand)
+            if not np.any(gaps <= 0.0):
+                direction = cand - G
+                decrease = float(np.dot(grad, direction))
+                cand_point = _Point(problem, cand, gaps)
+                J_cand = problem.value_at(cand_point)
+                if decrease <= 0.0 and J_cand <= J + params.sigma * decrease:
+                    accepted = True
+                    break
             step *= params.beta
         if not accepted or np.max(np.abs(direction)) <= 1e-16 * (1.0 + np.max(np.abs(G))):
             stalled = True
             break
-        grad = problem.gradient(cand)
+        grad = problem.gradient(cand_point)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("objective gradient overflowed; refine the resolution")
-        G, J = cand, J_cand
+        G, J, point = cand, J_cand, cand_point
 
     quantile = QuantileFn(G, scenario.interval, support_mode=scenario.support_mode)
-    nu = quantile_to_density(quantile, scenario.grid)
-    from .verify import equilibrium_residual
-
-    report = equilibrium_residual(scenario, nu)
     metadata = {
         "congestion_kind": scenario.model.congestion.kind,
         "congestion_convention": scenario.model.congestion.convention,
@@ -404,14 +461,12 @@ def minimize_quantile(
         "seed": None,
     }
     return EquilibriumResult(
-        nu=nu,
+        nu=quantile_to_density(quantile, scenario.grid),
         G=quantile,
         J_value=float(J),
-        M=report.M,
-        residual_sup=report.residual_sup,
-        residual_eq=report.residual_eq,
         iterations=iterations,
         converged=converged,
+        scenario=scenario,
         metadata=metadata,
     )
 

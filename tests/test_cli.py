@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cnot import SolverParams, minimize_quantile
-from cnot.cli import load_scenario, main
+from cnot.cli import _write_csv, load_scenario, main
 
 
 def _write_scenario(path, **overrides):
@@ -111,6 +111,45 @@ def test_solve_iteration_cap_exits_2(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["converged"] is False
+
+
+def test_solve_certificate_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    """The certificate is computed when the diagnostics read it; an error
+    there is reported like a solver failure: exit 2, the message in
+    diagnostics.json and no CSV artifacts."""
+    import cnot.verify
+
+    def failing(*args, **kwargs):
+        raise ValueError("certificate failed")
+
+    monkeypatch.setattr(cnot.verify, "equilibrium_residual", failing)
+    scn = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["solve", "--scenario", str(scn), "--out", str(out)]) == 2
+    assert json.loads((out / "diagnostics.json").read_text())["error"] == "certificate failed"
+    assert not (out / "equilibrium.csv").exists()
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    """The one-format CSV writer gives the bytes of the per-value writer:
+    ``%.17g`` for floats (nan and inf included), ``str`` for integers."""
+    rng = np.random.default_rng(2)
+    floats = rng.normal(0.0, 1.0, 40) * 10.0 ** rng.uniform(-300.0, 300.0, 40)
+    floats[[3, 7, 11]] = [np.nan, np.inf, -np.inf]
+    ints = list(range(-5, 35))
+    columns = (ints, floats, np.arange(40, dtype=np.int64), floats[::-1].copy())
+    lines = ["k,a,i,b"] + [
+        ",".join(str(c) if isinstance(c, (int, np.integer)) else "%.17g" % float(c)
+                 for c in row)
+        for row in zip(*columns)
+    ]
+    path = tmp_path / "t.csv"
+    _write_csv(path, "k,a,i,b", columns)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    _write_csv(path, "node,nu", (np.linspace(0.0, 1.0, 7), np.full(7, 1.0 / 3.0)))
+    assert path.read_text().splitlines()[1:3] == ["0,0.33333333333333331",
+                                                   "0.16666666666666666,0.33333333333333331"]
 
 
 def test_solve_support_override(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
+from scipy.optimize import isotonic_regression
 
 from cnot import (
     CongestionSpec,
@@ -10,19 +12,21 @@ from cnot import (
     Grid,
     InteractionKernel,
     Interval,
+    JkoParams,
     PotentialSpec,
     Scenario,
     SolverParams,
     best_response_iterate,
     density_to_quantile,
     gaussian_truncated_density,
+    jko_flow,
     minimize_quantile,
     objective_eval,
     objective_gradient,
     project_monotone,
     uniform_density,
 )
-from cnot.solver import _newton_direction, _project_values
+from cnot.solver import _newton_direction, _project_values, _QuantileProblem, _trial_point
 
 
 def _uniform_scenario(n=64, m=129, convention="shifted", support_mode="free"):
@@ -192,23 +196,69 @@ def _isotonic_min_max(y, w):
 
 
 def test_weighted_fixed_endpoint_projection_matches_brute_force():
-    """The weighted fixed-endpoint projection is the interior's weighted
-    isotonic fit, clipped to the interval, with the ends set to lo and hi;
-    neither the end trials nor the end weights change the interior."""
+    """The fixed-endpoint projection is the interior's isotonic fit (the
+    min-max formula with unit weights), clipped to the interval, with the
+    ends set to lo and hi; the end trials do not change the interior."""
     iv = Interval(-1.0, 2.0)
     rng = np.random.default_rng(3)
     for _ in range(20):
         m = int(rng.integers(3, 12))
         y = rng.normal(0.5, 2.0, m)
-        w = rng.uniform(0.1, 5.0, m)
-        v = _project_values(y, iv, "fixed_endpoints", w)
+        v = _project_values(y, iv, "fixed_endpoints")
         assert v[0] == iv.lo and v[-1] == iv.hi
-        expected = np.clip(_isotonic_min_max(y[1:-1], w[1:-1]), iv.lo, iv.hi)
+        expected = np.clip(_isotonic_min_max(y[1:-1], np.ones(m - 2)), iv.lo, iv.hi)
         assert np.allclose(v[1:-1], expected, rtol=0.0, atol=1e-12)
-        y2, w2 = y.copy(), w.copy()
+        y2 = y.copy()
         y2[[0, -1]] = rng.normal(0.0, 100.0, 2)
-        w2[[0, -1]] = rng.uniform(1e-6, 1e6, 2)
-        assert np.array_equal(_project_values(y2, iv, "fixed_endpoints", w2), v)
+        assert np.array_equal(_project_values(y2, iv, "fixed_endpoints"), v)
+
+
+def _weighted_pava_trial(y, interval, support_mode, weights):
+    """The line-search trial as it was computed before the PAVA-free rule:
+    the weighted isotonic projection of the raw step, clipped to the interval
+    (only the interior pooled, ends pinned, in ``fixed_endpoints`` mode)."""
+    if support_mode != "fixed_endpoints":
+        return np.clip(isotonic_regression(y, weights=weights).x, interval.lo, interval.hi)
+    v = np.empty_like(y)
+    v[0], v[-1] = interval.lo, interval.hi
+    v[1:-1] = np.clip(
+        isotonic_regression(y[1:-1], weights=weights[1:-1]).x, interval.lo, interval.hi
+    )
+    return v
+
+
+def test_trial_point_matches_weighted_pava_trial():
+    """Clip-and-reject gives the line search the same points as the weighted
+    projection it replaces: a trial is rejected exactly when the projected
+    trial has infinite objective (a pooled tie or a double clip is a zero
+    gap), and every other trial is bit-equal to the projected one."""
+    rng = np.random.default_rng(11)
+    seen = {"accepted": 0, "clipped": 0, "rejected": 0}
+    for mode in ("free", "fixed_endpoints"):
+        scenario = _uniform_scenario(n=16, m=24, support_mode=mode)
+        problem = _QuantileProblem(scenario)
+        iv, m = scenario.interval, scenario.m
+        for _ in range(400):
+            G = np.sort(rng.uniform(iv.lo, iv.hi, m))
+            G += np.linspace(0.0, 1e-9, m)  # strictly increasing
+            if mode == "fixed_endpoints":
+                G[0], G[-1] = iv.lo, iv.hi
+            G = np.clip(G, iv.lo, iv.hi)
+            assert np.all(np.diff(G) > 0.0)
+            d = rng.normal(0.0, 1.0, m) * 10.0 ** rng.uniform(-4.0, 1.0, m)
+            diag = 10.0 ** rng.uniform(-6.0, 6.0, m)
+            step = 0.5 ** int(rng.integers(0, 30))
+            reference = _weighted_pava_trial(G - step * d, iv, mode, diag)
+            trial = _trial_point(G - step * d, iv, mode)
+            rejected = bool(np.any(np.diff(trial) <= 0.0))
+            assert rejected == (problem.value(reference, barrier=True) == np.inf)
+            if rejected:
+                seen["rejected"] += 1
+                continue
+            assert np.array_equal(trial, reference)
+            raw = G - step * d
+            seen["clipped" if np.any((raw < iv.lo) | (raw > iv.hi)) else "accepted"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_minimize_uniform_source_is_fixed_point():
@@ -246,6 +296,42 @@ def test_minimize_certificate_fields():
     assert result.metadata["stalled"] is False
     # mass is conserved through the quantile -> density conversion
     assert result.nu.masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_certificate_is_computed_on_first_read(monkeypatch):
+    """The solve computes no certificate; the first read of M, residual_sup
+    or residual_eq computes exactly one, shared by all three and equal to a
+    direct ``equilibrium_residual``; a JKO flow, which reads none of them,
+    computes none; and a certificate error surfaces on the first read."""
+    import cnot.verify
+
+    original = cnot.verify.equilibrium_residual
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cnot.verify, "equilibrium_residual", counting)
+    scenario = _congested_scenario()
+    result = minimize_quantile(scenario)
+    assert len(calls) == 0
+    fields = (result.M, result.residual_sup, result.residual_eq)
+    assert len(calls) == 1
+    assert (result.M, result.residual_sup, result.residual_eq) == fields
+    assert len(calls) == 1
+    direct = original(scenario, result.nu)
+    assert fields == (direct.M, direct.residual_sup, direct.residual_eq)
+    jko_flow(scenario, uniform_density(scenario.grid), JkoParams(tau=0.1, steps=3))
+    assert len(calls) == 1
+
+    def failing(*args, **kwargs):
+        raise ValueError("certificate failed")
+
+    monkeypatch.setattr(cnot.verify, "equilibrium_residual", failing)
+    result = minimize_quantile(scenario)
+    with pytest.raises(ValueError, match="certificate failed"):
+        result.residual_eq
 
 
 def test_minimize_g0_validation():
@@ -300,6 +386,63 @@ def test_newton_direction_keeps_pinned_endpoints_still():
         assert np.dot(d, grad) > 0.0
     d = _newton_direction(G, grad, diag, sub, _uniform_scenario(n=8, m=4))
     assert d[-1] == grad[-1] / diag[-1]
+
+
+def _banded_newton_direction(G, grad, diag, sub, scenario):
+    """``_newton_direction`` computed through ``scipy.linalg.solveh_banded``
+    on a ``(2, m)`` lower band, as it was before the direct ``dptsv`` call."""
+    iv = scenario.interval
+    active = ((G <= iv.lo + 1e-12) & (grad > 0.0)) | ((G >= iv.hi - 1e-12) & (grad < 0.0))
+    pinned = scenario.support_mode == "fixed_endpoints"
+    if pinned:
+        active[0] = active[-1] = True
+    sub_masked = sub.copy()
+    sub_masked[active[:-1] | active[1:]] = 0.0
+    ab = np.zeros((2, G.size))
+    ab[0] = diag
+    ab[1, :-1] = sub_masked
+    fallback = grad / diag
+    if pinned:
+        fallback[[0, -1]] = 0.0
+    try:
+        d = solveh_banded(ab, grad, lower=True)
+    except np.linalg.LinAlgError:
+        return fallback
+    if active.any():
+        d[active] = fallback[active]
+    if not np.all(np.isfinite(d)) or float(np.dot(d, grad)) <= 0.0:
+        return fallback
+    return d
+
+
+def test_newton_direction_matches_banded_solve():
+    """The direct ``dptsv`` call gives bit for bit the direction of
+    ``solveh_banded`` on random positive-definite tridiagonals: free,
+    pinned, and with a box-active end."""
+    rng = np.random.default_rng(5)
+    m = 17
+    free = _uniform_scenario(n=8, m=m)
+    pinned = _uniform_scenario(n=8, m=m, support_mode="fixed_endpoints")
+    newton = 0
+    for case in ("free", "pinned", "box_active") * 30:
+        G = np.sort(rng.uniform(0.05, 0.95, m))
+        grad = rng.normal(0.0, 1.0, m) * 10.0 ** rng.uniform(-3.0, 3.0, m)
+        diag = 10.0 ** rng.uniform(-4.0, 4.0, m)
+        # |sub_i| < 0.5 sqrt(diag_i diag_{i+1}) keeps the matrix diagonally
+        # dominant after symmetric scaling, hence positive definite
+        sub = -rng.uniform(0.0, 0.45, m - 1) * np.sqrt(diag[:-1] * diag[1:])
+        scenario = pinned if case == "pinned" else free
+        if case == "pinned":
+            G[0], G[-1] = 0.0, 1.0
+        elif case == "box_active":
+            G[-1], grad[-1] = 1.0, -abs(grad[-1])
+        d = _newton_direction(G, grad, diag, sub, scenario)
+        assert np.array_equal(d, _banded_newton_direction(G, grad, diag, sub, scenario))
+        fallback = grad / diag
+        if case == "pinned":
+            fallback[[0, -1]] = 0.0
+        newton += not np.array_equal(d, fallback)
+    assert newton >= 80
 
 
 def test_fixed_endpoint_power_product_solve_converges():
