@@ -19,10 +19,11 @@ first-order condition ``f(nu) = M - phi^c - interaction - v`` pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from scipy.linalg import solveh_banded
 from scipy.optimize import brentq, isotonic_regression
 
 from .energy import EnergyModel
@@ -120,26 +121,23 @@ class EquilibriumResult:
     scenario: Scenario = field(repr=False, compare=False)
     metadata: dict = field(default_factory=dict)
 
-    def _certificate(self) -> ResidualReport:
-        report = self.__dict__.get("_report")
-        if report is None:
-            from .verify import equilibrium_residual
+    @cached_property
+    def _report(self) -> ResidualReport:
+        from .verify import equilibrium_residual
 
-            report = equilibrium_residual(self.scenario, self.nu)
-            object.__setattr__(self, "_report", report)
-        return report
+        return equilibrium_residual(self.scenario, self.nu)
 
     @property
     def M(self) -> float:
-        return self._certificate().M
+        return self._report.M
 
     @property
     def residual_sup(self) -> float:
-        return self._certificate().residual_sup
+        return self._report.residual_sup
 
     @property
     def residual_eq(self) -> float:
-        return self._certificate().residual_eq
+        return self._report.residual_eq
 
 
 def _quantile_values(G) -> np.ndarray:
@@ -183,16 +181,22 @@ class _QuantileProblem:
             prox = (anchor, float(tau))
         self.prox = prox
 
+    def point(self, G: np.ndarray) -> Optional[_Point]:
+        """The shared pieces at ``G``, or None when a gap is ``<= 0`` (there
+        the objective is ``+inf``)."""
+        gaps = np.diff(G)
+        if np.any(gaps <= 0.0):
+            return None
+        return _Point(self, G, gaps)
+
     def value(self, G: np.ndarray, barrier: bool = False) -> float:
         """Objective at ``G``; with ``barrier=True`` infeasible points give +inf."""
-        gaps = np.diff(G)
-        if np.any(gaps < 0.0):
-            if barrier:
-                return float("inf")
-            raise ValueError("quantile values must be non-decreasing")
-        if np.any(gaps == 0.0):
+        p = self.point(G)
+        if p is None:
+            if not barrier and np.any(np.diff(G) < 0.0):
+                raise ValueError("quantile values must be non-decreasing")
             return float("inf")
-        return self.value_at(_Point(self, G, gaps))
+        return self.value_at(p)
 
     def value_at(self, p: _Point) -> float:
         m = self.m
@@ -270,12 +274,11 @@ def objective_eval(scenario: Scenario, G) -> float:
 
 def objective_gradient(scenario: Scenario, G) -> np.ndarray:
     """Exact gradient of ``objective_eval`` in the quantile values."""
-    values = _quantile_values(G)
-    gaps = np.diff(values)
-    if np.any(gaps <= 0.0):
-        raise ValueError("gradient requires strictly increasing quantile values")
     problem = _QuantileProblem(scenario)
-    return problem.gradient(_Point(problem, values, gaps))
+    p = problem.point(_quantile_values(G))
+    if p is None:
+        raise ValueError("gradient requires strictly increasing quantile values")
+    return problem.gradient(p)
 
 
 def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
@@ -343,9 +346,11 @@ def _newton_direction(
     given diagonally scaled components instead.  In ``fixed_endpoints`` mode
     the two ends are constants, not unknowns: their components are 0, so
     they enter neither the descent test nor the fallback.  The system is
-    solved by LAPACK ``dptsv`` (tridiagonal Cholesky).  If the model is not
-    positive definite or the result is not a descent direction, fall back
-    to the diagonally preconditioned gradient.
+    solved as a two-row band by ``solveh_banded`` (LAPACK ``?ptsv``,
+    tridiagonal Cholesky), without its finiteness passes: ``grad`` is
+    checked finite by the caller.  If the model is not positive definite or
+    the result is not a descent direction, fall back to the diagonally
+    preconditioned gradient.
     """
     iv = scenario.interval
     active = ((G <= iv.lo + _EDGE_TOL) & (grad > 0.0)) | (
@@ -355,13 +360,15 @@ def _newton_direction(
     if pinned:
         active[0] = True
         active[-1] = True
-    sub_masked = sub.copy()
-    sub_masked[active[:-1] | active[1:]] = 0.0
+    ab = np.zeros((2, G.size))
+    ab[0] = diag
+    ab[1, :-1] = np.where(active[:-1] | active[1:], 0.0, sub)
     fallback = grad / diag
     if pinned:
         fallback[[0, -1]] = 0.0
-    _, _, d, info = dptsv(diag, sub_masked, grad, overwrite_e=True)
-    if info > 0:  # a leading minor is not positive definite
+    try:
+        d = solveh_banded(ab, grad, overwrite_ab=True, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:  # a leading minor is not positive definite
         return fallback
     if active.any():
         d[active] = fallback[active]
@@ -405,8 +412,7 @@ def minimize_quantile(
             raise ValueError("G0 must have the scenario's quantile resolution m")
     else:
         G = _project_values(problem.H, iv, mode)
-    gaps = np.diff(G)
-    point = _Point(problem, G, gaps) if np.all(gaps > 0.0) else None
+    point = problem.point(G)
     J = problem.value_at(point) if point is not None else float("inf")
     if not np.isfinite(J):
         raise ValueError("initial quantile has non-positive gaps (infinite objective)")
@@ -428,12 +434,10 @@ def minimize_quantile(
         accepted = False
         step = params.step0
         for _ in range(_MAX_BACKTRACKS):
-            cand = _trial_point(G - step * d, iv, mode)
-            gaps = np.diff(cand)
-            if not np.any(gaps <= 0.0):
-                direction = cand - G
+            cand_point = problem.point(_trial_point(G - step * d, iv, mode))
+            if cand_point is not None:
+                direction = cand_point.G - G
                 decrease = float(np.dot(grad, direction))
-                cand_point = _Point(problem, cand, gaps)
                 J_cand = problem.value_at(cand_point)
                 if decrease <= 0.0 and J_cand <= J + params.sigma * decrease:
                     accepted = True
@@ -445,7 +449,7 @@ def minimize_quantile(
         grad = problem.gradient(cand_point)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("objective gradient overflowed; refine the resolution")
-        G, J, point = cand, J_cand, cand_point
+        G, J, point = cand_point.G, J_cand, cand_point
 
     quantile = QuantileFn(G, scenario.interval, support_mode=scenario.support_mode)
     metadata = {

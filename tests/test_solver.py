@@ -390,7 +390,8 @@ def test_newton_direction_keeps_pinned_endpoints_still():
 
 def _banded_newton_direction(G, grad, diag, sub, scenario):
     """``_newton_direction`` computed through ``scipy.linalg.solveh_banded``
-    on a ``(2, m)`` lower band, as it was before the direct ``dptsv`` call."""
+    with its default finiteness checks, on a freshly built ``(2, m)`` lower
+    band and a copied subdiagonal."""
     iv = scenario.interval
     active = ((G <= iv.lo + 1e-12) & (grad > 0.0)) | ((G >= iv.hi - 1e-12) & (grad < 0.0))
     pinned = scenario.support_mode == "fixed_endpoints"
@@ -416,9 +417,9 @@ def _banded_newton_direction(G, grad, diag, sub, scenario):
 
 
 def test_newton_direction_matches_banded_solve():
-    """The direct ``dptsv`` call gives bit for bit the direction of
-    ``solveh_banded`` on random positive-definite tridiagonals: free,
-    pinned, and with a box-active end."""
+    """The unchecked, in-place band solve gives bit for bit the direction of
+    the checked ``solveh_banded`` reference on random positive-definite
+    tridiagonals: free, pinned, and with a box-active end."""
     rng = np.random.default_rng(5)
     m = 17
     free = _uniform_scenario(n=8, m=m)
