@@ -13,10 +13,9 @@ import argparse
 import copy
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -37,6 +36,7 @@ from .measures import (
 from .solver import Scenario, SolverParams, minimize_quantile
 from .transport import CostSpec
 from .verify import (
+    ResidualReport,
     displacement_convexity_probe,
     equilibrium_residual,
     monge_ampere_residual_1d,
@@ -97,7 +97,10 @@ def _load_density_file(path: Path, grid: Grid, pointer: str) -> DiscreteDensity:
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=0)
     except ValueError:
-        table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+        try:  # the first row may be a header
+            table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+        except ValueError as exc:
+            raise ScenarioError(pointer, f"not a numeric CSV table: {exc}") from exc
     values = table[:, -1]
     _require(values.size == grid.n, pointer,
              f"expected {grid.n} rows (one per grid cell), got {values.size}")
@@ -228,17 +231,16 @@ def _build_solver_params(raw: dict) -> SolverParams:
     return SolverParams(**params)
 
 
+@dataclass(frozen=True)
 class _Bundle:
     """A loaded scenario with its solver parameters and provenance."""
 
-    def __init__(self, scenario: Scenario, params: SolverParams, seed: int,
-                 raw: dict, scenario_hash: str, path: Path):
-        self.scenario = scenario
-        self.params = params
-        self.seed = seed
-        self.raw = raw
-        self.scenario_hash = scenario_hash
-        self.path = path
+    scenario: Scenario
+    params: SolverParams
+    seed: int
+    raw: dict
+    scenario_hash: str
+    base_dir: Path  # relative paths in ``raw`` resolve against this directory
 
     def metadata(self) -> dict:
         return {
@@ -251,7 +253,8 @@ class _Bundle:
         }
 
 
-def _scenario_from_raw(raw: dict, base_dir: Path) -> tuple[Scenario, SolverParams, int]:
+def _bundle_from_raw(raw: dict, base_dir: Path) -> _Bundle:
+    """Validate a scenario document; relative paths resolve against ``base_dir``."""
     _require(isinstance(raw, dict), "/", "scenario file must contain a JSON object")
     _check_keys(raw, {"interval", "grid_n", "quantile_m", "mu", "cost", "congestion",
                       "kernel", "potential", "support_mode", "solver", "seed"}, "")
@@ -285,7 +288,9 @@ def _scenario_from_raw(raw: dict, base_dir: Path) -> tuple[Scenario, SolverParam
     )
     scenario = Scenario(mu=mu, cost=cost, model=model, m=quantile_m,
                         support_mode=support_mode)
-    return scenario, _build_solver_params(raw), seed
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    return _Bundle(scenario, _build_solver_params(raw), seed, raw,
+                   hashlib.sha256(canonical.encode()).hexdigest(), base_dir)
 
 
 def _load_bundle(path_str: str) -> _Bundle:
@@ -296,10 +301,7 @@ def _load_bundle(path_str: str) -> _Bundle:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError("/", f"invalid JSON: {exc}") from exc
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    scenario_hash = hashlib.sha256(canonical.encode()).hexdigest()
-    scenario, params, seed = _scenario_from_raw(raw, path.parent)
-    return _Bundle(scenario, params, seed, raw, scenario_hash, path)
+    return _bundle_from_raw(raw, path.parent)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -354,9 +356,40 @@ def _result_payload(result) -> dict:
     }
 
 
-def _cmd_solve(bundle: _Bundle, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _guarded(report: Path, payload: dict, step) -> int:
+    """Run ``step()``, the one place a numerical failure is handled: a
+    ``RuntimeError`` or a ``ValueError`` other than ``ScenarioError`` is
+    written into ``payload`` under ``"error"``, saved to ``report`` and
+    exits 2.  Validation errors pass through."""
+    try:
+        return step()
+    except ScenarioError:
+        raise
+    except (RuntimeError, ValueError) as exc:
+        payload["error"] = str(exc)
+        _write_json(report, payload)
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+
+
+def _solve_into(out: Path, scenario: Scenario, params: SolverParams,
+                diagnostics: dict) -> int:
+    """Solve and write ``equilibrium.csv``, ``quantile.csv`` and
+    ``diagnostics.json`` (``diagnostics`` completed with the result)."""
+    result = minimize_quantile(scenario, params)
+    diagnostics.update(_result_payload(result))  # reads the certificate, which may raise
+    _write_csv(out / "equilibrium.csv", "node,nu",
+               (scenario.grid.nodes, result.nu.values))
+    _write_csv(out / "quantile.csv", "p,G",
+               (result.G.probabilities, result.G.values))
+    _write_json(out / "diagnostics.json", diagnostics)
+    if not result.converged:
+        print("solver did not converge; diagnostics written", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _cmd_solve(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     scenario, params = bundle.scenario, bundle.params
     if args.max_iters is not None:
         params = replace(params, max_iters=args.max_iters)
@@ -365,25 +398,7 @@ def _cmd_solve(bundle: _Bundle, args) -> int:
     if args.support is not None:
         mode = "fixed_endpoints" if args.support == "fixed" else "free"
         scenario = replace(scenario, support_mode=mode)
-    diagnostics = {"command": "solve", **bundle.metadata()}
-    try:
-        result = minimize_quantile(scenario, params)
-        payload = _result_payload(result)  # reads the certificate, which may raise
-    except (RuntimeError, ValueError) as exc:
-        diagnostics["error"] = str(exc)
-        _write_json(out / "diagnostics.json", diagnostics)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    _write_csv(out / "equilibrium.csv", "node,nu",
-               (scenario.grid.nodes, result.nu.values))
-    _write_csv(out / "quantile.csv", "p,G",
-               (result.G.probabilities, result.G.values))
-    diagnostics.update(payload)
-    _write_json(out / "diagnostics.json", diagnostics)
-    if not result.converged:
-        print("solver did not converge; diagnostics written", file=sys.stderr)
-        return 2
-    return 0
+    return _solve_into(out, scenario, params, payload)
 
 
 def _initial_density(args, scenario: Scenario) -> DiscreteDensity:
@@ -396,21 +411,12 @@ def _initial_density(args, scenario: Scenario) -> DiscreteDensity:
     return _load_density_file(Path(args.init_file), scenario.grid, "/init-file")
 
 
-def _cmd_jko(bundle: _Bundle, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_jko(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     scenario = bundle.scenario
     nu0 = _initial_density(args, scenario)
-    diagnostics = {"command": "jko", "tau": args.tau, "steps": args.steps,
-                   "init": args.init, **bundle.metadata()}
-    try:
-        params = JkoParams(tau=args.tau, steps=args.steps, inner=bundle.params)
-        trajectory = jko_flow(scenario, nu0, params)
-    except (RuntimeError, ValueError) as exc:
-        diagnostics["error"] = str(exc)
-        _write_json(out / "diagnostics.json", diagnostics)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    payload.update(tau=args.tau, steps=args.steps, init=args.init)
+    params = JkoParams(tau=args.tau, steps=args.steps, inner=bundle.params)
+    trajectory = jko_flow(scenario, nu0, params)
     ks = [p.k for p in trajectory.points]
     _write_csv(out / "trajectory.csv", "k,J,W2_step",
                (ks, [p.J_value for p in trajectory.points],
@@ -418,22 +424,13 @@ def _cmd_jko(bundle: _Bundle, args) -> int:
     for point in trajectory.points:
         _write_csv(out / f"density_{point.k:04d}.csv", "node,nu",
                    (scenario.grid.nodes, point.nu.values))
-    diagnostics.update(trajectory.diagnostics)
-    _write_json(out / "diagnostics.json", diagnostics)
+    payload.update(trajectory.diagnostics)
+    _write_json(out / "diagnostics.json", payload)
     return 0
 
 
-def _cmd_welfare(bundle: _Bundle, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"command": "welfare", **bundle.metadata()}
-    try:
-        report = cost_of_anarchy(bundle.scenario, bundle.params)
-    except (RuntimeError, ValueError) as exc:
-        payload["error"] = str(exc)
-        _write_json(out / "welfare.json", payload)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+def _cmd_welfare(bundle: _Bundle, args, out: Path, payload: dict) -> int:
+    report = cost_of_anarchy(bundle.scenario, bundle.params)
     payload.update({
         "sc_equilibrium": report.sc_equilibrium,
         "sc_optimum": report.sc_optimum,
@@ -448,10 +445,11 @@ def _cmd_welfare(bundle: _Bundle, args) -> int:
     return 0
 
 
-def _run_check(name: str, bundle: _Bundle, nu: DiscreteDensity) -> dict:
+def _run_check(name: str, bundle: _Bundle, nu: DiscreteDensity,
+               certificate: Optional[ResidualReport]) -> dict:
     scenario = bundle.scenario
     if name == "eq":
-        rep = equilibrium_residual(scenario, nu)
+        rep = certificate if certificate is not None else equilibrium_residual(scenario, nu)
         return {"residual_sup": rep.residual_sup, "residual_eq": rep.residual_eq,
                 "M": rep.M, "epsilon": rep.epsilon}
     if name == "purity":
@@ -476,15 +474,14 @@ def _run_check(name: str, bundle: _Bundle, nu: DiscreteDensity) -> dict:
             "predicted": rep.predicted, "errors": list(rep.errors)}
 
 
-def _cmd_verify(bundle: _Bundle, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_verify(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     for name in names:
         _require(name in _CHECK_NAMES, "/checks",
                  f"unknown check {name!r}; choose from {', '.join(_CHECK_NAMES)}")
-    payload = {"command": "verify", "checks": names, **bundle.metadata()}
+    payload["checks"] = names
     failed = False
+    certificate = None  # the solve's certificate, reused by the eq check
     if args.density is not None:
         nu = _load_density_file(Path(args.density), bundle.scenario.grid, "/density")
         payload["density_source"] = "file"
@@ -493,11 +490,12 @@ def _cmd_verify(bundle: _Bundle, args) -> int:
         nu = result.nu
         payload["density_source"] = "solved"
         payload["solver"] = _result_payload(result)
-        failed = failed or not result.converged
+        certificate = result.certificate
+        failed = not result.converged
     results = {}
     for name in names:
         try:
-            results[name] = _run_check(name, bundle, nu)
+            results[name] = _run_check(name, bundle, nu, certificate)
         except ValueError as exc:
             results[name] = {"status": "inapplicable", "detail": str(exc)}
         except RuntimeError as exc:
@@ -512,18 +510,6 @@ def _cmd_verify(bundle: _Bundle, args) -> int:
     return 0
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CNOT_THREADS", "")
-    if raw.strip():
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ScenarioError("/CNOT_THREADS", "must be a positive integer") from exc
-        _require(value >= 1, "/CNOT_THREADS", "must be a positive integer")
-        return value
-    return min(4, os.cpu_count() or 1)
-
-
 def _set_path(raw: dict, dotted: str, value: float) -> None:
     keys = dotted.split(".")
     obj = raw
@@ -535,14 +521,13 @@ def _set_path(raw: dict, dotted: str, value: float) -> None:
     obj[keys[-1]] = value
 
 
-def _cmd_sweep(bundle: _Bundle, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_sweep(bundle: _Bundle, args, out: Path, payload: dict) -> int:
+    """Solve each value in turn, as ``solve`` would, one run directory each;
+    a run's numerical failure is recorded in that run's diagnostics."""
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError:
-        print("error: /values: must be comma-separated numbers", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        raise ScenarioError("/values", "must be comma-separated numbers") from exc
     _require(len(values) > 0, "/values", "needs at least one value")
     leaf = args.param.split(".")[-1]
     runs = []
@@ -551,30 +536,23 @@ def _cmd_sweep(bundle: _Bundle, args) -> int:
         _set_path(raw, args.param, value)
         run_dir = out / f"run_{i:03d}_{leaf}_{value:g}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        scenario_path = run_dir / "scenario.json"
-        _write_json(scenario_path, raw)
-        runs.append((value, run_dir, scenario_path))
-
-    def solve_one(entry):
-        value, run_dir, scenario_path = entry
-        sub = _load_bundle(str(scenario_path))
-        ns = argparse.Namespace(out=str(run_dir), max_iters=None, tol=None, support=None)
-        code = _cmd_solve(sub, ns)
-        diag = json.loads((run_dir / "diagnostics.json").read_text())
-        return value, run_dir.name, code, diag
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        outcomes = list(pool.map(solve_one, runs))
+        _write_json(run_dir / "scenario.json", raw)
+        runs.append((value, run_dir, raw))
+    # every run is validated before the first one is solved
+    runs = [(value, run_dir, _bundle_from_raw(raw, bundle.base_dir))
+            for value, run_dir, raw in runs]
 
     lines = ["value,directory,exit_code,J,M,residual_sup,residual_eq,converged"]
     worst = 0
-    for value, name, code, diag in outcomes:
+    for value, run_dir, run in runs:
+        diag = {"command": "solve", **run.metadata()}
+        code = _guarded(run_dir / "diagnostics.json", diag,
+                        partial(_solve_into, run_dir, run.scenario, run.params, diag))
         worst = max(worst, code)
         lines.append(",".join([
-            _fmt(value), name, str(code),
-            _fmt(diag.get("J", float("nan"))), _fmt(diag.get("M", float("nan"))),
-            _fmt(diag.get("residual_sup", float("nan"))),
-            _fmt(diag.get("residual_eq", float("nan"))),
+            _fmt(value), run_dir.name, str(code),
+            *(_fmt(diag.get(key, float("nan")))
+              for key in ("J", "M", "residual_sup", "residual_eq")),
             str(diag.get("converged", False)),
         ]))
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
@@ -628,12 +606,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# each command with the JSON report its numerical failure is written to;
+# sweep has none, it guards each of its runs
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "jko": _cmd_jko,
-    "welfare": _cmd_welfare,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
+    "solve": (_cmd_solve, "diagnostics.json"),
+    "jko": (_cmd_jko, "diagnostics.json"),
+    "welfare": (_cmd_welfare, "welfare.json"),
+    "verify": (_cmd_verify, "verify.json"),
+    "sweep": (_cmd_sweep, None),
 }
 
 
@@ -645,7 +625,12 @@ def main(argv=None) -> int:
             raise ScenarioError("/args", "a command is required "
                                 "(solve, jko, welfare, verify, sweep)")
         bundle = _load_bundle(args.scenario)
-        return _COMMANDS[args.command](bundle, args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        command, report = _COMMANDS[args.command]
+        payload = {"command": args.command, **bundle.metadata()}
+        step = partial(command, bundle, args, out, payload)
+        return step() if report is None else _guarded(out / report, payload, step)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

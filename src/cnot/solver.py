@@ -106,11 +106,11 @@ class SolverParams:
 class EquilibriumResult:
     """Solver output: the equilibrium measure with its certificate numbers.
 
-    ``M``, ``residual_sup`` and ``residual_eq`` read one
-    ``verify.equilibrium_residual(scenario, nu)`` report, computed the first
-    time one of them is read and cached.  A caller that reads none of them
-    pays nothing for the certificate; an error the certificate raises
-    surfaces on that first read, not from the solve.
+    ``certificate`` is the ``verify.equilibrium_residual(scenario, nu)``
+    report, computed the first time it is read and cached; ``M``,
+    ``residual_sup`` and ``residual_eq`` read it.  A caller that reads none
+    of these pays nothing for the certificate; an error the certificate
+    raises surfaces on that first read, not from the solve.
     """
 
     nu: DiscreteDensity
@@ -122,22 +122,22 @@ class EquilibriumResult:
     metadata: dict = field(default_factory=dict)
 
     @cached_property
-    def _report(self) -> ResidualReport:
+    def certificate(self) -> ResidualReport:
         from .verify import equilibrium_residual
 
         return equilibrium_residual(self.scenario, self.nu)
 
     @property
     def M(self) -> float:
-        return self._report.M
+        return self.certificate.M
 
     @property
     def residual_sup(self) -> float:
-        return self._report.residual_sup
+        return self.certificate.residual_sup
 
     @property
     def residual_eq(self) -> float:
-        return self._report.residual_eq
+        return self.certificate.residual_eq
 
 
 def _quantile_values(G) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -176,6 +177,88 @@ def test_verify_runs_requested_checks(tmp_path):
     assert max(deriv["errors"]) < 1e-3 * (1.0 + abs(deriv["predicted"]))
 
 
+def test_verify_numerical_failure_exits_2_with_verify_json(tmp_path, monkeypatch, capsys):
+    """A solver ``RuntimeError`` or a certificate ``ValueError`` in verify's
+    own solve exits 2 with the message in verify.json; a ``ValueError`` in
+    one check still marks only that check inapplicable."""
+    import cnot.cli
+    import cnot.verify
+
+    scn = _write_scenario(tmp_path / "s.json")
+
+    def raising(exc):
+        def fail(*args, **kwargs):
+            raise exc
+        return fail
+
+    for module, name, exc in ((cnot.cli, "minimize_quantile", RuntimeError("no descent")),
+                              (cnot.verify, "equilibrium_residual",
+                               ValueError("certificate failed"))):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, raising(exc))
+            out = tmp_path / name
+            assert main(["verify", "--scenario", str(scn), "--out", str(out),
+                         "--checks", "eq"]) == 2
+        payload = json.loads((out / "verify.json").read_text())
+        assert payload["error"] == str(exc) and payload["command"] == "verify"
+        assert f"numerical failure: {exc}" in capsys.readouterr().err
+
+    monkeypatch.setattr(cnot.cli, "purity_check", raising(ValueError("not this one")))
+    out = tmp_path / "check"
+    assert main(["verify", "--scenario", str(scn), "--out", str(out),
+                 "--checks", "eq,purity"]) == 0
+    results = json.loads((out / "verify.json").read_text())["results"]
+    assert results["purity"] == {"status": "inapplicable", "detail": "not this one"}
+    assert "residual_eq" in results["eq"]
+
+
+def test_verify_eq_reuses_the_solve_certificate(tmp_path, monkeypatch):
+    """On a solved density the eq check reports the solve's certificate:
+    one ``equilibrium_residual`` call, numbers equal to a direct call."""
+    import cnot.cli
+    import cnot.verify
+
+    original = cnot.verify.equilibrium_residual
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cnot.verify, "equilibrium_residual", counting)
+    monkeypatch.setattr(cnot.cli, "equilibrium_residual", counting)
+    scn = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", str(scn), "--out", str(out),
+                 "--checks", "eq"]) == 0
+    assert len(calls) == 1
+    eq = json.loads((out / "verify.json").read_text())["results"]["eq"]
+    scenario = load_scenario(str(scn))
+    rep = original(scenario, minimize_quantile(scenario, SolverParams(grad_tol=1e-8)).nu)
+    assert eq == {"residual_sup": rep.residual_sup, "residual_eq": rep.residual_eq,
+                  "M": rep.M, "epsilon": rep.epsilon}
+
+
+def test_malformed_density_csv_is_a_validation_error(tmp_path, capsys):
+    """A density CSV that is not numeric exits 1 with the field's pointer,
+    for ``--density``, ``--init-file`` and a ``mu`` table alike."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("node,nu\n0.1,abc\n")
+    scn = _write_scenario(tmp_path / "s.json")
+    for command, extra, pointer in (
+        ("verify", ["--density", str(bad), "--checks", "eq"], "/density"),
+        ("jko", ["--init", "file", "--init-file", str(bad)], "/init-file"),
+    ):
+        assert main([command, "--scenario", str(scn), "--out", str(tmp_path / command)]
+                    + extra) == 1
+        err = capsys.readouterr().err
+        assert f"error: {pointer}: not a numeric CSV table" in err
+        assert "numerical failure" not in err
+    scn = _write_scenario(tmp_path / "t.json", mu={"kind": "table", "path": "bad.csv"})
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    assert "error: /mu/path: not a numeric CSV table" in capsys.readouterr().err
+
+
 def test_verify_unknown_check_name(tmp_path, capsys):
     scn = _write_scenario(tmp_path / "s.json")
     assert main(["verify", "--scenario", str(scn), "--out", str(tmp_path / "o"),
@@ -258,6 +341,62 @@ def test_sweep_solves_each_value(tmp_path):
         assert (run_dir / "equilibrium.csv").exists()
 
 
+def test_sweep_resolves_table_path_from_scenario_dir(tmp_path):
+    """A relative ``mu.table`` path resolves against the swept scenario's
+    directory, not the run directory; each run's J is the one ``solve``
+    gives for that value, and its scenario hash is that of the
+    ``scenario.json`` written for it."""
+    nodes = (np.arange(48) + 0.5) / 48.0
+    (tmp_path / "mu.csv").write_text(
+        "node,value\n" + "\n".join(f"{x},{1.0 + 0.5 * np.cos(2.0 * np.pi * x)}"
+                                    for x in nodes))
+    mu = {"kind": "table", "path": "mu.csv"}
+    scn = _write_scenario(tmp_path / "s.json", mu=mu)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scn), "--out", str(out),
+                 "--param", "kernel.kappa", "--values", "0.5,2"]) == 0
+    rows = [r.split(",") for r in (out / "summary.csv").read_text().split()[1:]]
+    for row, kappa in zip(rows, (0.5, 2.0)):
+        single = _write_scenario(tmp_path / f"k{kappa}.json", mu=mu,
+                                 kernel={"kind": "quadratic_distance", "kappa": kappa})
+        solo = tmp_path / f"solve_{kappa}"
+        assert main(["solve", "--scenario", str(single), "--out", str(solo)]) == 0
+        assert row[2] == "0"
+        assert float(row[3]) == json.loads((solo / "diagnostics.json").read_text())["J"]
+        run_dir = out / row[1]
+        canonical = json.dumps(json.loads((run_dir / "scenario.json").read_text()),
+                               sort_keys=True, separators=(",", ":"))
+        diag = json.loads((run_dir / "diagnostics.json").read_text())
+        assert diag["scenario_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_sweep_records_a_run_failure_and_goes_on(tmp_path, monkeypatch, capsys):
+    """A numerical failure in one run is written to that run's diagnostics
+    and summary row (exit code 2); the other runs still solve."""
+    import cnot.cli
+
+    solve = cnot.cli.minimize_quantile
+
+    def failing_at_kappa_one(scenario, params):
+        if scenario.model.kernel.kappa == 1.0:
+            raise RuntimeError("line search failed")
+        return solve(scenario, params)
+
+    monkeypatch.setattr(cnot.cli, "minimize_quantile", failing_at_kappa_one)
+    scn = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(scn), "--out", str(out),
+                 "--param", "kernel.kappa", "--values", "0.5,1,2"]) == 2
+    rows = [r.split(",") for r in (out / "summary.csv").read_text().split()[1:]]
+    assert [r[2] for r in rows] == ["0", "2", "0"]
+    assert rows[1][3] == "nan" and rows[1][7] == "False"
+    diag = json.loads((out / "run_001_kappa_1" / "diagnostics.json").read_text())
+    assert diag["error"] == "line search failed" and diag["command"] == "solve"
+    assert not (out / "run_001_kappa_1" / "equilibrium.csv").exists()
+    assert (out / "run_002_kappa_2" / "equilibrium.csv").exists()
+    assert "numerical failure: line search failed" in capsys.readouterr().err
+
+
 def test_sweep_rejects_bad_values(tmp_path, capsys):
     scn = _write_scenario(tmp_path / "s.json")
     assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "o"),
@@ -265,22 +404,21 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
     assert "/values" in capsys.readouterr().err
 
 
+def test_sweep_validates_every_run_before_solving(tmp_path, capsys):
+    scn = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(scn), "--out", str(out),
+                 "--param", "solver.grad_tol", "--values", "1e-8,-1"]) == 1
+    assert "/solver/grad_tol" in capsys.readouterr().err
+    assert (out / "run_001_grad_tol_-1" / "scenario.json").exists()
+    assert not (out / "run_000_grad_tol_1e-08" / "diagnostics.json").exists()
+
+
 def test_sweep_rejects_unknown_param_path(tmp_path, capsys):
     scn = _write_scenario(tmp_path / "s.json")
     assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "o"),
                  "--param", "laser.power", "--values", "1.0"]) == 1
     assert "/param" in capsys.readouterr().err
-
-
-def test_thread_count_env(tmp_path, monkeypatch, capsys):
-    scn = _write_scenario(tmp_path / "s.json")
-    monkeypatch.setenv("CNOT_THREADS", "2")
-    assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "a"),
-                 "--param", "kernel.kappa", "--values", "1.0"]) == 0
-    monkeypatch.setenv("CNOT_THREADS", "zero")
-    assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "b"),
-                 "--param", "kernel.kappa", "--values", "1.0"]) == 1
-    assert "CNOT_THREADS" in capsys.readouterr().err
 
 
 def test_table_density_source(tmp_path):
