@@ -5,8 +5,9 @@ that arise when a continuum of agents choose actions on an interval, paying a
 transport cost from their type plus congestion, interaction, and location
 costs.  The core reduction is one-dimensional: densities become quantile
 functions, the equilibrium becomes the minimizer of a convex functional over
-monotone vectors, and a projected Newton method with an isotonic projection
-solves it.  Companion modules provide best-response iteration,
+monotone vectors, and a projected Newton method solves it.  The functional is
+infinite at a zero gap, so only the interval's box can bind, and the method
+projects onto the box alone.  Companion modules provide best-response iteration,
 minimizing-movement (JKO) dynamics, welfare and tax analysis, and independent
 verification checks.
 """

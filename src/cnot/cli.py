@@ -93,7 +93,7 @@ def _check_keys(obj: dict, allowed: set, pointer: str) -> None:
 
 
 def _load_density_file(path: Path, grid: Grid, pointer: str) -> DiscreteDensity:
-    _require(path.exists(), pointer, f"file not found: {path}")
+    _require(path.is_file(), pointer, f"file not found: {path}")
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=0)
     except ValueError:
@@ -214,21 +214,13 @@ def _build_potential(raw: dict, interval: Interval) -> Optional[PotentialSpec]:
 
 def _build_solver_params(raw: dict) -> SolverParams:
     obj = _get_section(raw, "solver", "/solver", default={})
-    _check_keys(obj, {"max_iters", "grad_tol", "step0", "beta", "sigma"}, "/solver")
+    _check_keys(obj, {"max_iters", "grad_tol"}, "/solver")
     defaults = SolverParams()
-    params = dict(
-        max_iters=_integer(obj, "max_iters", "/solver", default=defaults.max_iters),
-        grad_tol=_number(obj, "grad_tol", "/solver", default=defaults.grad_tol),
-        step0=_number(obj, "step0", "/solver", default=defaults.step0),
-        beta=_number(obj, "beta", "/solver", default=defaults.beta),
-        sigma=_number(obj, "sigma", "/solver", default=defaults.sigma),
-    )
-    _require(params["max_iters"] >= 1, "/solver/max_iters", "must be >= 1")
-    _require(params["grad_tol"] > 0, "/solver/grad_tol", "must be > 0")
-    _require(params["step0"] > 0, "/solver/step0", "must be > 0")
-    _require(0 < params["beta"] < 1, "/solver/beta", "must lie in (0, 1)")
-    _require(0 < params["sigma"] < 1, "/solver/sigma", "must lie in (0, 1)")
-    return SolverParams(**params)
+    max_iters = _integer(obj, "max_iters", "/solver", default=defaults.max_iters)
+    grad_tol = _number(obj, "grad_tol", "/solver", default=defaults.grad_tol)
+    _require(max_iters >= 1, "/solver/max_iters", "must be >= 1")
+    _require(grad_tol > 0, "/solver/grad_tol", "must be > 0")
+    return SolverParams(max_iters=max_iters, grad_tol=grad_tol)
 
 
 @dataclass(frozen=True)
@@ -295,10 +287,12 @@ def _bundle_from_raw(raw: dict, base_dir: Path) -> _Bundle:
 
 def _load_bundle(path_str: str) -> _Bundle:
     path = Path(path_str)
-    if not path.exists():
+    if not path.is_file():
         raise ScenarioError("/", f"scenario file not found: {path}")
     try:
         raw = json.loads(path.read_text())
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("/", f"not a UTF-8 text file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError("/", f"invalid JSON: {exc}") from exc
     return _bundle_from_raw(raw, path.parent)
@@ -523,7 +517,9 @@ def _set_path(raw: dict, dotted: str, value: float) -> None:
 
 def _cmd_sweep(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     """Solve each value in turn, as ``solve`` would, one run directory each;
-    a run's numerical failure is recorded in that run's diagnostics."""
+    a run's numerical failure is recorded in that run's diagnostics.  Each
+    run's ``scenario.json`` stands alone: a ``mu`` table path is written
+    absolute, and the run's bundle is the one ``solve`` loads from that file."""
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -534,12 +530,15 @@ def _cmd_sweep(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     for i, value in enumerate(values):
         raw = copy.deepcopy(bundle.raw)
         _set_path(raw, args.param, value)
+        mu = raw.get("mu")
+        if isinstance(mu, dict) and mu.get("kind") == "table" and isinstance(mu.get("path"), str):
+            mu["path"] = str((bundle.base_dir / mu["path"]).resolve())
         run_dir = out / f"run_{i:03d}_{leaf}_{value:g}"
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_json(run_dir / "scenario.json", raw)
         runs.append((value, run_dir, raw))
     # every run is validated before the first one is solved
-    runs = [(value, run_dir, _bundle_from_raw(raw, bundle.base_dir))
+    runs = [(value, run_dir, _bundle_from_raw(raw, run_dir))
             for value, run_dir, raw in runs]
 
     lines = ["value,directory,exit_code,J,M,residual_sup,residual_eq,converged"]

@@ -125,7 +125,7 @@ def jko_flow(scenario: Scenario, nu0: DiscreteDensity, params: JkoParams) -> Tra
 
     problem = _QuantileProblem(scenario)
     G = density_to_quantile(nu0, scenario.m).values
-    points = [TrajectoryPoint(k=0, nu=nu0, J_value=problem.value(G, barrier=True), W2_step=0.0)]
+    points = [TrajectoryPoint(k=0, nu=nu0, J_value=problem.value(G), W2_step=0.0)]
     for k in range(1, params.steps + 1):
         result = _step_from_quantile(scenario, G, params.tau, params.inner, f"step {k}")
         G_new = result.G.values

@@ -87,19 +87,15 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Projected-Newton parameters (Armijo backtracking line search)."""
+    """Projected-Newton stopping parameters: the iteration cap and the
+    projected-gradient tolerance."""
 
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    step0: float = 1.0
-    beta: float = 0.5
-    sigma: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.step0 <= 0:
+        if self.max_iters < 1 or self.grad_tol <= 0:
             raise ValueError("solver parameters must be positive")
-        if not (0.0 < self.beta < 1.0 and 0.0 < self.sigma < 1.0):
-            raise ValueError("beta and sigma must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -189,11 +185,11 @@ class _QuantileProblem:
             return None
         return _Point(self, G, gaps)
 
-    def value(self, G: np.ndarray, barrier: bool = False) -> float:
-        """Objective at ``G``; with ``barrier=True`` infeasible points give +inf."""
+    def value(self, G: np.ndarray) -> float:
+        """Objective at a non-decreasing ``G`` (+inf at a zero gap)."""
         p = self.point(G)
         if p is None:
-            if not barrier and np.any(np.diff(G) < 0.0):
+            if np.any(np.diff(G) < 0.0):
                 raise ValueError("quantile values must be non-decreasing")
             return float("inf")
         return self.value_at(p)
@@ -293,33 +289,27 @@ def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
         raise ValueError("quantile values must be finite")
     if support_mode not in SUPPORT_MODES:
         raise ValueError(f"unknown support_mode {support_mode!r}")
-    v = _project_values(y, interval, support_mode)
+    if support_mode != "fixed_endpoints":
+        v = np.clip(isotonic_regression(y).x, interval.lo, interval.hi)
+    else:
+        v = np.empty_like(y)
+        v[0], v[-1] = interval.lo, interval.hi
+        if y.size > 2:
+            v[1:-1] = np.clip(isotonic_regression(y[1:-1]).x, interval.lo, interval.hi)
     return QuantileFn(v, interval, support_mode=support_mode)
 
 
-def _project_values(y: np.ndarray, interval, support_mode: str) -> np.ndarray:
-    """Isotonic projection (pool-adjacent-violators), clipped to the
-    interval; ``y`` is never modified.  In ``fixed_endpoints`` mode only the
-    interior ``y[1:-1]`` is pooled and the ends are set to the interval ends."""
-    if support_mode != "fixed_endpoints":
-        return np.clip(isotonic_regression(y).x, interval.lo, interval.hi)
-    v = np.empty_like(y)
-    v[0], v[-1] = interval.lo, interval.hi
-    if y.size > 2:
-        v[1:-1] = np.clip(isotonic_regression(y[1:-1]).x, interval.lo, interval.hi)
-    return v
-
-
 def _trial_point(y: np.ndarray, interval, support_mode: str) -> np.ndarray:
-    """Line-search trial from the raw step ``y`` (overwritten): ``y`` clipped
-    to the interval, with the ends set to the interval ends in
+    """The box map of the solve, applied to ``y`` in place: ``y`` clipped to
+    the interval, with the ends set to the interval ends in
     ``fixed_endpoints`` mode.
 
-    A trial with a gap ``<= 0`` is rejected without pricing it: whenever
-    ``y`` is not strictly increasing, pooling it would tie a pair, and a tie
-    is a zero gap, where the objective is ``+inf``.  A strictly increasing
-    ``y`` is its own isotonic fit, so every trial the line search prices is
-    exactly the clipped projection.
+    The objective is ``+inf`` at a zero gap, so the monotone constraint
+    never binds at a point the solve accepts and only the box can: this map
+    gives the start point, every line-search trial and the projected
+    gradient of the stop test.  A trial with a gap ``<= 0`` is rejected
+    without pricing it; a strictly increasing ``y`` is its own isotonic fit,
+    so every trial priced is exactly the clipped monotone projection.
     """
     v = np.clip(y, interval.lo, interval.hi, out=y)
     if support_mode == "fixed_endpoints":
@@ -327,6 +317,9 @@ def _trial_point(y: np.ndarray, interval, support_mode: str) -> np.ndarray:
     return v
 
 
+_STEP0 = 1.0  # first trial step of the line search
+_BETA = 0.5  # backtracking factor
+_SIGMA = 1e-4  # Armijo sufficient-decrease fraction
 _MAX_BACKTRACKS = 60
 _CURV_MAX = 1e30
 _CURV_MIN = 1e-10
@@ -392,10 +385,12 @@ def minimize_quantile(
     Newton direction, clips trial points to the box (and the pinned
     endpoints), rejects any trial that is not strictly increasing (its
     objective is ``+inf``) and accepts under the Armijo rule
-    ``J(cand) <= J + sigma * <grad, cand - G>``, backtracking from a trial
-    step of ``step0``.  Stops when the unit-step projected-gradient sup-norm
-    falls below ``grad_tol``.  ``prox`` adds a proximal anchor (see
-    ``_QuantileProblem``) for minimizing-movement use.
+    ``J(cand) <= J + 1e-4 * <grad, cand - G>``, halving from a unit step.
+    The objective is ``+inf`` at a zero gap, so only the box can bind
+    (Bertsekas 1982): the start point is the box map of the start values,
+    and the solve stops when the projected-gradient sup-norm
+    ``max|G - box(G - grad)|`` falls below ``grad_tol``.  ``prox`` adds a
+    proximal anchor (see ``_QuantileProblem``) for minimizing-movement use.
 
     Non-convergence is reported through ``converged=False``, not an error;
     ``metadata["stalled"]`` marks a solve stopped because no backtracked
@@ -406,12 +401,11 @@ def minimize_quantile(
     params = params or SolverParams()
     problem = _QuantileProblem(scenario, prox=prox)
     iv, mode = scenario.interval, scenario.support_mode
-    if G0 is not None:
-        G = _project_values(_quantile_values(G0), iv, mode)
-        if G.size != scenario.m:
-            raise ValueError("G0 must have the scenario's quantile resolution m")
-    else:
-        G = _project_values(problem.H, iv, mode)
+    # copies: the box map writes in place, and G0 may be the proximal anchor
+    G = np.array(problem.H if G0 is None else _quantile_values(G0))
+    if G.size != scenario.m:
+        raise ValueError("G0 must have the scenario's quantile resolution m")
+    G = _trial_point(G, iv, mode)
     point = problem.point(G)
     J = problem.value_at(point) if point is not None else float("inf")
     if not np.isfinite(J):
@@ -425,24 +419,24 @@ def minimize_quantile(
     if not np.all(np.isfinite(grad)):
         raise RuntimeError("objective gradient overflowed; refine the resolution")
     for iterations in range(1, params.max_iters + 1):
-        pg_norm = float(np.max(np.abs(G - _project_values(G - grad, iv, mode))))
+        pg_norm = float(np.max(np.abs(G - _trial_point(G - grad, iv, mode))))
         if pg_norm <= params.grad_tol:
             converged = True
             break
         diag, sub = problem.curvature(point)
         d = _newton_direction(G, grad, diag, sub, scenario)
         accepted = False
-        step = params.step0
+        step = _STEP0
         for _ in range(_MAX_BACKTRACKS):
             cand_point = problem.point(_trial_point(G - step * d, iv, mode))
             if cand_point is not None:
                 direction = cand_point.G - G
                 decrease = float(np.dot(grad, direction))
                 J_cand = problem.value_at(cand_point)
-                if decrease <= 0.0 and J_cand <= J + params.sigma * decrease:
+                if decrease <= 0.0 and J_cand <= J + _SIGMA * decrease:
                     accepted = True
                     break
-            step *= params.beta
+            step *= _BETA
         if not accepted or np.max(np.abs(direction)) <= 1e-16 * (1.0 + np.max(np.abs(G))):
             stalled = True
             break

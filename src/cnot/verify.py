@@ -294,14 +294,12 @@ def displacement_convexity_probe(
     Ga = density_to_quantile(nu_a, scenario.m).values
     Gb = density_to_quantile(nu_b, scenario.m).values
     problem = _QuantileProblem(scenario)
-    J_a = problem.value(Ga, barrier=True)
-    J_b = problem.value(Gb, barrier=True)
-    J_values = np.array(
-        [problem.value((1.0 - t) * Ga + t * Gb, barrier=True) for t in t_grid]
-    )
+    J_a = problem.value(Ga)
+    J_b = problem.value(Gb)
+    J_values = np.array([problem.value((1.0 - t) * Ga + t * Gb) for t in t_grid])
     chords = (1.0 - t_grid) * J_a + t_grid * J_b
     max_violation = float(max(0.0, np.max(J_values - chords)))
-    J_mid = problem.value(0.5 * (Ga + Gb), barrier=True)
+    J_mid = problem.value(0.5 * (Ga + Gb))
     midpoint_margin = float(0.5 * J_a + 0.5 * J_b - J_mid)
     return DisplacementReport(
         t_grid=t_grid,

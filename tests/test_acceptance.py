@@ -60,9 +60,6 @@ def _load(name):
     params = SolverParams(
         max_iters=solver.get("max_iters", defaults.max_iters),
         grad_tol=solver.get("grad_tol", defaults.grad_tol),
-        step0=solver.get("step0", defaults.step0),
-        beta=solver.get("beta", defaults.beta),
-        sigma=solver.get("sigma", defaults.sigma),
     )
     return scenario, params
 

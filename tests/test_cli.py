@@ -49,10 +49,11 @@ def test_unknown_scenario_key_reports_pointer(tmp_path, capsys):
     assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "/extra" in err and "unknown field" in err
-    scn = _write_scenario(tmp_path / "s.json", solver={"monotone_projection": True})
-    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "/solver/monotone_projection" in err and "unknown field" in err
+    for key in ("monotone_projection", "step0", "beta", "sigma"):
+        scn = _write_scenario(tmp_path / "s.json", solver={key: 0.5})
+        assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"/solver/{key}" in err and "unknown field" in err
 
 
 def test_bad_mu_kind_reports_pointer(tmp_path, capsys):
@@ -62,8 +63,15 @@ def test_bad_mu_kind_reports_pointer(tmp_path, capsys):
 
 
 def test_missing_scenario_file(tmp_path, capsys):
+    """A missing path, a directory and a file that is not UTF-8 exit 1."""
     assert main(["solve", "--scenario", str(tmp_path / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err
+    assert main(["solve", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+    assert "error: /: scenario file not found" in capsys.readouterr().err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"grid_n": 16, "note": "\xe9"}')
+    assert main(["solve", "--scenario", str(latin), "--out", str(tmp_path / "o")]) == 1
+    assert "error: /: not a UTF-8 text file" in capsys.readouterr().err
 
 
 def test_invalid_json(tmp_path, capsys):
@@ -240,23 +248,27 @@ def test_verify_eq_reuses_the_solve_certificate(tmp_path, monkeypatch):
 
 
 def test_malformed_density_csv_is_a_validation_error(tmp_path, capsys):
-    """A density CSV that is not numeric exits 1 with the field's pointer,
-    for ``--density``, ``--init-file`` and a ``mu`` table alike."""
+    """A density CSV that is not numeric, or a directory in its place, exits
+    1 with the field's pointer, for ``--density``, ``--init-file`` and a
+    ``mu`` table alike."""
     bad = tmp_path / "bad.csv"
     bad.write_text("node,nu\n0.1,abc\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
     scn = _write_scenario(tmp_path / "s.json")
-    for command, extra, pointer in (
-        ("verify", ["--density", str(bad), "--checks", "eq"], "/density"),
-        ("jko", ["--init", "file", "--init-file", str(bad)], "/init-file"),
-    ):
-        assert main([command, "--scenario", str(scn), "--out", str(tmp_path / command)]
-                    + extra) == 1
-        err = capsys.readouterr().err
-        assert f"error: {pointer}: not a numeric CSV table" in err
-        assert "numerical failure" not in err
-    scn = _write_scenario(tmp_path / "t.json", mu={"kind": "table", "path": "bad.csv"})
-    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
-    assert "error: /mu/path: not a numeric CSV table" in capsys.readouterr().err
+    for path, message in ((bad, "not a numeric CSV table"), (folder, "file not found")):
+        for command, extra, pointer in (
+            ("verify", ["--density", str(path), "--checks", "eq"], "/density"),
+            ("jko", ["--init", "file", "--init-file", str(path)], "/init-file"),
+        ):
+            assert main([command, "--scenario", str(scn), "--out", str(tmp_path / command)]
+                        + extra) == 1
+            err = capsys.readouterr().err
+            assert f"error: {pointer}: {message}" in err
+            assert "numerical failure" not in err
+        table = _write_scenario(tmp_path / "t.json", mu={"kind": "table", "path": path.name})
+        assert main(["solve", "--scenario", str(table), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: /mu/path: {message}" in capsys.readouterr().err
 
 
 def test_verify_unknown_check_name(tmp_path, capsys):
@@ -344,8 +356,9 @@ def test_sweep_solves_each_value(tmp_path):
 def test_sweep_resolves_table_path_from_scenario_dir(tmp_path):
     """A relative ``mu.table`` path resolves against the swept scenario's
     directory, not the run directory; each run's J is the one ``solve``
-    gives for that value, and its scenario hash is that of the
-    ``scenario.json`` written for it."""
+    gives for that value, its scenario hash is that of the
+    ``scenario.json`` written for it, and that file re-solves on its own
+    to the same J."""
     nodes = (np.arange(48) + 0.5) / 48.0
     (tmp_path / "mu.csv").write_text(
         "node,value\n" + "\n".join(f"{x},{1.0 + 0.5 * np.cos(2.0 * np.pi * x)}"
@@ -368,6 +381,10 @@ def test_sweep_resolves_table_path_from_scenario_dir(tmp_path):
                                sort_keys=True, separators=(",", ":"))
         diag = json.loads((run_dir / "diagnostics.json").read_text())
         assert diag["scenario_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+        again = tmp_path / f"again_{kappa}"
+        assert main(["solve", "--scenario", str(run_dir / "scenario.json"),
+                     "--out", str(again)]) == 0
+        assert json.loads((again / "diagnostics.json").read_text())["J"] == float(row[3])
 
 
 def test_sweep_records_a_run_failure_and_goes_on(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Tests for the quantile objective and the projected-Newton equilibrium solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
@@ -26,7 +28,7 @@ from cnot import (
     project_monotone,
     uniform_density,
 )
-from cnot.solver import _newton_direction, _project_values, _QuantileProblem, _trial_point
+from cnot.solver import _newton_direction, _QuantileProblem, _trial_point
 
 
 def _uniform_scenario(n=64, m=129, convention="shifted", support_mode="free"):
@@ -78,17 +80,11 @@ def test_scenario_validation():
 
 
 def test_solver_params_validation():
-    """Step, tolerance, and line-search constants must be positive / in (0, 1)."""
+    """The iteration cap and the tolerance must be positive."""
     with pytest.raises(ValueError):
         SolverParams(max_iters=0)
     with pytest.raises(ValueError):
         SolverParams(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(step0=-1.0)
-    with pytest.raises(ValueError):
-        SolverParams(beta=1.0)
-    with pytest.raises(ValueError):
-        SolverParams(sigma=0.0)
 
 
 def test_objective_identity_quantile_exact():
@@ -204,13 +200,13 @@ def test_weighted_fixed_endpoint_projection_matches_brute_force():
     for _ in range(20):
         m = int(rng.integers(3, 12))
         y = rng.normal(0.5, 2.0, m)
-        v = _project_values(y, iv, "fixed_endpoints")
+        v = project_monotone(y, iv, "fixed_endpoints").values
         assert v[0] == iv.lo and v[-1] == iv.hi
         expected = np.clip(_isotonic_min_max(y[1:-1], np.ones(m - 2)), iv.lo, iv.hi)
         assert np.allclose(v[1:-1], expected, rtol=0.0, atol=1e-12)
         y2 = y.copy()
         y2[[0, -1]] = rng.normal(0.0, 100.0, 2)
-        assert np.array_equal(_project_values(y2, iv, "fixed_endpoints"), v)
+        assert np.array_equal(project_monotone(y2, iv, "fixed_endpoints").values, v)
 
 
 def _weighted_pava_trial(y, interval, support_mode, weights):
@@ -251,7 +247,7 @@ def test_trial_point_matches_weighted_pava_trial():
             reference = _weighted_pava_trial(G - step * d, iv, mode, diag)
             trial = _trial_point(G - step * d, iv, mode)
             rejected = bool(np.any(np.diff(trial) <= 0.0))
-            assert rejected == (problem.value(reference, barrier=True) == np.inf)
+            assert rejected == (problem.value(reference) == np.inf)
             if rejected:
                 seen["rejected"] += 1
                 continue
@@ -259,6 +255,44 @@ def test_trial_point_matches_weighted_pava_trial():
             raw = G - step * d
             seen["clipped" if np.any((raw < iv.lo) | (raw > iv.hi)) else "accepted"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_solves_never_call_pava(monkeypatch):
+    """Only the box can bind, so no solve runs the isotonic projection: with
+    ``isotonic_regression`` made to raise, a free and a fixed-endpoint
+    solve, a proximal solve started from its own anchor, a JKO step and the
+    social-cost solve give what they give without the patch, and the start
+    array passed in is left as it was."""
+    import cnot.solver
+    from cnot import two_bumps_density
+    from cnot.dynamics import jko_step
+    from cnot.welfare import minimize_social_cost
+
+    free = _congested_scenario(n=32, m=96)
+    pinned = replace(free, support_mode="fixed_endpoints")
+    iv = free.interval
+    # strictly inside the interval, so the pinned box map moves its ends
+    anchor = iv.lo + 0.02 * iv.length + 0.96 * density_to_quantile(free.mu, free.m).values
+    start = anchor.copy()
+    params = SolverParams(grad_tol=1e-9)
+    solves = {
+        "free": lambda: minimize_quantile(free, params).J_value,
+        "fixed_endpoints": lambda: minimize_quantile(pinned, params).J_value,
+        "prox": lambda: minimize_quantile(pinned, params, G0=anchor, prox=(anchor, 0.1)).J_value,
+        "jko_step": lambda: jko_step(free, two_bumps_density(free.grid), 0.1, params).values,
+        "social": lambda: minimize_social_cost(free, params).J_value,
+    }
+    before = {name: solve() for name, solve in solves.items()}
+
+    def no_pava(*args, **kwargs):
+        raise AssertionError("isotonic_regression called inside a solve")
+
+    monkeypatch.setattr(cnot.solver, "isotonic_regression", no_pava)
+    for name, solve in solves.items():
+        assert np.array_equal(solve(), before[name]), name
+    assert np.array_equal(anchor, start)
+    with pytest.raises(AssertionError, match="isotonic_regression"):
+        project_monotone([1.0, 0.0], iv)
 
 
 def test_minimize_uniform_source_is_fixed_point():
