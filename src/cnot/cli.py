@@ -13,8 +13,9 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -48,6 +49,8 @@ from .welfare import cost_of_anarchy
 __all__ = ["ScenarioError", "load_scenario", "run", "main"]
 
 _CHECK_NAMES = ("eq", "purity", "ma", "dc", "deriv")
+_SCENARIO_KEYS = frozenset({"interval", "grid_n", "quantile_m", "mu", "cost", "congestion",
+                            "kernel", "potential", "support_mode", "solver", "seed"})
 
 
 class ScenarioError(ValueError):
@@ -70,11 +73,18 @@ def _get_section(raw: dict, key: str, pointer: str, default: Optional[dict] = No
     return obj
 
 
+def _is_finite_number(val) -> bool:
+    """A finite float value: not NaN, not Infinity, not an integer too large."""
+    try:
+        return not isinstance(val, bool) and math.isfinite(val)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _number(obj: dict, key: str, pointer: str, default=None) -> float:
     val = obj.get(key, default)
     _require(val is not None, f"{pointer}/{key}", "required number is missing")
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             f"{pointer}/{key}", "must be a number")
+    _require(_is_finite_number(val), f"{pointer}/{key}", "must be a finite number")
     return float(val)
 
 
@@ -200,9 +210,8 @@ def _build_potential(raw: dict, interval: Interval) -> Optional[PotentialSpec]:
         _check_keys(obj, {"kind", "coeffs", "declared_convex"}, "/potential")
         coeffs = obj.get("coeffs")
         _require(isinstance(coeffs, list) and len(coeffs) > 0
-                 and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                         for c in coeffs),
-                 "/potential/coeffs", "must be a non-empty list of numbers")
+                 and all(_is_finite_number(c) for c in coeffs),
+                 "/potential/coeffs", "must be a non-empty list of finite numbers")
         declared = obj.get("declared_convex", False)
         _require(isinstance(declared, bool), "/potential/declared_convex",
                  "must be a boolean")
@@ -248,8 +257,7 @@ class _Bundle:
 def _bundle_from_raw(raw: dict, base_dir: Path) -> _Bundle:
     """Validate a scenario document; relative paths resolve against ``base_dir``."""
     _require(isinstance(raw, dict), "/", "scenario file must contain a JSON object")
-    _check_keys(raw, {"interval", "grid_n", "quantile_m", "mu", "cost", "congestion",
-                      "kernel", "potential", "support_mode", "solver", "seed"}, "")
+    _check_keys(raw, _SCENARIO_KEYS, "")
     iv_obj = _get_section(raw, "interval", "/interval")
     _check_keys(iv_obj, {"lo", "hi"}, "/interval")
     lo = _number(iv_obj, "lo", "/interval")
@@ -319,20 +327,10 @@ def _write_csv(path: Path, header: str, columns) -> None:
     path.write_text(header + "\n" + ("".join([line] * rows) % tuple(flat)))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    """Numpy arrays and scalars are written as the Python values ``tolist`` gives."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               default=lambda obj: obj.tolist()) + "\n")
 
 
 def _result_payload(result) -> dict:
@@ -345,8 +343,8 @@ def _result_payload(result) -> dict:
         "converged": result.converged,
         "projected_gradient": result.metadata["projected_gradient"],
         "stalled": result.metadata["stalled"],
-        "m": result.metadata["m"],
-        "n": result.metadata["n"],
+        "m": result.scenario.m,
+        "n": result.scenario.n,
     }
 
 
@@ -384,15 +382,14 @@ def _solve_into(out: Path, scenario: Scenario, params: SolverParams,
 
 
 def _cmd_solve(bundle: _Bundle, args, out: Path, payload: dict) -> int:
-    scenario, params = bundle.scenario, bundle.params
-    if args.max_iters is not None:
-        params = replace(params, max_iters=args.max_iters)
-    if args.tol is not None:
-        params = replace(params, grad_tol=args.tol)
-    if args.support is not None:
-        mode = "fixed_endpoints" if args.support == "fixed" else "free"
-        scenario = replace(scenario, support_mode=mode)
-    return _solve_into(out, scenario, params, payload)
+    """Solve the document with the flags applied as edits and validated."""
+    edits = {"solver.max_iters": args.max_iters, "solver.grad_tol": args.tol,
+             "support_mode": {"free": "free", "fixed": "fixed_endpoints"}.get(args.support)}
+    edits = {path: value for path, value in edits.items() if value is not None}
+    if edits:
+        bundle = _bundle_from_raw(_edited_document(bundle, edits), bundle.base_dir)
+        payload.update(bundle.metadata())
+    return _solve_into(out, bundle.scenario, bundle.params, payload)
 
 
 def _initial_density(args, scenario: Scenario) -> DiscreteDensity:
@@ -406,6 +403,8 @@ def _initial_density(args, scenario: Scenario) -> DiscreteDensity:
 
 
 def _cmd_jko(bundle: _Bundle, args, out: Path, payload: dict) -> int:
+    _require(math.isfinite(args.tau) and args.tau > 0, "/tau", "must be a finite number > 0")
+    _require(args.steps >= 1, "/steps", "must be >= 1")
     scenario = bundle.scenario
     nu0 = _initial_density(args, scenario)
     payload.update(tau=args.tau, steps=args.steps, init=args.init)
@@ -504,8 +503,14 @@ def _cmd_verify(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     return 0
 
 
-def _set_path(raw: dict, dotted: str, value: float) -> None:
+def _set_path(raw: dict, dotted: str, value) -> None:
+    """Set one field of a scenario document by its dotted path; a top-level
+    section the schema allows but the document omits is created empty."""
     keys = dotted.split(".")
+    _require(keys[0] in _SCENARIO_KEYS, "/param",
+             f"path segment {keys[0]!r} is not a scenario field")
+    if len(keys) > 1:
+        raw.setdefault(keys[0], {})
     obj = raw
     for key in keys[:-1]:
         _require(isinstance(obj, dict) and key in obj, "/param",
@@ -513,6 +518,18 @@ def _set_path(raw: dict, dotted: str, value: float) -> None:
         obj = obj[key]
     _require(isinstance(obj, dict), "/param", "path does not lead to an object field")
     obj[keys[-1]] = value
+
+
+def _edited_document(bundle: _Bundle, edits: dict) -> dict:
+    """An unvalidated copy of the bundle's document with the dotted-path edits
+    applied and a ``mu`` table path made absolute, so the copy stands alone."""
+    raw = copy.deepcopy(bundle.raw)
+    for dotted, value in edits.items():
+        _set_path(raw, dotted, value)
+    mu = raw.get("mu")
+    if isinstance(mu, dict) and mu.get("kind") == "table" and isinstance(mu.get("path"), str):
+        mu["path"] = str((bundle.base_dir / mu["path"]).resolve())
+    return raw
 
 
 def _cmd_sweep(bundle: _Bundle, args, out: Path, payload: dict) -> int:
@@ -528,11 +545,7 @@ def _cmd_sweep(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     leaf = args.param.split(".")[-1]
     runs = []
     for i, value in enumerate(values):
-        raw = copy.deepcopy(bundle.raw)
-        _set_path(raw, args.param, value)
-        mu = raw.get("mu")
-        if isinstance(mu, dict) and mu.get("kind") == "table" and isinstance(mu.get("path"), str):
-            mu["path"] = str((bundle.base_dir / mu["path"]).resolve())
+        raw = _edited_document(bundle, {args.param: value})
         run_dir = out / f"run_{i:03d}_{leaf}_{value:g}"
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_json(run_dir / "scenario.json", raw)

@@ -31,7 +31,7 @@ class JkoParams:
     inner: SolverParams = field(default_factory=SolverParams)
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
@@ -101,7 +101,7 @@ def jko_step(
     inner: Optional[SolverParams] = None,
 ) -> DiscreteDensity:
     """One minimizing-movement step from ``nu_k`` with step size ``tau``."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     if nu_k.grid != scenario.grid:
         raise ValueError("nu_k must live on the scenario grid")

@@ -235,13 +235,13 @@ def _numeric_inverse(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.nda
     return inverse
 
 
-def mccann_check(congestion_or_F, dimension: int = 1) -> bool:
-    """Probe displacement convexity: ``g(s) = s^d F(s^{-d})`` must be convex
-    and non-increasing on a log-spaced grid (tolerance 1e-9)."""
+def mccann_check(congestion_or_F) -> bool:
+    """Probe displacement convexity on the line (McCann's condition in
+    dimension 1): ``g(s) = s F(1/s)`` must be convex and non-increasing on a
+    log-spaced grid (tolerance 1e-9)."""
     F = congestion_or_F.F if isinstance(congestion_or_F, CongestionSpec) else congestion_or_F
-    d = float(dimension)
     s = _PROBE_S
-    g = s**d * np.asarray(F(s ** (-d)), dtype=float)
+    g = s * np.asarray(F(1.0 / s), dtype=float)
     if not np.all(np.isfinite(g)):
         return False
     slopes = np.diff(g) / np.diff(s)

@@ -94,7 +94,7 @@ class SolverParams:
     grad_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.grad_tol <= 0:
+        if self.max_iters < 1 or not self.grad_tol > 0:
             raise ValueError("solver parameters must be positive")
 
 
@@ -106,7 +106,9 @@ class EquilibriumResult:
     report, computed the first time it is read and cached; ``M``,
     ``residual_sup`` and ``residual_eq`` read it.  A caller that reads none
     of these pays nothing for the certificate; an error the certificate
-    raises surfaces on that first read, not from the solve.
+    raises surfaces on that first read, not from the solve.  ``metadata``
+    holds what the solve decided: the final ``projected_gradient`` norm and
+    whether it ``stalled``; the problem solved is ``scenario``.
     """
 
     nu: DiscreteDensity
@@ -172,7 +174,7 @@ class _QuantileProblem:
         if prox is not None:
             anchor, tau = prox
             anchor = np.ascontiguousarray(anchor, dtype=float)
-            if anchor.shape != (self.m,) or tau <= 0:
+            if anchor.shape != (self.m,) or not tau > 0:
                 raise ValueError("proximal anchor must have length m and tau > 0")
             prox = (anchor, float(tau))
         self.prox = prox
@@ -446,18 +448,6 @@ def minimize_quantile(
         G, J, point = cand_point.G, J_cand, cand_point
 
     quantile = QuantileFn(G, scenario.interval, support_mode=scenario.support_mode)
-    metadata = {
-        "congestion_kind": scenario.model.congestion.kind,
-        "congestion_convention": scenario.model.congestion.convention,
-        "support_mode": scenario.support_mode,
-        "m": scenario.m,
-        "n": scenario.n,
-        "grad_tol": params.grad_tol,
-        "projected_gradient": pg_norm,
-        "stalled": stalled,
-        "proximal": prox is not None,
-        "seed": None,
-    }
     return EquilibriumResult(
         nu=quantile_to_density(quantile, scenario.grid),
         G=quantile,
@@ -465,7 +455,7 @@ def minimize_quantile(
         iterations=iterations,
         converged=converged,
         scenario=scenario,
-        metadata=metadata,
+        metadata={"projected_gradient": pg_norm, "stalled": stalled},
     )
 
 

@@ -348,17 +348,13 @@ def monotone_map_1d(mu: DiscreteDensity, nu: DiscreteDensity) -> np.ndarray:
     return nu.quantile(mu.cdf(mu.grid.nodes))
 
 
-def kantorovich_potential_1d(
-    mu: DiscreteDensity,
-    nu: DiscreteDensity,
-    cost: CostSpec,
-    anchor_index: int = 0,
-) -> PotentialPair:
+def kantorovich_potential_1d(mu: DiscreteDensity, nu: DiscreteDensity,
+                             cost: CostSpec) -> PotentialPair:
     """Kantorovich potentials from the monotone map.
 
     Integrates ``phi'(x) = C'(x - T(x))`` by the trapezoid rule along the
-    grid nodes, anchored to ``phi = 0`` at ``anchor_index`` (leftmost node by
-    default), and completes the pair with the exact ``c_transform`` over the
+    grid nodes from ``phi = 0`` at the leftmost node (the pair's anchor),
+    and completes the pair with the exact ``c_transform`` over the
     nodes.  That transform refuses a cost that is not strictly convex on the
     nodes' difference range (``cost not strictly convex``), the condition
     under which the monotone map is optimal.  O(n log n) time and O(n)
@@ -370,6 +366,5 @@ def kantorovich_potential_1d(
     phi = np.concatenate(
         [[0.0], np.cumsum(0.5 * (slope[:-1] + slope[1:]) * np.diff(nodes))]
     )
-    phi -= phi[anchor_index]
     phi_c = c_transform(phi, cost, nodes, nodes)
-    return PotentialPair(phi=phi, phi_c=phi_c, anchor_index=anchor_index)
+    return PotentialPair(phi=phi, phi_c=phi_c)

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _SUPPORT_EPS_FACTOR = 1e-6
+_PURITY_ATOMS = 64  # atoms a side of the purity check's exact LP
 
 
 @dataclass(frozen=True)
@@ -188,16 +189,17 @@ def _monotone_plan_cost(
     return total
 
 
-def purity_check(scenario: "Scenario", nu: DiscreteDensity, atoms: int = 64) -> PurityReport:
+def purity_check(scenario: "Scenario", nu: DiscreteDensity) -> PurityReport:
     """Confirm the optimal coupling is a monotone graph (pure strategies).
 
-    Coarsens both measures to at most ``atoms`` consecutive blocks, solves the
-    exact LP, and checks (a) the monotone coupling achieves the LP value
-    within 1e-8 and (b) the LP plan's support has no crossings (each source's
-    targets lie weakly to the right of every earlier source's targets).
+    Coarsens both measures to at most ``_PURITY_ATOMS`` (64) consecutive
+    blocks, solves the exact LP, and checks (a) the monotone coupling
+    achieves the LP value within 1e-8 and (b) the LP plan's support has no
+    crossings (each source's targets lie weakly to the right of every
+    earlier source's targets).
     """
     scenario.cost.require_strictly_convex(scenario.interval.length)
-    k = min(atoms, scenario.n)
+    k = min(_PURITY_ATOMS, scenario.n)
     a, x = _coarsen_atoms(scenario.mu, k)
     b, y = _coarsen_atoms(nu, k)
     plan, _, lp_value = solve_lp(a, x, b, y, cost=scenario.cost)

@@ -170,6 +170,75 @@ def test_solve_support_override(tmp_path):
     assert q[0, 1] == 0.0 and q[-1, 1] == 1.0
 
 
+def _canonical_hash(doc):
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_solve_flags_are_recorded_as_document_edits(tmp_path):
+    """``solve``'s flags edit the scenario document, and diagnostics.json
+    names the document that was solved: its support mode and the hash of
+    its canonical JSON."""
+    scn = _write_scenario(tmp_path / "s.json")
+    doc = json.loads(scn.read_text())
+    out = tmp_path / "fixed"
+    assert main(["solve", "--scenario", str(scn), "--out", str(out),
+                 "--support", "fixed"]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["support_mode"] == "fixed_endpoints"
+    assert diag["scenario_hash"] == _canonical_hash({**doc, "support_mode": "fixed_endpoints"})
+    out = tmp_path / "tol"
+    assert main(["solve", "--scenario", str(scn), "--out", str(out),
+                 "--tol", "1e-10", "--max-iters", "40"]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["support_mode"] == "free"
+    assert diag["scenario_hash"] == _canonical_hash(
+        {**doc, "solver": {"grad_tol": 1e-10, "max_iters": 40}})
+
+
+@pytest.mark.parametrize("flags,pointer", [
+    (["--max-iters", "0"], "/solver/max_iters"),
+    (["--tol", "-1"], "/solver/grad_tol"),
+    (["--tol", "nan"], "/solver/grad_tol"),
+])
+def test_solve_flags_pass_the_scenario_validator(tmp_path, capsys, flags, pointer):
+    scn = _write_scenario(tmp_path / "s.json")
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "o"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert pointer in err and "numerical failure" not in err
+
+
+def test_solver_edits_on_a_file_without_a_solver_section(tmp_path):
+    """``--tol`` and ``sweep --param solver.grad_tol`` create the ``solver``
+    section the file omits."""
+    scn = _write_scenario(tmp_path / "s.json")
+    doc = json.loads(scn.read_text())
+    del doc["solver"]
+    scn.write_text(json.dumps(doc))
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "solve"),
+                 "--tol", "1e-8"]) == 0
+    assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "sweep"),
+                 "--param", "solver.grad_tol", "--values", "1e-8"]) == 0
+
+
+@pytest.mark.parametrize("section,value,pointer", [
+    ("kernel", {"kind": "quadratic_distance", "kappa": float("inf")}, "/kernel/kappa"),
+    ("kernel", {"kind": "quadratic_distance", "kappa": 10**400}, "/kernel/kappa"),
+    ("mu", {"kind": "gaussian_truncated", "mean": float("nan"), "sigma": 0.15}, "/mu/mean"),
+    ("mu", {"kind": "gaussian_truncated", "mean": 0.5, "sigma": float("inf")}, "/mu/sigma"),
+    ("congestion", {"kind": "power", "alpha": float("inf")}, "/congestion/alpha"),
+    ("potential", {"kind": "poly", "coeffs": [0.0, float("inf")]}, "/potential/coeffs"),
+    ("interval", {"lo": 0.0, "hi": float("inf")}, "/interval/hi"),
+    ("cost", {"kind": "convex_difference", "p": float("inf")}, "/cost/p"),
+])
+def test_non_finite_scenario_numbers_are_rejected(tmp_path, capsys, section, value, pointer):
+    """``NaN`` and ``Infinity``, which Python's JSON reader accepts, and an
+    integer too large for a float fail validation with the field's pointer."""
+    scn = _write_scenario(tmp_path / "s.json", **{section: value})
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    assert f"{pointer}: " in capsys.readouterr().err
+
+
 def test_verify_runs_requested_checks(tmp_path):
     scn = _write_scenario(tmp_path / "s.json")
     out = tmp_path / "out"
@@ -325,6 +394,18 @@ def test_jko_init_file_requires_path(tmp_path, capsys):
     assert main(["jko", "--scenario", str(scn), "--out", str(tmp_path / "o"),
                  "--init", "file"]) == 1
     assert "--init-file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,pointer", [
+    (["--steps", "0"], "/steps"),
+    (["--tau", "0"], "/tau"),
+    (["--tau", "nan"], "/tau"),
+])
+def test_jko_flags_are_validated(tmp_path, capsys, flags, pointer):
+    scn = _write_scenario(tmp_path / "s.json")
+    assert main(["jko", "--scenario", str(scn), "--out", str(tmp_path / "o"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"{pointer}: " in err and "numerical failure" not in err
 
 
 def test_welfare_writes_report_and_taxes(tmp_path):

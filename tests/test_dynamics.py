@@ -41,8 +41,9 @@ def _scenario(n=64, m=256, kappa=2.0):
 
 def test_jko_params_validation():
     """Step size and horizon must be positive."""
-    with pytest.raises(ValueError, match="tau"):
-        JkoParams(tau=0.0, steps=5)
+    for tau in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tau"):
+            JkoParams(tau=tau, steps=5)
     with pytest.raises(ValueError, match="steps"):
         JkoParams(tau=0.1, steps=0)
 
@@ -51,8 +52,9 @@ def test_jko_step_validation():
     """Single-step inputs are checked for sign and grid compatibility."""
     scenario = _scenario()
     nu0 = uniform_density(scenario.grid)
-    with pytest.raises(ValueError, match="tau"):
-        jko_step(scenario, nu0, tau=-1.0)
+    for tau in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tau"):
+            jko_step(scenario, nu0, tau=tau)
     other = uniform_density(Grid(Interval(0.0, 1.0), 48))
     with pytest.raises(ValueError, match="grid"):
         jko_step(scenario, other, tau=0.1)

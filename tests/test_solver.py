@@ -80,11 +80,13 @@ def test_scenario_validation():
 
 
 def test_solver_params_validation():
-    """The iteration cap and the tolerance must be positive."""
+    """The iteration cap and the tolerance must be positive (NaN is not)."""
     with pytest.raises(ValueError):
         SolverParams(max_iters=0)
     with pytest.raises(ValueError):
         SolverParams(grad_tol=0.0)
+    with pytest.raises(ValueError):
+        SolverParams(grad_tol=float("nan"))
 
 
 def test_objective_identity_quantile_exact():
@@ -326,10 +328,22 @@ def test_minimize_certificate_fields():
     assert result.residual_sup < 1e-3
     assert np.isfinite(result.M)
     assert result.metadata["projected_gradient"] <= 1e-9
-    assert result.metadata["congestion_kind"] == "entropy"
+    assert result.scenario.model.congestion.kind == "entropy"
     assert result.metadata["stalled"] is False
     # mass is conserved through the quantile -> density conversion
     assert result.nu.masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_metadata_holds_only_what_the_solve_decided():
+    """``metadata`` carries the stop-test norm and the stall flag and
+    nothing that copies the scenario or the caller's parameters, in free,
+    pinned and proximal solves alike."""
+    scenario = _congested_scenario(n=32, m=128)
+    pinned = replace(scenario, support_mode="fixed_endpoints")
+    anchor = np.array(density_to_quantile(scenario.mu, scenario.m).values)
+    for result in (minimize_quantile(scenario), minimize_quantile(pinned),
+                   minimize_quantile(scenario, prox=(anchor, 0.1))):
+        assert set(result.metadata) == {"projected_gradient", "stalled"}
 
 
 def test_certificate_is_computed_on_first_read(monkeypatch):
@@ -532,8 +546,9 @@ def test_proximal_anchor_pins_solution():
     assert np.max(np.abs(far.G.values - anchor)) > 1e-2
     with pytest.raises(ValueError, match="anchor"):
         minimize_quantile(scenario, prox=(anchor[:-1], 1.0))
-    with pytest.raises(ValueError, match="anchor"):
-        minimize_quantile(scenario, prox=(anchor, 0.0))
+    for tau in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="anchor"):
+            minimize_quantile(scenario, prox=(anchor, tau))
 
 
 def test_best_response_validation():
