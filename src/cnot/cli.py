@@ -51,6 +51,8 @@ __all__ = ["ScenarioError", "load_scenario", "run", "main"]
 _CHECK_NAMES = ("eq", "purity", "ma", "dc", "deriv")
 _SCENARIO_KEYS = frozenset({"interval", "grid_n", "quantile_m", "mu", "cost", "congestion",
                             "kernel", "potential", "support_mode", "solver", "seed"})
+# the dotted paths whose schema type is integer; sweep parses their values with int
+_INTEGER_FIELDS = frozenset({"grid_n", "quantile_m", "seed", "solver.max_iters"})
 
 
 class ScenarioError(ValueError):
@@ -181,7 +183,7 @@ def _build_congestion(raw: dict) -> CongestionSpec:
     raise ScenarioError("/congestion/kind", "must be one of: entropy, power")
 
 
-def _build_kernel(raw: dict, interval: Interval) -> Optional[InteractionKernel]:
+def _build_kernel(raw: dict) -> Optional[InteractionKernel]:
     obj = _get_section(raw, "kernel", "/kernel", default={"kind": "none"})
     kind = obj.get("kind")
     if kind == "none":
@@ -195,12 +197,12 @@ def _build_kernel(raw: dict, interval: Interval) -> Optional[InteractionKernel]:
     if kind in builders:
         _check_keys(obj, {"kind", "kappa"}, "/kernel")
         kappa = _number(obj, "kappa", "/kernel")
-        return builders[kind](kappa, probe_interval=(interval.lo, interval.hi))
+        return builders[kind](kappa)
     raise ScenarioError("/kernel/kind",
                         "must be one of: none, quadratic_distance, cubic_distance, product")
 
 
-def _build_potential(raw: dict, interval: Interval) -> Optional[PotentialSpec]:
+def _build_potential(raw: dict) -> Optional[PotentialSpec]:
     obj = _get_section(raw, "potential", "/potential", default={"kind": "none"})
     kind = obj.get("kind")
     if kind == "none":
@@ -215,9 +217,7 @@ def _build_potential(raw: dict, interval: Interval) -> Optional[PotentialSpec]:
         declared = obj.get("declared_convex", False)
         _require(isinstance(declared, bool), "/potential/declared_convex",
                  "must be a boolean")
-        return PotentialSpec.poly(
-            coeffs, declared_convex=declared, probe_interval=(interval.lo, interval.hi)
-        )
+        return PotentialSpec.poly(coeffs, declared_convex=declared)
     raise ScenarioError("/potential/kind", "must be one of: none, poly")
 
 
@@ -283,8 +283,8 @@ def _bundle_from_raw(raw: dict, base_dir: Path) -> _Bundle:
     model = EnergyModel(
         grid=grid,
         congestion=_build_congestion(raw),
-        kernel=_build_kernel(raw, interval),
-        potential=_build_potential(raw, interval),
+        kernel=_build_kernel(raw),
+        potential=_build_potential(raw),
     )
     scenario = Scenario(mu=mu, cost=cost, model=model, m=quantile_m,
                         support_mode=support_mode)
@@ -536,11 +536,16 @@ def _cmd_sweep(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     """Solve each value in turn, as ``solve`` would, one run directory each;
     a run's numerical failure is recorded in that run's diagnostics.  Each
     run's ``scenario.json`` stands alone: a ``mu`` table path is written
-    absolute, and the run's bundle is the one ``solve`` loads from that file."""
+    absolute, and the run's bundle is the one ``solve`` loads from that file.
+    Values are parsed as the schema type of the field they set: integers for
+    ``_INTEGER_FIELDS``, floats otherwise."""
+    integer = args.param in _INTEGER_FIELDS
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        values = [(int if integer else float)(v)
+                  for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ScenarioError("/values", "must be comma-separated numbers") from exc
+        raise ScenarioError("/values", "must be comma-separated "
+                            + ("integers" if integer else "numbers")) from exc
     _require(len(values) > 0, "/values", "needs at least one value")
     leaf = args.param.split(".")[-1]
     runs = []
@@ -614,7 +619,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--param", required=True,
                          help="dotted path into the scenario, e.g. kernel.kappa")
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated numbers")
+                         help="comma-separated numbers (integers for an integer field)")
     return parser
 
 

@@ -275,10 +275,11 @@ def _centred_prefix_sums(G: np.ndarray) -> tuple:
 class InteractionKernel:
     """Symmetric pairwise interaction ``phi(y, z)``.
 
-    Symmetry is probed at construction and non-symmetric kernels are
-    rejected.  If ``declared_convex`` is set, joint midpoint convexity is
-    probed on random segments of ``probe_interval ** 2`` and a failing
-    probe is rejected as well.
+    Building a kernel probes nothing.  ``validate_on`` checks it on an
+    action interval, and ``EnergyModel`` calls it once, on the grid's
+    interval: a kernel that is not finite or not symmetric there is
+    rejected, and so is a ``declared_convex`` kernel whose joint midpoint
+    convexity fails on random segments of the interval's square.
 
     The family's closed forms live here: the grid ``field``, the quantile
     objective's ``sample_energy``, ``sample_gradient`` and
@@ -290,12 +291,8 @@ class InteractionKernel:
     kind: str = "custom"
     kappa: float = 1.0
     declared_convex: bool = False
-    probe_interval: tuple[float, float] = (0.0, 1.0)
 
-    def __post_init__(self) -> None:
-        self.validate_on(Interval(*self.probe_interval), hard=True)
-
-    def validate_on(self, interval: Interval, hard: bool = True) -> None:
+    def validate_on(self, interval: Interval) -> None:
         rng = np.random.default_rng(1234)
         y = rng.uniform(interval.lo, interval.hi, size=64)
         z = rng.uniform(interval.lo, interval.hi, size=64)
@@ -316,10 +313,7 @@ class InteractionKernel:
                 + np.asarray(self.phi(q[:, 0], q[:, 1]), dtype=float)
             )
             if np.max(lhs - rhs) > 1e-9 * scale:
-                message = "interaction kernel declared convex fails the midpoint probe"
-                if hard:
-                    raise ValueError(message)
-                warnings.warn(message, stacklevel=2)
+                raise ValueError("interaction kernel declared convex fails the midpoint probe")
 
     def field(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """``sum_k phi(points_i, points_k) weights_k`` for every ``i``.
@@ -403,44 +397,43 @@ class InteractionKernel:
         """The kernel ``c * phi``, in the same family when it has one."""
         if self.kind in ("quadratic_distance", "cubic_distance", "product"):
             # each family's constructor is named after its kind
-            return getattr(InteractionKernel, self.kind)(c * self.kappa, self.probe_interval)
+            return getattr(InteractionKernel, self.kind)(c * self.kappa)
         phi, dphi = self.phi, self.dphi_dy
         return InteractionKernel.custom(
             phi=lambda y, z: c * np.asarray(phi(y, z), dtype=float),
             dphi_dy=lambda y, z: c * np.asarray(dphi(y, z), dtype=float),
             declared_convex=self.declared_convex and c >= 0.0,
-            probe_interval=self.probe_interval,
         )
 
     @staticmethod
-    def quadratic_distance(kappa: float, probe_interval=(0.0, 1.0)) -> "InteractionKernel":
+    def quadratic_distance(kappa: float) -> "InteractionKernel":
         """``phi(y, z) = kappa |y - z|^2`` (jointly convex for kappa >= 0)."""
         return InteractionKernel(
             phi=lambda y, z: kappa * np.square(np.asarray(y) - np.asarray(z)),
             dphi_dy=lambda y, z: 2.0 * kappa * (np.asarray(y) - np.asarray(z)),
             kind="quadratic_distance", kappa=kappa,
-            declared_convex=kappa >= 0.0, probe_interval=tuple(probe_interval),
+            declared_convex=kappa >= 0.0,
         )
 
     @staticmethod
-    def cubic_distance(kappa: float, probe_interval=(0.0, 1.0)) -> "InteractionKernel":
+    def cubic_distance(kappa: float) -> "InteractionKernel":
         """``phi(y, z) = kappa |y - z|^3`` (jointly convex for kappa >= 0)."""
         return InteractionKernel(
             phi=lambda y, z: kappa * np.abs(np.asarray(y) - np.asarray(z)) ** 3,
             dphi_dy=lambda y, z: 3.0 * kappa
             * np.abs(np.asarray(y) - np.asarray(z)) * (np.asarray(y) - np.asarray(z)),
             kind="cubic_distance", kappa=kappa,
-            declared_convex=kappa >= 0.0, probe_interval=tuple(probe_interval),
+            declared_convex=kappa >= 0.0,
         )
 
     @staticmethod
-    def product(kappa: float, probe_interval=(0.0, 1.0)) -> "InteractionKernel":
+    def product(kappa: float) -> "InteractionKernel":
         """``phi(y, z) = kappa * y * z`` (symmetric, indefinite: never declared convex)."""
         return InteractionKernel(
             phi=lambda y, z: kappa * np.asarray(y) * np.asarray(z),
             dphi_dy=lambda y, z: kappa * np.asarray(z) * np.ones_like(np.asarray(y, dtype=float)),
             kind="product", kappa=kappa,
-            declared_convex=False, probe_interval=tuple(probe_interval),
+            declared_convex=False,
         )
 
     @staticmethod
@@ -448,11 +441,10 @@ class InteractionKernel:
         phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
         dphi_dy: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
         declared_convex: bool = False,
-        probe_interval=(0.0, 1.0),
     ) -> "InteractionKernel":
         return InteractionKernel(
             phi=phi, dphi_dy=dphi_dy or _fd_derivative(phi), kind="custom",
-            declared_convex=declared_convex, probe_interval=tuple(probe_interval),
+            declared_convex=declared_convex,
         )
 
 
@@ -460,20 +452,17 @@ class InteractionKernel:
 class PotentialSpec:
     """External potential ``v`` with derivative.
 
-    A declared-convexity probe failure warns instead of raising so that
-    borderline configurations remain loadable (the flag is then cleared by
-    the caller's own probes where it matters).
+    Building a potential probes nothing.  ``validate_on`` checks it on an
+    action interval, and ``EnergyModel`` calls it once, on the grid's
+    interval: a potential that is not finite there is rejected.  A
+    ``declared_convex`` potential whose second differences go negative
+    there only warns, so that borderline configurations remain loadable.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
     v_prime: Callable[[np.ndarray], np.ndarray]
     kind: str = "custom"
-    params: dict = field(default_factory=dict)
     declared_convex: bool = False
-    probe_interval: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self) -> None:
-        self.validate_on(Interval(*self.probe_interval))
 
     def validate_on(self, interval: Interval) -> None:
         t = np.linspace(interval.lo, interval.hi, 101)
@@ -489,7 +478,7 @@ class PotentialSpec:
                 )
 
     @staticmethod
-    def poly(coeffs, declared_convex: bool = False, probe_interval=(0.0, 1.0)) -> "PotentialSpec":
+    def poly(coeffs, declared_convex: bool = False) -> "PotentialSpec":
         """Polynomial ``v(x) = sum coeffs[k] x^k`` with analytic derivative."""
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
@@ -498,26 +487,17 @@ class PotentialSpec:
         return PotentialSpec(
             v=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c),
             v_prime=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), dc),
-            kind="poly", params={"coeffs": tuple(float(t) for t in c)},
-            declared_convex=declared_convex, probe_interval=tuple(probe_interval),
-        )
-
-    @staticmethod
-    def custom(
-        v: Callable[[np.ndarray], np.ndarray],
-        v_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        declared_convex: bool = False,
-        probe_interval=(0.0, 1.0),
-    ) -> "PotentialSpec":
-        return PotentialSpec(
-            v=v, v_prime=v_prime or _fd_derivative(v), kind="custom",
-            declared_convex=declared_convex, probe_interval=tuple(probe_interval),
+            kind="poly", declared_convex=declared_convex,
         )
 
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Congestion + optional potential + optional interaction on a grid."""
+    """Congestion + optional potential + optional interaction on a grid.
+
+    The one place the kernel and the potential are checked: construction
+    calls each one's ``validate_on`` once, on ``grid.interval``.
+    """
 
     grid: Grid
     congestion: CongestionSpec
@@ -526,7 +506,7 @@ class EnergyModel:
 
     def __post_init__(self) -> None:
         if self.kernel is not None:
-            self.kernel.validate_on(self.grid.interval, hard=False)
+            self.kernel.validate_on(self.grid.interval)
         if self.potential is not None:
             self.potential.validate_on(self.grid.interval)
 

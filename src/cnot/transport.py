@@ -7,7 +7,7 @@ it.  The LP also returns dual potentials with a certified duality gap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,20 +52,15 @@ def _fd_derivative(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
 class CostSpec:
     """Translation-invariant transport cost ``c(x, y) = C(x - y)``.
 
-    The constructor probes ``C`` for strict convexity on a symmetric grid
-    and records the outcome; operations that rely on monotone couplings
-    check the flag (re-probing on their own difference range) and raise
-    ``cost not strictly convex`` when it fails.
+    Building a cost probes nothing.  ``strictly_convex_on(radius)`` probes
+    ``C`` for strict convexity on ``[-radius, radius]``; operations that rely
+    on monotone couplings call ``require_strictly_convex`` with their own
+    difference range and raise ``cost not strictly convex`` when it fails.
     """
 
     C: Callable[[np.ndarray], np.ndarray]
     C_prime: Callable[[np.ndarray], np.ndarray]
     kind: str = "convex_difference"
-    params: dict = field(default_factory=dict)
-    strictly_convex: bool = field(init=False, default=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strictly_convex", self._probe_convexity(2.0))
 
     @staticmethod
     def quadratic() -> "CostSpec":
@@ -93,10 +88,11 @@ class CostSpec:
             C=lambda t: np.abs(t) ** p / p,
             C_prime=lambda t: np.abs(t) ** (p - 1.0) * np.sign(t),
             kind="convex_difference",
-            params={"p": p},
         )
 
-    def _probe_convexity(self, radius: float) -> bool:
+    def strictly_convex_on(self, radius: float) -> bool:
+        """Whether ``C`` has positive second differences on an 81-point grid
+        of ``[-radius, radius]``."""
         t = np.linspace(-radius, radius, 81)
         h = t[1] - t[0]
         vals = np.asarray(self.C(t), dtype=float)
@@ -106,7 +102,7 @@ class CostSpec:
         return bool(np.all(second > 1e-12 * h * h))
 
     def require_strictly_convex(self, radius: float = 2.0) -> None:
-        if not (self.strictly_convex and self._probe_convexity(max(radius, 1e-6))):
+        if not self.strictly_convex_on(max(radius, 1e-6)):
             raise ValueError("cost not strictly convex")
 
     def cost_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -142,16 +138,16 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class PotentialPair:
-    """Kantorovich potentials ``(phi, phi^c)`` anchored by ``phi[anchor] = 0``."""
+    """Kantorovich potentials ``(phi, phi^c)`` anchored at the first atom,
+    ``phi[0] = 0``."""
 
     phi: np.ndarray
     phi_c: np.ndarray
-    anchor_index: int = 0
 
     def __post_init__(self) -> None:
         phi = np.asarray(self.phi, dtype=float)
-        if abs(phi[self.anchor_index]) > 1e-9:
-            raise ValueError("phi must vanish at the anchor index")
+        if abs(phi[0]) > 1e-9:
+            raise ValueError("phi must vanish at the first atom")
 
     def feasibility_violation(self, cost: CostSpec, x: np.ndarray, y: np.ndarray) -> float:
         """max over (i, j) of phi_i + phi_c_j - c(x_i, y_j)."""
@@ -244,7 +240,7 @@ def solve_lp(
     u = np.asarray(res.eqlin.marginals[:n], dtype=float)
     phi = u - u[0]
     phi_c = np.min(cm - phi[:, None], axis=0)
-    pair = PotentialPair(phi=phi, phi_c=phi_c, anchor_index=0)
+    pair = PotentialPair(phi=phi, phi_c=phi_c)
     gap = abs(value - pair.dual_value(a, b))
     if gap > 1e-9 * (1.0 + abs(value)):
         raise RuntimeError(f"LP duality gap {gap:.3e} exceeds certification threshold")

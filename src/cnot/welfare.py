@@ -149,7 +149,7 @@ def taxed_stationarity_residual(
 
 def _uniqueness_flags(scenario: Scenario) -> list:
     missing = []
-    if not scenario.cost.strictly_convex:
+    if not scenario.cost.strictly_convex_on(scenario.interval.length):
         missing.append("cost not strictly convex")
     if not scenario.model.congestion.satisfies_mccann:
         missing.append("congestion fails the displacement-convexity probe")

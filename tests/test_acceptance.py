@@ -151,10 +151,8 @@ def _gradient_families():
         model=EnergyModel(
             grid=g4,
             congestion=CongestionSpec.entropy(),
-            kernel=InteractionKernel.cubic_distance(1.0, probe_interval=(5.0, 6.0)),
-            potential=PotentialSpec.poly(
-                [-125.0, 75.0, -15.0, 1.0], declared_convex=True, probe_interval=(5.0, 6.0)
-            ),
+            kernel=InteractionKernel.cubic_distance(1.0),
+            potential=PotentialSpec.poly([-125.0, 75.0, -15.0, 1.0], declared_convex=True),
         ),
         m=33,
     )
@@ -324,7 +322,7 @@ def test_09_objective_convex_along_quantile_geodesics():
         kernel = scenario.model.kernel
         potential = scenario.model.potential
         if not (
-            scenario.cost.strictly_convex
+            scenario.cost.strictly_convex_on(scenario.interval.length)
             and scenario.model.congestion.satisfies_mccann
             and (kernel is None or kernel.declared_convex)
             and (potential is None or potential.declared_convex)

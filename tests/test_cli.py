@@ -496,10 +496,13 @@ def test_sweep_records_a_run_failure_and_goes_on(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_rejects_bad_values(tmp_path, capsys):
+    """A value that is not a number, or not an integer for an integer
+    field, exits 1 with ``/values``."""
     scn = _write_scenario(tmp_path / "s.json")
-    assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "o"),
-                 "--param", "kernel.kappa", "--values", "1.0,abc"]) == 1
-    assert "/values" in capsys.readouterr().err
+    for param, values in (("kernel.kappa", "1.0,abc"), ("solver.max_iters", "50,2.5")):
+        assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "o"),
+                     "--param", param, "--values", values]) == 1
+        assert "/values" in capsys.readouterr().err
 
 
 def test_sweep_validates_every_run_before_solving(tmp_path, capsys):
@@ -517,6 +520,46 @@ def test_sweep_rejects_unknown_param_path(tmp_path, capsys):
     assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "o"),
                  "--param", "laser.power", "--values", "1.0"]) == 1
     assert "/param" in capsys.readouterr().err
+
+
+_INTEGER_SWEEPS = {"solver.max_iters": 200, "quantile_m": 96, "grid_n": 32, "seed": 3}
+
+
+@pytest.mark.parametrize("param", sorted(_INTEGER_SWEEPS))
+def test_sweep_sets_integer_fields_as_integers(tmp_path, param):
+    """An integer field can be swept: each value is parsed as an integer,
+    written as one into the run's ``scenario.json``, and the run solves."""
+    value = _INTEGER_SWEEPS[param]
+    scn = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(scn), "--out", str(out),
+                 "--param", param, "--values", str(value)]) == 0
+    leaf = param.split(".")[-1]
+    doc = json.loads((out / f"run_000_{leaf}_{value}" / "scenario.json").read_text())
+    for key in param.split("."):
+        doc = doc[key]
+    assert doc == value and isinstance(doc, int)
+    row = (out / "summary.csv").read_text().split()[1].split(",")
+    assert row[0] == str(value) and row[2] == "0"
+
+
+def test_load_scenario_checks_each_component_once(tmp_path, monkeypatch):
+    """Loading a scenario calls the kernel's and the potential's
+    ``validate_on`` once each, on the scenario's interval."""
+    import cnot.energy
+
+    calls = []
+    for cls in (cnot.energy.InteractionKernel, cnot.energy.PotentialSpec):
+        def counting(self, interval, *args, _check=cls.validate_on, **kwargs):
+            calls.append((type(self).__name__, interval.lo, interval.hi))
+            return _check(self, interval, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "validate_on", counting)
+    scn = _write_scenario(tmp_path / "s.json", interval={"lo": 2.0, "hi": 5.0},
+                          potential={"kind": "poly", "coeffs": [0.0, 0.0, 1.0],
+                                     "declared_convex": True})
+    load_scenario(str(scn))
+    assert sorted(calls) == [("InteractionKernel", 2.0, 5.0), ("PotentialSpec", 2.0, 5.0)]
 
 
 def test_table_density_source(tmp_path):

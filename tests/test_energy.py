@@ -118,7 +118,7 @@ def test_kernel_convexity_declaration():
 def test_potential_poly_matches_polyval():
     """Poly potentials agree with numpy polynomial evaluation and derivative."""
     coeffs = [1.0, -2.0, 0.5, 3.0]
-    pot = PotentialSpec.poly(coeffs, probe_interval=(-1.0, 1.0))
+    pot = PotentialSpec.poly(coeffs)
     x = np.linspace(-1.0, 1.0, 17)
     expect = np.polynomial.polynomial.polyval(x, coeffs)
     assert np.allclose(pot.v(x), expect)
@@ -131,7 +131,7 @@ def test_potential_poly_matches_polyval():
 def test_potential_convexity_declaration_warns():
     """A non-convex poly declared convex warns instead of raising."""
     with pytest.warns(UserWarning):
-        pot = PotentialSpec.poly([0.0, 0.0, -1.0], declared_convex=True, probe_interval=(-1.0, 1.0))
+        pot = PotentialSpec.poly([0.0, 0.0, -1.0], declared_convex=True)
         pot.validate_on(Interval(-1.0, 1.0))
 
 
@@ -152,8 +152,8 @@ def test_energy_eval_with_potential_and_kernel():
     model = EnergyModel(
         grid=grid,
         congestion=CongestionSpec.entropy("plain"),
-        kernel=InteractionKernel.product(2.0, probe_interval=(0.0, 1.0)),
-        potential=PotentialSpec.poly([0.0, 0.0, 1.0], declared_convex=True, probe_interval=(0.0, 1.0)),
+        kernel=InteractionKernel.product(2.0),
+        potential=PotentialSpec.poly([0.0, 0.0, 1.0], declared_convex=True),
     )
     # potential: integral x^2 dx = 1/3; interaction: (2/2)(integral x dx)^2 = 1/4
     assert energy_eval(model, nu) == pytest.approx(1.0 / 3.0 + 0.25, abs=1e-4)
@@ -165,9 +165,9 @@ def test_interaction_field_matches_dense_matrix():
     grid = Grid(Interval(2.0, 5.0), 173)
     nu = density_from_values(grid, rng.uniform(0.2, 1.8, grid.n))
     for kern in (
-        InteractionKernel.quadratic_distance(1.7, probe_interval=(2.0, 5.0)),
-        InteractionKernel.product(0.9, probe_interval=(2.0, 5.0)),
-        InteractionKernel.cubic_distance(1.3, probe_interval=(2.0, 5.0)),
+        InteractionKernel.quadratic_distance(1.7),
+        InteractionKernel.product(0.9),
+        InteractionKernel.cubic_distance(1.3),
     ):
         model = EnergyModel(grid=grid, congestion=CongestionSpec.entropy(), kernel=kern)
         fast = model.interaction_field(nu)
@@ -183,10 +183,10 @@ def test_kernel_field_on_sorted_points_with_ties():
     points = np.sort(np.concatenate([rng.uniform(2.0, 5.0, 150), np.full(20, 3.5)]))
     weights = rng.uniform(0.0, 1.0, points.size)
     for kern in (
-        InteractionKernel.quadratic_distance(1.7, probe_interval=(2.0, 5.0)),
-        InteractionKernel.product(0.9, probe_interval=(2.0, 5.0)),
-        InteractionKernel.cubic_distance(1.3, probe_interval=(2.0, 5.0)),
-        InteractionKernel.custom(lambda y, z: np.exp(-np.abs(y - z)), probe_interval=(2.0, 5.0)),
+        InteractionKernel.quadratic_distance(1.7),
+        InteractionKernel.product(0.9),
+        InteractionKernel.cubic_distance(1.3),
+        InteractionKernel.custom(lambda y, z: np.exp(-np.abs(y - z))),
     ):
         dense = np.asarray(kern.phi(points[:, None], points[None, :])) @ weights
         fast = kern.field(points, weights)
@@ -194,12 +194,10 @@ def test_kernel_field_on_sorted_points_with_ties():
 
 
 _SAMPLE_KERNELS = {
-    "quadratic": lambda kappa: InteractionKernel.quadratic_distance(kappa, probe_interval=(2.0, 5.0)),
-    "cubic": lambda kappa: InteractionKernel.cubic_distance(kappa, probe_interval=(2.0, 5.0)),
-    "product": lambda kappa: InteractionKernel.product(kappa, probe_interval=(2.0, 5.0)),
-    "custom": lambda kappa: InteractionKernel.custom(
-        lambda y, z: kappa * np.exp(-np.abs(y - z)), probe_interval=(2.0, 5.0)
-    ),
+    "quadratic": lambda kappa: InteractionKernel.quadratic_distance(kappa),
+    "cubic": lambda kappa: InteractionKernel.cubic_distance(kappa),
+    "product": lambda kappa: InteractionKernel.product(kappa),
+    "custom": lambda kappa: InteractionKernel.custom(lambda y, z: kappa * np.exp(-np.abs(y - z))),
 }
 
 
@@ -269,8 +267,8 @@ def test_first_variation_is_energy_derivative():
     model = EnergyModel(
         grid=grid,
         congestion=CongestionSpec.entropy(),
-        kernel=InteractionKernel.quadratic_distance(1.2, probe_interval=(0.0, 1.0)),
-        potential=PotentialSpec.poly([0.0, 1.0, 2.0], declared_convex=True, probe_interval=(0.0, 1.0)),
+        kernel=InteractionKernel.quadratic_distance(1.2),
+        potential=PotentialSpec.poly([0.0, 1.0, 2.0], declared_convex=True),
     )
     h = rng.normal(size=grid.n)
     h -= h.mean()
@@ -288,6 +286,30 @@ def test_first_variation_is_energy_derivative():
 def test_energy_model_validates_components():
     """The model rejects asymmetric kernels on construction."""
     with pytest.raises(ValueError, match="symmetric"):
-        InteractionKernel.custom(
-            lambda y, z: np.asarray(y) - np.asarray(z), probe_interval=(0.0, 1.0)
+        EnergyModel(
+            grid=Grid(Interval(0.0, 1.0), 16),
+            congestion=CongestionSpec.entropy(),
+            kernel=InteractionKernel.custom(lambda y, z: np.asarray(y) - np.asarray(z)),
         )
+
+
+def test_kernel_is_checked_on_the_model_interval_only():
+    """A kernel finite only on [2, 5] builds and enters a model on [2, 5]:
+    nothing probes it on a range the model does not use."""
+    kernel = InteractionKernel.custom(lambda y, z: np.sqrt(np.asarray(y) + np.asarray(z) - 3.0))
+    grid = Grid(Interval(2.0, 5.0), 32)
+    model = EnergyModel(grid=grid, congestion=CongestionSpec.entropy(), kernel=kernel)
+    assert np.all(np.isfinite(model.interaction_field(uniform_density(grid))))
+
+
+def test_false_kernel_declaration_raises_from_model():
+    """``(4 - y - z)^3`` is jointly convex on [0, 1]^2 but concave on
+    [2, 5]^2: declared convex, it is refused by a model on [2, 5]."""
+    kernel = InteractionKernel.custom(
+        lambda y, z: (4.0 - np.asarray(y) - np.asarray(z)) ** 3, declared_convex=True
+    )
+    EnergyModel(grid=Grid(Interval(0.0, 1.0), 16), congestion=CongestionSpec.entropy(),
+                kernel=kernel)
+    with pytest.raises(ValueError, match="midpoint probe"):
+        EnergyModel(grid=Grid(Interval(2.0, 5.0), 16), congestion=CongestionSpec.entropy(),
+                    kernel=kernel)

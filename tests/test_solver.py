@@ -505,7 +505,7 @@ def test_fixed_endpoint_power_product_solve_converges():
     model = EnergyModel(
         grid=grid,
         congestion=CongestionSpec.power(1.958, 0.03024),
-        kernel=InteractionKernel.product(-0.7803, probe_interval=(iv.lo, iv.hi)),
+        kernel=InteractionKernel.product(-0.7803),
     )
     scenario = Scenario(
         mu=gaussian_truncated_density(grid, -2.0381, 0.38686),

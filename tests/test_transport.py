@@ -43,10 +43,21 @@ def test_cost_conventions():
 def test_strict_convexity_probe():
     """sqrt|t| is flagged non-strictly-convex and refused where required."""
     flat = CostSpec.convex_difference(lambda t: np.sqrt(np.abs(t)))
-    assert not flat.strictly_convex
+    assert not flat.strictly_convex_on(2.0)
     with pytest.raises(ValueError, match="cost not strictly convex"):
         flat.require_strictly_convex()
     CostSpec.quadratic().require_strictly_convex()
+
+
+def test_strict_convexity_is_probed_on_the_radius_in_use():
+    """``t^2 - t^4/8`` (``C'' = 2 - 1.5 t^2``) is strictly convex on
+    [-1, 1] but not on [-2, 2]: accepted at radius 1, refused at 2."""
+    cost = CostSpec.convex_difference(lambda t: np.square(t) - np.asarray(t) ** 4 / 8.0)
+    assert cost.strictly_convex_on(1.0)
+    assert not cost.strictly_convex_on(2.0)
+    cost.require_strictly_convex(1.0)
+    with pytest.raises(ValueError, match="cost not strictly convex"):
+        cost.require_strictly_convex(2.0)
 
 
 def test_w2_translation_identity():
@@ -219,7 +230,7 @@ def test_kantorovich_potentials_certify_the_quantile_cost():
         dual = float(np.dot(pair.phi, mu.masses) + np.dot(pair.phi_c, nu.masses))
         assert abs(dual - primal) < 5e-4 * (1.0 + abs(primal))
         assert pair.feasibility_violation(cost, grid.nodes, grid.nodes) <= 1e-10
-        assert pair.phi[pair.anchor_index] == 0.0
+        assert pair.phi[0] == 0.0
 
 
 def test_potential_anchor_convention():
@@ -228,5 +239,4 @@ def test_potential_anchor_convention():
     mu = uniform_density(grid)
     nu = gaussian_truncated_density(grid, 0.5, 0.2)
     pair = kantorovich_potential_1d(mu, nu, CostSpec.quadratic())
-    assert pair.anchor_index == 0
     assert pair.phi[0] == 0.0
