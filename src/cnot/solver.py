@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.optimize import brentq, isotonic_regression
 
 from .energy import EnergyModel
 from .measures import (
@@ -241,28 +240,31 @@ class _QuantileProblem:
         m, G, u = self.m, p.G, p.u
         with np.errstate(over="ignore", divide="ignore"):
             psi2 = (m - 1) * u**3 * np.asarray(self.model.congestion.f_prime(u), dtype=float)
-        psi2 = np.where(np.isfinite(psi2), np.clip(psi2, 0.0, _CURV_MAX), _CURV_MAX)
+        psi2 = np.where(
+            np.isfinite(psi2), np.minimum(_CURV_MAX, np.maximum(0.0, psi2)), _CURV_MAX
+        )
         z = p.z
         h = 1e-6 * (1.0 + np.abs(z))
         c2 = (
             np.asarray(self.cost.C_prime(z + h), dtype=float)
             - np.asarray(self.cost.C_prime(z - h), dtype=float)
         ) / (2.0 * h)
-        diag = np.clip(c2, 0.0, None) / m
+        diag = np.maximum(c2, 0.0) / m
         if self.model.potential is not None:
             h = 1e-6 * (1.0 + np.abs(G))
             v2 = (
                 np.asarray(self.model.potential.v_prime(G + h), dtype=float)
                 - np.asarray(self.model.potential.v_prime(G - h), dtype=float)
             ) / (2.0 * h)
-            diag += np.clip(v2, 0.0, None) / m
+            diag += np.maximum(v2, 0.0) / m
         if self.model.kernel is not None:
             diag += self.model.kernel.sample_curvature(G)
         diag[:-1] += psi2
         diag[1:] += psi2
         if self.prox is not None:
             diag += 1.0 / (self.prox[1] * m)
-        return np.clip(diag, _CURV_MIN / m, _CURV_MAX), -psi2
+        np.maximum(_CURV_MIN / m, diag, out=diag)
+        return np.minimum(_CURV_MAX, diag, out=diag), -psi2
 
 
 def objective_eval(scenario: Scenario, G) -> float:
@@ -277,6 +279,13 @@ def objective_gradient(scenario: Scenario, G) -> np.ndarray:
     if p is None:
         raise ValueError("gradient requires strictly increasing quantile values")
     return problem.gradient(p)
+
+
+def isotonic_regression(*args, **kwargs):
+    """``scipy.optimize.isotonic_regression``, which loads on the first call."""
+    from scipy.optimize import isotonic_regression as pava
+
+    return pava(*args, **kwargs)
 
 
 def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
@@ -313,7 +322,11 @@ def _trial_point(y: np.ndarray, interval, support_mode: str) -> np.ndarray:
     without pricing it; a strictly increasing ``y`` is its own isotonic fit,
     so every trial priced is exactly the clipped monotone projection.
     """
-    v = np.clip(y, interval.lo, interval.hi, out=y)
+    # The Newton loop clips with the ufunc pair, not ``np.clip``, whose
+    # Python-level dispatch costs about twice as much a call at m = 64.  Each
+    # bound goes first: on a tie the ufunc returns its second operand, so
+    # signed zeros match ``np.clip``.
+    v = np.minimum(interval.hi, np.maximum(interval.lo, y, out=y), out=y)
     if support_mode == "fixed_endpoints":
         v[0], v[-1] = interval.lo, interval.hi
     return v
@@ -461,6 +474,8 @@ def minimize_quantile(
 
 def _solve_mass_equation(model: EnergyModel, w: np.ndarray) -> tuple[float, np.ndarray]:
     """Find ``M`` with ``integral f_inv(M - w) = 1``; return it with the density."""
+    from scipy.optimize import brentq
+
     delta = model.grid.delta
     f_inv = model.congestion.f_inv
 
@@ -501,9 +516,9 @@ def best_response_iterate(
 
     Each round computes the Kantorovich potential of the current measure,
     inverts the pointwise optimality relation
-    ``nu = f_inv(M - phi_c - interaction - v)`` with ``M`` chosen by
-    bisection so the mass is one, and mixes ``(1 - damping) nu_k +
-    damping BR(nu_k)``.
+    ``nu = f_inv(M - phi_c - interaction - v)`` with ``M`` chosen so the
+    mass is one (a sign-change bracket, then Brent's method, ``brentq``),
+    and mixes ``(1 - damping) nu_k + damping BR(nu_k)``.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")

@@ -8,13 +8,14 @@ it.  The LP also returns dual potentials with a certified duality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .measures import DiscreteDensity, density_to_quantile
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "CostSpec",
@@ -184,6 +185,8 @@ def wasserstein_cost_1d(
 
 
 def _transport_lp_matrix(n: int, m: int) -> sparse.csr_matrix:
+    from scipy import sparse
+
     rows = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
     cols = np.concatenate([np.arange(n * m), np.arange(n * m)])
     vals = np.ones(2 * n * m)
@@ -204,8 +207,11 @@ def solve_lp(
     matrix form admits non-interval atom sets, e.g. product couplings).
     The dual potentials come from the LP equality multipliers; ``phi`` is
     shifted to vanish at atom 0, ``phi_c`` is tightened to the exact
-    c-transform, and the duality gap is certified to 1e-9.
+    c-transform, and the duality gap is certified to 1e-9.  ``scipy.optimize``
+    and ``scipy.sparse`` load on the first call, not with ``cnot``.
     """
+    from scipy.optimize import linprog
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -2,6 +2,11 @@
 top-level namespace re-exports exactly the submodules' public names."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import cnot
 
@@ -27,3 +32,36 @@ def test_package_exports_are_the_submodule_exports():
     assert len(set(cnot.__all__)) == len(cnot.__all__)
     for attr in cnot.__all__:
         assert hasattr(cnot, attr), attr
+
+
+LAZY_PROBE = """
+import json, sys
+import numpy as np
+import cnot, cnot.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
+
+before, linalg = loaded(), "scipy.linalg" in sys.modules
+x = np.array([0.0, 1.0])
+plan, _, value = cnot.solve_lp(np.array([0.5, 0.5]), x, np.array([0.5, 0.5]), x,
+                               cost_matrix=(x[:, None] - x[None, :]) ** 2)
+print(json.dumps({"before": before, "linalg": linalg, "after": loaded(),
+                  "plan": plan.matrix.tolist(), "value": value}))
+"""
+
+
+def test_import_leaves_the_lp_solver_unloaded():
+    """A fresh ``import cnot, cnot.cli`` loads ``scipy.linalg`` (every solve
+    needs it) but neither ``scipy.optimize`` nor ``scipy.sparse``; the first
+    ``solve_lp`` call loads them and returns the exact plan."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["before"] == []
+    assert out["linalg"]
+    assert "scipy.optimize" in out["after"]
+    assert out["plan"] == [[0.5, 0.0], [0.0, 0.5]]
+    assert out["value"] == 0.0

@@ -259,6 +259,20 @@ def test_trial_point_matches_weighted_pava_trial():
     assert min(seen.values()) >= 20, seen
 
 
+def test_trial_point_has_the_bytes_of_np_clip():
+    """The box map clips with ``np.maximum``/``np.minimum``, not ``np.clip``;
+    on every input, signed zeros at a zero bound and NaN included, it writes
+    the bytes ``np.clip`` writes."""
+    specials = [-0.0, 0.0, -1.0, 1.0, 0.25, -np.inf, np.inf, np.nan, 5e-324, -5e-324]
+    rng = np.random.default_rng(5)
+    for lo, hi in [(0.0, 1.0), (-1.0, 0.0), (-0.0, 1.0), (-1.0, -0.0), (-2.0, 3.0)]:
+        iv = Interval(lo, hi)
+        for m in (1, 7, 64):
+            y = rng.choice(specials, size=m)
+            expected = np.clip(y, iv.lo, iv.hi)
+            assert _trial_point(y.copy(), iv, "free").tobytes() == expected.tobytes()
+
+
 def test_solves_never_call_pava(monkeypatch):
     """Only the box can bind, so no solve runs the isotonic projection: with
     ``isotonic_regression`` made to raise, a free and a fixed-endpoint
