@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional
 
@@ -581,6 +581,7 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError("/args", message)
 
 
+@cache  # a parse leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cnot", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)

@@ -265,7 +265,9 @@ def _centred_prefix_sums(G: np.ndarray) -> tuple:
     """Centred samples ``Gc`` with the exclusive prefix sums of ``Gc``,
     ``Gc^2`` and ``Gc^3``: on sorted ``G``, ``|G_j - G_k|^3`` and its
     derivatives expand through these.  Centering first keeps the cancelling
-    cubes small."""
+    cubes small.  Cubes here and in the cubic kernel's other closed forms
+    are products: ``x**3`` goes through ``pow``, which on mixed-sign input
+    costs some forty times as much."""
     Gc = G - G.mean()
     powers = (Gc, Gc * Gc, Gc * Gc * Gc)
     return (Gc, *(np.concatenate([[0.0], np.cumsum(p)])[:-1] for p in powers))
@@ -283,7 +285,8 @@ class InteractionKernel:
 
     The family's closed forms live here: the grid ``field``, the quantile
     objective's ``sample_energy``, ``sample_gradient`` and
-    ``sample_curvature`` on sorted samples, and ``scaled``.
+    ``sample_curvature`` on sorted samples (with ``sample_sums``, what the
+    three share at one point), and ``scaled``.
     """
 
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -332,16 +335,27 @@ class InteractionKernel:
             return self.kappa * y * float(y @ w)
         if self.kind == "cubic_distance":
             yc = y - float(y.mean())
+            yc2 = yc * yc
+            yc3 = yc2 * yc
             c0, c1 = np.cumsum(w), np.cumsum(w * yc)
-            c2, c3 = np.cumsum(w * yc * yc), np.cumsum(w * yc**3)
-            left = yc**3 * c0 - 3.0 * yc**2 * c1 + 3.0 * yc * c2 - c3
+            c2, c3 = np.cumsum(w * yc * yc), np.cumsum(w * yc3)
+            left = yc3 * c0 - 3.0 * yc2 * c1 + 3.0 * yc * c2 - c3
             r0, r1, r2, r3 = c0[-1] - c0, c1[-1] - c1, c2[-1] - c2, c3[-1] - c3
-            right = r3 - 3.0 * yc * r2 + 3.0 * yc**2 * r1 - yc**3 * r0
+            right = r3 - 3.0 * yc * r2 + 3.0 * yc2 * r1 - yc3 * r0
             return self.kappa * (left + right)
         return _dense_rows(self.phi, y, w)
 
-    def sample_energy(self, G: np.ndarray) -> float:
-        """``(1/(2 m^2)) sum_jk phi(G_j, G_k)`` on sorted samples ``G``."""
+    def sample_sums(self, G: np.ndarray) -> Optional[tuple]:
+        """What ``sample_energy``, ``sample_gradient`` and ``sample_curvature``
+        share at sorted samples ``G``: the centred prefix sums for the cubic
+        kernel, None for every other kind.  A caller that prices one point
+        with all three builds them once and passes them as ``sums``; each
+        method given ``sums`` returns exactly what it returns without."""
+        return _centred_prefix_sums(G) if self.kind == "cubic_distance" else None
+
+    def sample_energy(self, G: np.ndarray, sums: Optional[tuple] = None) -> float:
+        """``(1/(2 m^2)) sum_jk phi(G_j, G_k)`` on sorted samples ``G``
+        (``sums``: ``sample_sums(G)``, when the caller has it)."""
         m = G.size
         if self.kind == "quadratic_distance":
             s1 = G.sum()
@@ -350,13 +364,13 @@ class InteractionKernel:
             s1 = G.sum()
             return float(self.kappa * s1 * s1 / (2.0 * m * m))
         if self.kind == "cubic_distance":
-            Gc, q1, q2, q3 = _centred_prefix_sums(G)
+            Gc, q1, q2, q3 = _centred_prefix_sums(G) if sums is None else sums
             j = np.arange(m)
-            total = np.sum(j * Gc**3 - 3.0 * Gc * Gc * q1 + 3.0 * Gc * q2 - q3)
+            total = np.sum(j * (Gc * Gc * Gc) - 3.0 * Gc * Gc * q1 + 3.0 * Gc * q2 - q3)
             return float(self.kappa * total / (m * m))
         return float(np.sum(_dense_rows(self.phi, G, np.ones(m)))) / (2.0 * m * m)
 
-    def sample_gradient(self, G: np.ndarray) -> np.ndarray:
+    def sample_gradient(self, G: np.ndarray, sums: Optional[tuple] = None) -> np.ndarray:
         """Gradient of ``sample_energy`` in the sorted samples ``G``."""
         m = G.size
         if self.kind == "quadratic_distance":
@@ -364,7 +378,7 @@ class InteractionKernel:
         if self.kind == "product":
             return np.full(m, self.kappa * G.sum() / (m * m))
         if self.kind == "cubic_distance":
-            Gc, q1, q2, _ = _centred_prefix_sums(G)
+            Gc, q1, q2, _ = _centred_prefix_sums(G) if sums is None else sums
             r1 = Gc.sum() - q1 - Gc
             r2 = np.dot(Gc, Gc) - q2 - Gc * Gc
             j = np.arange(m)
@@ -373,7 +387,7 @@ class InteractionKernel:
             return 3.0 * self.kappa * (left - right) / (m * m)
         return _dense_rows(self.dphi_dy, G, np.ones(m)) / (m * m)
 
-    def sample_curvature(self, G: np.ndarray) -> np.ndarray:
+    def sample_curvature(self, G: np.ndarray, sums: Optional[tuple] = None) -> np.ndarray:
         """Diagonal of the Hessian of ``sample_energy`` at sorted ``G``.
 
         Zero for ``kappa <= 0`` and for custom kernels, so that a convex
@@ -386,7 +400,7 @@ class InteractionKernel:
             if self.kind == "product":
                 return np.full(m, self.kappa / (m * m))
             if self.kind == "cubic_distance":
-                Gc, q1, _, _ = _centred_prefix_sums(G)
+                Gc, q1, _, _ = _centred_prefix_sums(G) if sums is None else sums
                 r1 = Gc.sum() - q1 - Gc
                 j = np.arange(m)
                 absdist = (2.0 * j - m + 1.0) * Gc - q1 + r1
@@ -448,9 +462,26 @@ class InteractionKernel:
         )
 
 
+def _central_difference(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """Central difference of ``fn``, step ``1e-6 (1 + |x|)``."""
+
+    def deriv(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        h = 1e-6 * (1.0 + np.abs(x))
+        return (
+            np.asarray(fn(x + h), dtype=float) - np.asarray(fn(x - h), dtype=float)
+        ) / (2.0 * h)
+
+    return deriv
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
-    """External potential ``v`` with derivative.
+    """External potential ``v`` with its first and second derivatives.
+
+    ``v_second`` feeds the quantile solver's curvature model.  ``poly``
+    gives it in closed form; left out, it is the central difference of
+    ``v_prime`` with step ``1e-6 (1 + |x|)``.
 
     Building a potential probes nothing.  ``validate_on`` checks it on an
     action interval, and ``EnergyModel`` calls it once, on the grid's
@@ -463,6 +494,11 @@ class PotentialSpec:
     v_prime: Callable[[np.ndarray], np.ndarray]
     kind: str = "custom"
     declared_convex: bool = False
+    v_second: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.v_second is None:
+            object.__setattr__(self, "v_second", _central_difference(self.v_prime))
 
     def validate_on(self, interval: Interval) -> None:
         t = np.linspace(interval.lo, interval.hi, 101)
@@ -479,14 +515,17 @@ class PotentialSpec:
 
     @staticmethod
     def poly(coeffs, declared_convex: bool = False) -> "PotentialSpec":
-        """Polynomial ``v(x) = sum coeffs[k] x^k`` with analytic derivative."""
+        """Polynomial ``v(x) = sum coeffs[k] x^k`` with analytic first and
+        second derivatives."""
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("poly potential needs a non-empty coefficient vector")
         dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
+        d2c = np.polynomial.polynomial.polyder(c, 2)
         return PotentialSpec(
             v=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c),
             v_prime=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), dc),
+            v_second=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d2c),
             kind="poly", declared_convex=declared_convex,
         )
 

@@ -147,9 +147,10 @@ def _quantile_values(G) -> np.ndarray:
 class _Point:
     """The pieces that the objective, its gradient and its curvature share at
     one strictly increasing quantile ``G``: the gaps, ``u = 1/((m-1) gaps)``,
-    ``F(u)`` and ``z = H - G``.  Built once per accepted point."""
+    ``F(u)``, ``z = H - G`` and the kernel's ``sample_sums``.  Built once per
+    priced point."""
 
-    __slots__ = ("G", "gaps", "u", "F_u", "z")
+    __slots__ = ("G", "gaps", "u", "F_u", "z", "sums")
 
     def __init__(self, problem: "_QuantileProblem", G: np.ndarray, gaps: np.ndarray):
         self.G = G
@@ -158,6 +159,8 @@ class _Point:
             self.u = 1.0 / ((problem.m - 1) * gaps)
             self.F_u = np.asarray(problem.model.congestion.F(self.u), dtype=float)
         self.z = problem.H - G
+        kernel = problem.model.kernel
+        self.sums = kernel.sample_sums(G) if kernel is not None else None
 
 
 class _QuantileProblem:
@@ -202,7 +205,7 @@ class _QuantileProblem:
         if self.model.potential is not None:
             val += float(np.sum(self.model.potential.v(p.G)) / m)
         if self.model.kernel is not None:
-            val += self.model.kernel.sample_energy(p.G)
+            val += self.model.kernel.sample_energy(p.G, p.sums)
         if self.prox is not None:
             anchor, tau = self.prox
             val += float(np.sum((p.G - anchor) ** 2) / (2.0 * tau * m))
@@ -220,7 +223,7 @@ class _QuantileProblem:
         if self.model.potential is not None:
             grad += np.asarray(self.model.potential.v_prime(p.G), dtype=float) / m
         if self.model.kernel is not None:
-            grad += self.model.kernel.sample_gradient(p.G)
+            grad += self.model.kernel.sample_gradient(p.G, p.sums)
         if self.prox is not None:
             anchor, tau = self.prox
             grad += (p.G - anchor) / (tau * m)
@@ -231,11 +234,13 @@ class _QuantileProblem:
 
         Returns ``(diag, sub)``: ``m`` diagonal and ``m - 1`` subdiagonal
         entries.  The congestion term is exactly tridiagonal in the quantile
-        values; the separable cost/potential terms contribute their second
-        derivatives (clipped to be non-negative) on the diagonal; interaction
-        kernels keep only their diagonal part.  Entries are clipped to a
-        positive range that keeps the tridiagonal Cholesky factorization
-        finite — the line search absorbs any remaining model error.
+        values; the separable cost and potential terms contribute their
+        second derivatives (clipped to be non-negative) on the diagonal:
+        the potential's ``v_second`` (closed form for ``poly``), the cost's
+        ``C''`` by a central difference of ``C_prime``.  Interaction kernels
+        keep only their diagonal part.  Entries are clipped to a positive
+        range that keeps the tridiagonal Cholesky factorization finite — the
+        line search absorbs any remaining model error.
         """
         m, G, u = self.m, p.G, p.u
         with np.errstate(over="ignore", divide="ignore"):
@@ -251,14 +256,10 @@ class _QuantileProblem:
         ) / (2.0 * h)
         diag = np.maximum(c2, 0.0) / m
         if self.model.potential is not None:
-            h = 1e-6 * (1.0 + np.abs(G))
-            v2 = (
-                np.asarray(self.model.potential.v_prime(G + h), dtype=float)
-                - np.asarray(self.model.potential.v_prime(G - h), dtype=float)
-            ) / (2.0 * h)
+            v2 = np.asarray(self.model.potential.v_second(G), dtype=float)
             diag += np.maximum(v2, 0.0) / m
         if self.model.kernel is not None:
-            diag += self.model.kernel.sample_curvature(G)
+            diag += self.model.kernel.sample_curvature(G, p.sums)
         diag[:-1] += psi2
         diag[1:] += psi2
         if self.prox is not None:

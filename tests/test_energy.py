@@ -128,6 +128,31 @@ def test_potential_poly_matches_polyval():
         PotentialSpec.poly([])
 
 
+def test_potential_poly_second_derivative_is_closed_form():
+    """``poly`` gives ``v_second`` as ``polyval`` of ``polyder`` taken twice:
+    the same bits, and exactly 0 for degree <= 1."""
+    x = np.linspace(-3.0, 7.0, 41)
+    for coeffs in ([1.0, -2.0, 0.5, 3.0], [10000.0, -4000.0, 600.0, -40.0, 1.0], [0.0, 0.0, 1.0]):
+        expect = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(coeffs, 2))
+        assert np.array_equal(PotentialSpec.poly(coeffs).v_second(x), expect)
+    for coeffs in ([2.5], [1.0, -3.0]):
+        assert np.array_equal(PotentialSpec.poly(coeffs).v_second(x), np.zeros_like(x))
+
+
+def test_potential_custom_second_derivative_is_central_difference():
+    """A potential built without ``v_second`` differentiates ``v_prime``
+    centrally with step ``1e-6 (1 + |x|)``, bit for bit."""
+    v_prime = lambda x: np.sin(3.0 * np.asarray(x)) + np.asarray(x) ** 3
+    pot = PotentialSpec(v=lambda x: -np.cos(3.0 * np.asarray(x)) / 3.0 + np.asarray(x) ** 4 / 4.0,
+                        v_prime=v_prime)
+    x = np.linspace(-2.0, 4.0, 37)
+    h = 1e-6 * (1.0 + np.abs(x))
+    expect = (np.asarray(v_prime(x + h), dtype=float)
+              - np.asarray(v_prime(x - h), dtype=float)) / (2.0 * h)
+    assert np.array_equal(pot.v_second(x), expect)
+    assert np.allclose(pot.v_second(x), 3.0 * np.cos(3.0 * x) + 3.0 * x * x, rtol=0.0, atol=1e-6)
+
+
 def test_potential_convexity_declaration_warns():
     """A non-convex poly declared convex warns instead of raising."""
     with pytest.warns(UserWarning):
@@ -201,22 +226,42 @@ _SAMPLE_KERNELS = {
 }
 
 
-def _sorted_samples_with_ties():
+def _sorted_samples_with_ties(lo=2.0, hi=5.0):
     rng = np.random.default_rng(9)
-    return np.sort(np.concatenate([rng.uniform(2.0, 5.0, 60), np.full(6, 3.5)]))
+    return np.sort(np.concatenate([rng.uniform(lo, hi, 60), np.full(6, 0.5 * (lo + hi))]))
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
 def test_kernel_sample_forms_match_dense_sums(name):
     """Energy and gradient on sorted samples (with ties) equal the dense
-    O(m^2) sums of phi and dphi_dy."""
-    G = _sorted_samples_with_ties()
-    m = G.size
-    kern = _SAMPLE_KERNELS[name](1.3)
-    energy = np.sum(kern.phi(G[:, None], G[None, :])) / (2.0 * m * m)
-    assert kern.sample_energy(G) == pytest.approx(energy, rel=1e-12, abs=1e-14)
-    grad = np.sum(kern.dphi_dy(G[:, None], G[None, :]), axis=1) / (m * m)
-    assert np.max(np.abs(kern.sample_gradient(G) - grad)) < 1e-12 * (1.0 + np.max(np.abs(grad)))
+    O(m^2) sums of phi and dphi_dy, also on samples far from the origin,
+    where the cubic kernel's moment expansion holds only once centred.  The
+    quadratic closed form is not centred and keeps only about 9 digits
+    there, so it is held to the dense sums near the origin only."""
+    samples = [_sorted_samples_with_ties()]
+    if name != "quadratic":
+        samples.append(_sorted_samples_with_ties(1000.0, 1001.0))
+    for G in samples:
+        m = G.size
+        kern = _SAMPLE_KERNELS[name](1.3)
+        energy = np.sum(kern.phi(G[:, None], G[None, :])) / (2.0 * m * m)
+        assert kern.sample_energy(G) == pytest.approx(energy, rel=1e-12, abs=1e-14)
+        grad = np.sum(kern.dphi_dy(G[:, None], G[None, :]), axis=1) / (m * m)
+        tol = 1e-12 * (1.0 + np.max(np.abs(grad)))
+        assert np.max(np.abs(kern.sample_gradient(G) - grad)) < tol
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
+def test_kernel_shared_sample_sums_change_nothing(name):
+    """Given ``sample_sums(G)``, the three sample forms return exactly what
+    they return alone; only the cubic kernel has sums to share."""
+    for G in (_sorted_samples_with_ties(), _sorted_samples_with_ties(1000.0, 1001.0)):
+        kern = _SAMPLE_KERNELS[name](1.3)
+        sums = kern.sample_sums(G)
+        assert (sums is None) == (name != "cubic")
+        assert kern.sample_energy(G, sums) == kern.sample_energy(G)
+        assert np.array_equal(kern.sample_gradient(G, sums), kern.sample_gradient(G))
+        assert np.array_equal(kern.sample_curvature(G, sums), kern.sample_curvature(G))
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))

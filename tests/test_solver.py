@@ -28,7 +28,13 @@ from cnot import (
     project_monotone,
     uniform_density,
 )
-from cnot.solver import _newton_direction, _QuantileProblem, _trial_point
+from cnot.solver import (
+    _CURV_MAX,
+    _CURV_MIN,
+    _newton_direction,
+    _QuantileProblem,
+    _trial_point,
+)
 
 
 def _uniform_scenario(n=64, m=129, convention="shifted", support_mode="free"):
@@ -223,6 +229,65 @@ def _weighted_pava_trial(y, interval, support_mode, weights):
         isotonic_regression(y[1:-1], weights=weights[1:-1]).x, interval.lo, interval.hi
     )
     return v
+
+
+def _curvature_differencing_v_prime(problem, p):
+    """Reference curvature model that takes the potential's ``v''`` as the
+    central difference of ``v_prime``, step ``1e-6 (1 + |G|)``, in line."""
+    m, G, u = problem.m, p.G, p.u
+    with np.errstate(over="ignore", divide="ignore"):
+        psi2 = (m - 1) * u**3 * np.asarray(problem.model.congestion.f_prime(u), dtype=float)
+    psi2 = np.where(np.isfinite(psi2), np.minimum(_CURV_MAX, np.maximum(0.0, psi2)), _CURV_MAX)
+    z = p.z
+    h = 1e-6 * (1.0 + np.abs(z))
+    c2 = (
+        np.asarray(problem.cost.C_prime(z + h), dtype=float)
+        - np.asarray(problem.cost.C_prime(z - h), dtype=float)
+    ) / (2.0 * h)
+    diag = np.maximum(c2, 0.0) / m
+    h = 1e-6 * (1.0 + np.abs(G))
+    v2 = (
+        np.asarray(problem.model.potential.v_prime(G + h), dtype=float)
+        - np.asarray(problem.model.potential.v_prime(G - h), dtype=float)
+    ) / (2.0 * h)
+    diag += np.maximum(v2, 0.0) / m
+    diag += problem.model.kernel.sample_curvature(G)
+    diag[:-1] += psi2
+    diag[1:] += psi2
+    np.maximum(_CURV_MIN / m, diag, out=diag)
+    return np.minimum(_CURV_MAX, diag, out=diag), -psi2
+
+
+def test_curvature_with_a_custom_potential_differences_v_prime():
+    """A potential built without ``v_second`` enters the curvature model
+    through the central difference of ``v_prime``, bit for bit, and shared
+    kernel sums leave the model unchanged."""
+    grid = Grid(Interval(-1.0, 2.0), 32)
+    potential = PotentialSpec(
+        v=lambda x: np.cosh(np.asarray(x)) + 0.3 * np.asarray(x) ** 3,
+        v_prime=lambda x: np.sinh(np.asarray(x)) + 0.9 * np.asarray(x) ** 2,
+    )
+    model = EnergyModel(
+        grid=grid,
+        congestion=CongestionSpec.power(2.0),
+        kernel=InteractionKernel.cubic_distance(0.7),
+        potential=potential,
+    )
+    scenario = Scenario(
+        mu=gaussian_truncated_density(grid, 0.4, 0.6),
+        cost=CostSpec.quadratic(),
+        model=model,
+        m=48,
+    )
+    problem = _QuantileProblem(scenario)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        G = np.sort(rng.uniform(-1.0, 2.0, scenario.m)) + np.linspace(0.0, 1e-3, scenario.m)
+        p = problem.point(G)
+        diag, sub = problem.curvature(p)
+        ref_diag, ref_sub = _curvature_differencing_v_prime(problem, p)
+        assert np.array_equal(diag, ref_diag)
+        assert np.array_equal(sub, ref_sub)
 
 
 def test_trial_point_matches_weighted_pava_trial():
