@@ -26,6 +26,7 @@ from . import __version__
 from .dynamics import JkoParams, jko_flow
 from .energy import CongestionSpec, EnergyModel, InteractionKernel, PotentialSpec
 from .measures import (
+    SUPPORT_MODES,
     DiscreteDensity,
     Grid,
     Interval,
@@ -272,8 +273,8 @@ def _bundle_from_raw(raw: dict, base_dir: Path) -> _Bundle:
     _require(quantile_m >= 2, "/quantile_m", "must be >= 2")
 
     support_mode = raw.get("support_mode", "free")
-    _require(support_mode in ("free", "fixed_endpoints"), "/support_mode",
-             "must be 'free' or 'fixed_endpoints'")
+    _require(support_mode in SUPPORT_MODES, "/support_mode",
+             "must be " + " or ".join(map(repr, SUPPORT_MODES)))
     seed = raw.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "/seed",
              "must be an integer")

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import DiscreteDensity, density_to_quantile
-from .solver import Scenario, SolverParams, minimize_quantile
+from .solver import Scenario, SolverParams, _QuantileProblem, minimize_quantile
 
 __all__ = ["JkoParams", "TrajectoryPoint", "Trajectory", "jko_step", "jko_flow"]
 
@@ -121,9 +121,7 @@ def jko_flow(scenario: Scenario, nu0: DiscreteDensity, params: JkoParams) -> Tra
     """
     if nu0.grid != scenario.grid:
         raise ValueError("nu0 must live on the scenario grid")
-    from .solver import _QuantileProblem  # plain objective, no proximal term
-
-    problem = _QuantileProblem(scenario)
+    problem = _QuantileProblem(scenario)  # plain objective, no proximal term
     G = density_to_quantile(nu0, scenario.m).values
     points = [TrajectoryPoint(k=0, nu=nu0, J_value=problem.value(G), W2_step=0.0)]
     for k in range(1, params.steps + 1):

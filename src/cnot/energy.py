@@ -57,6 +57,21 @@ def _log1(s: np.ndarray) -> np.ndarray:
     return 1.0 + _log(s)
 
 
+def _fd_positive(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Central difference of ``fn`` on ``(0, inf)``, step ``1e-6 s``: the
+    relative step keeps the stencil inside the half-line, where congestion
+    lives, at every positive ``s``."""
+
+    def deriv(s: np.ndarray) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        h = 1e-6 * s
+        return (
+            np.asarray(fn(s + h), dtype=float) - np.asarray(fn(s - h), dtype=float)
+        ) / (2.0 * h)
+
+    return deriv
+
+
 @dataclass(frozen=True)
 class CongestionSpec:
     """Congestion cost ``f`` with antiderivative ``F`` and inverse.
@@ -85,10 +100,7 @@ class CongestionSpec:
         if np.any(np.diff(fv) <= 0.0):
             raise ValueError("congestion f must be strictly increasing")
         # F' = f up to an additive constant, by central differences
-        h = 1e-6 * _PROBE_S
-        fd = (np.asarray(self.F(_PROBE_S + h), dtype=float)
-              - np.asarray(self.F(_PROBE_S - h), dtype=float)) / (2.0 * h)
-        dev = fd - fv
+        dev = _fd_positive(self.F)(_PROBE_S) - fv
         if np.max(np.abs(dev - dev.mean())) > 1e-6 * (1.0 + np.max(np.abs(fv))):
             raise ValueError("congestion F' must equal f up to a constant")
         # round-trip of the inverse on the probe range
@@ -154,7 +166,7 @@ class CongestionSpec:
         F_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> "CongestionSpec":
         return CongestionSpec(
-            f=f, F=F, f_inv=f_inv, f_prime=f_prime or _fd_derivative(f),
+            f=f, F=F, f_inv=f_inv, f_prime=f_prime or _fd_positive(f),
             F_prime=F_prime or f, kind="custom",
         )
 
@@ -197,14 +209,9 @@ class CongestionSpec:
             s = np.asarray(s, dtype=float)
             return s * np.asarray(f(s), dtype=float)
 
-        def fp_social(s):
-            s = np.asarray(s, dtype=float)
-            h = 1e-6 * s
-            return (f_social(s + h) - f_social(s - h)) / (2.0 * h)
-
         return CongestionSpec(
             f=f_social, F=F_social, f_inv=_numeric_inverse(f_social),
-            f_prime=fp_social, F_prime=f_social,
+            f_prime=_fd_positive(f_social), F_prime=f_social,
         )
 
 
@@ -261,18 +268,6 @@ def _dense_rows(fn: Callable, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _centred_prefix_sums(G: np.ndarray) -> tuple:
-    """Centred samples ``Gc`` with the exclusive prefix sums of ``Gc``,
-    ``Gc^2`` and ``Gc^3``: on sorted ``G``, ``|G_j - G_k|^3`` and its
-    derivatives expand through these.  Centering first keeps the cancelling
-    cubes small.  Cubes here and in the cubic kernel's other closed forms
-    are products: ``x**3`` goes through ``pow``, which on mixed-sign input
-    costs some forty times as much."""
-    Gc = G - G.mean()
-    powers = (Gc, Gc * Gc, Gc * Gc * Gc)
-    return (Gc, *(np.concatenate([[0.0], np.cumsum(p)])[:-1] for p in powers))
-
-
 @dataclass(frozen=True)
 class InteractionKernel:
     """Symmetric pairwise interaction ``phi(y, z)``.
@@ -322,15 +317,18 @@ class InteractionKernel:
         """``sum_k phi(points_i, points_k) weights_k`` for every ``i``.
 
         ``points`` must be sorted non-decreasing.  Structured kernels use
-        closed-form moment expansions, O(n): prefix sums for the cubic
-        kernel, which splits at ``z = y`` on the sorted points.  Only custom
-        kernels evaluate ``phi`` densely, a block of rows at a time.
+        closed-form moment expansions, O(n); the distance kernels expand the
+        points centred on their mean, so that far from the origin the
+        moments do not cancel.  The cubic kernel splits at ``z = y`` on the
+        sorted points, through prefix sums.  Only custom kernels evaluate
+        ``phi`` densely, a block of rows at a time.
         """
         y = np.asarray(points, dtype=float)
         w = np.asarray(weights, dtype=float)
         if self.kind == "quadratic_distance":
-            m0, m1, m2 = float(w.sum()), float(y @ w), float((y * y) @ w)
-            return self.kappa * (y * y * m0 - 2.0 * y * m1 + m2)
+            yc = y - float(y.mean())
+            m0, m1, m2 = float(w.sum()), float(yc @ w), float((yc * yc) @ w)
+            return self.kappa * (yc * yc * m0 - 2.0 * yc * m1 + m2)
         if self.kind == "product":
             return self.kappa * y * float(y @ w)
         if self.kind == "cubic_distance":
@@ -347,15 +345,25 @@ class InteractionKernel:
 
     def sample_sums(self, G: np.ndarray) -> Optional[tuple]:
         """What ``sample_energy``, ``sample_gradient`` and ``sample_curvature``
-        share at sorted samples ``G``: the centred prefix sums for the cubic
-        kernel, None for every other kind.  A caller that prices one point
-        with all three builds them once and passes them as ``sums``; each
-        method given ``sums`` returns exactly what it returns without."""
-        return _centred_prefix_sums(G) if self.kind == "cubic_distance" else None
+        share at sorted samples ``G``; the caller builds it once per point.
 
-    def sample_energy(self, G: np.ndarray, sums: Optional[tuple] = None) -> float:
+        For the cubic kernel: the centred samples ``Gc`` with the exclusive
+        prefix sums of ``Gc``, ``Gc^2`` and ``Gc^3``, through which
+        ``|G_j - G_k|^3`` and its derivatives expand on sorted ``G``.
+        Centring first keeps the cancelling cubes small.  Cubes here and in
+        the cubic kernel's other closed forms are products: ``x**3`` goes
+        through ``pow``, which on mixed-sign input costs some forty times as
+        much.  None for every other kind.
+        """
+        if self.kind != "cubic_distance":
+            return None
+        Gc = G - G.mean()
+        powers = (Gc, Gc * Gc, Gc * Gc * Gc)
+        return (Gc, *(np.concatenate([[0.0], np.cumsum(p)])[:-1] for p in powers))
+
+    def sample_energy(self, G: np.ndarray, sums: Optional[tuple]) -> float:
         """``(1/(2 m^2)) sum_jk phi(G_j, G_k)`` on sorted samples ``G``
-        (``sums``: ``sample_sums(G)``, when the caller has it)."""
+        (``sums``: ``sample_sums(G)``)."""
         m = G.size
         if self.kind == "quadratic_distance":
             s1 = G.sum()
@@ -364,13 +372,13 @@ class InteractionKernel:
             s1 = G.sum()
             return float(self.kappa * s1 * s1 / (2.0 * m * m))
         if self.kind == "cubic_distance":
-            Gc, q1, q2, q3 = _centred_prefix_sums(G) if sums is None else sums
+            Gc, q1, q2, q3 = sums
             j = np.arange(m)
             total = np.sum(j * (Gc * Gc * Gc) - 3.0 * Gc * Gc * q1 + 3.0 * Gc * q2 - q3)
             return float(self.kappa * total / (m * m))
         return float(np.sum(_dense_rows(self.phi, G, np.ones(m)))) / (2.0 * m * m)
 
-    def sample_gradient(self, G: np.ndarray, sums: Optional[tuple] = None) -> np.ndarray:
+    def sample_gradient(self, G: np.ndarray, sums: Optional[tuple]) -> np.ndarray:
         """Gradient of ``sample_energy`` in the sorted samples ``G``."""
         m = G.size
         if self.kind == "quadratic_distance":
@@ -378,7 +386,7 @@ class InteractionKernel:
         if self.kind == "product":
             return np.full(m, self.kappa * G.sum() / (m * m))
         if self.kind == "cubic_distance":
-            Gc, q1, q2, _ = _centred_prefix_sums(G) if sums is None else sums
+            Gc, q1, q2, _ = sums
             r1 = Gc.sum() - q1 - Gc
             r2 = np.dot(Gc, Gc) - q2 - Gc * Gc
             j = np.arange(m)
@@ -387,7 +395,7 @@ class InteractionKernel:
             return 3.0 * self.kappa * (left - right) / (m * m)
         return _dense_rows(self.dphi_dy, G, np.ones(m)) / (m * m)
 
-    def sample_curvature(self, G: np.ndarray, sums: Optional[tuple] = None) -> np.ndarray:
+    def sample_curvature(self, G: np.ndarray, sums: Optional[tuple]) -> np.ndarray:
         """Diagonal of the Hessian of ``sample_energy`` at sorted ``G``.
 
         Zero for ``kappa <= 0`` and for custom kernels, so that a convex
@@ -400,7 +408,7 @@ class InteractionKernel:
             if self.kind == "product":
                 return np.full(m, self.kappa / (m * m))
             if self.kind == "cubic_distance":
-                Gc, q1, _, _ = _centred_prefix_sums(G) if sums is None else sums
+                Gc, q1, _, _ = sums
                 r1 = Gc.sum() - q1 - Gc
                 j = np.arange(m)
                 absdist = (2.0 * j - m + 1.0) * Gc - q1 + r1
@@ -462,19 +470,6 @@ class InteractionKernel:
         )
 
 
-def _central_difference(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """Central difference of ``fn``, step ``1e-6 (1 + |x|)``."""
-
-    def deriv(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h = 1e-6 * (1.0 + np.abs(x))
-        return (
-            np.asarray(fn(x + h), dtype=float) - np.asarray(fn(x - h), dtype=float)
-        ) / (2.0 * h)
-
-    return deriv
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """External potential ``v`` with its first and second derivatives.
@@ -498,7 +493,7 @@ class PotentialSpec:
 
     def __post_init__(self) -> None:
         if self.v_second is None:
-            object.__setattr__(self, "v_second", _central_difference(self.v_prime))
+            object.__setattr__(self, "v_second", _fd_derivative(self.v_prime))
 
     def validate_on(self, interval: Interval) -> None:
         t = np.linspace(interval.lo, interval.hi, 101)

@@ -34,7 +34,7 @@ from .measures import (
     density_to_quantile,
     quantile_to_density,
 )
-from .transport import CostSpec, kantorovich_potential_1d
+from .transport import CostSpec, _fd_derivative, kantorovich_potential_1d
 
 if TYPE_CHECKING:
     from .verify import ResidualReport
@@ -43,8 +43,6 @@ __all__ = [
     "Scenario",
     "SolverParams",
     "EquilibriumResult",
-    "objective_eval",
-    "objective_gradient",
     "project_monotone",
     "minimize_quantile",
     "best_response_iterate",
@@ -172,6 +170,7 @@ class _QuantileProblem:
         self.m = scenario.m
         self.H = density_to_quantile(scenario.mu, scenario.m).values
         self.cost = scenario.cost
+        self.C_second = _fd_derivative(scenario.cost.C_prime)
         self.model = scenario.model
         if prox is not None:
             anchor, tau = prox
@@ -214,6 +213,8 @@ class _QuantileProblem:
         return val
 
     def gradient(self, p: _Point) -> np.ndarray:
+        """Exact gradient of the objective at ``p``; raises when it is not
+        finite."""
         m = self.m
         grad = -np.asarray(self.cost.C_prime(p.z), dtype=float) / m
         with np.errstate(over="ignore"):
@@ -227,6 +228,8 @@ class _QuantileProblem:
         if self.prox is not None:
             anchor, tau = self.prox
             grad += (p.G - anchor) / (tau * m)
+        if not np.all(np.isfinite(grad)):
+            raise RuntimeError("objective gradient overflowed; refine the resolution")
         return grad
 
     def curvature(self, p: _Point) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +240,8 @@ class _QuantileProblem:
         values; the separable cost and potential terms contribute their
         second derivatives (clipped to be non-negative) on the diagonal:
         the potential's ``v_second`` (closed form for ``poly``), the cost's
-        ``C''`` by a central difference of ``C_prime``.  Interaction kernels
+        ``C_second``, the central difference of ``C_prime``
+        (``transport._fd_derivative``).  Interaction kernels
         keep only their diagonal part.  Entries are clipped to a positive
         range that keeps the tridiagonal Cholesky factorization finite — the
         line search absorbs any remaining model error.
@@ -248,13 +252,7 @@ class _QuantileProblem:
         psi2 = np.where(
             np.isfinite(psi2), np.minimum(_CURV_MAX, np.maximum(0.0, psi2)), _CURV_MAX
         )
-        z = p.z
-        h = 1e-6 * (1.0 + np.abs(z))
-        c2 = (
-            np.asarray(self.cost.C_prime(z + h), dtype=float)
-            - np.asarray(self.cost.C_prime(z - h), dtype=float)
-        ) / (2.0 * h)
-        diag = np.maximum(c2, 0.0) / m
+        diag = np.maximum(self.C_second(p.z), 0.0) / m
         if self.model.potential is not None:
             v2 = np.asarray(self.model.potential.v_second(G), dtype=float)
             diag += np.maximum(v2, 0.0) / m
@@ -266,20 +264,6 @@ class _QuantileProblem:
             diag += 1.0 / (self.prox[1] * m)
         np.maximum(_CURV_MIN / m, diag, out=diag)
         return np.minimum(_CURV_MAX, diag, out=diag), -psi2
-
-
-def objective_eval(scenario: Scenario, G) -> float:
-    """Discretized ``J`` at a quantile function (see module docstring)."""
-    return _QuantileProblem(scenario).value(_quantile_values(G))
-
-
-def objective_gradient(scenario: Scenario, G) -> np.ndarray:
-    """Exact gradient of ``objective_eval`` in the quantile values."""
-    problem = _QuantileProblem(scenario)
-    p = problem.point(_quantile_values(G))
-    if p is None:
-        raise ValueError("gradient requires strictly increasing quantile values")
-    return problem.gradient(p)
 
 
 def isotonic_regression(*args, **kwargs):
@@ -432,8 +416,6 @@ def minimize_quantile(
     stalled = False
     pg_norm = float("inf")
     grad = problem.gradient(point)
-    if not np.all(np.isfinite(grad)):
-        raise RuntimeError("objective gradient overflowed; refine the resolution")
     for iterations in range(1, params.max_iters + 1):
         pg_norm = float(np.max(np.abs(G - _trial_point(G - grad, iv, mode))))
         if pg_norm <= params.grad_tol:
@@ -457,8 +439,6 @@ def minimize_quantile(
             stalled = True
             break
         grad = problem.gradient(cand_point)
-        if not np.all(np.isfinite(grad)):
-            raise RuntimeError("objective gradient overflowed; refine the resolution")
         G, J, point = cand_point.G, J_cand, cand_point
 
     quantile = QuantileFn(G, scenario.interval, support_mode=scenario.support_mode)

@@ -39,12 +39,16 @@ def quantile_resolution(n: int) -> int:
 
 
 def _fd_derivative(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """Central difference of ``fn`` in its first argument, step ``1e-7 (1 + |t|)``."""
+    """Central difference of ``fn`` in its first argument, step ``1e-6 (1 + |t|)``;
+    further arguments pass through.  The one difference rule on the real line:
+    custom costs, kernels and potentials, and the solver's ``C''``."""
 
     def deriv(t: np.ndarray, *args) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        h = 1e-7 * (1.0 + np.abs(t))
-        return (fn(t + h, *args) - fn(t - h, *args)) / (2.0 * h)
+        h = 1e-6 * (1.0 + np.abs(t))
+        return (
+            np.asarray(fn(t + h, *args), dtype=float) - np.asarray(fn(t - h, *args), dtype=float)
+        ) / (2.0 * h)
 
     return deriv
 

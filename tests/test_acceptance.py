@@ -36,8 +36,6 @@ from cnot import (
     jko_flow,
     minimize_quantile,
     monge_ampere_residual_1d,
-    objective_eval,
-    objective_gradient,
     solve_lp,
     transport_derivative_check,
     two_bumps_density,
@@ -45,6 +43,7 @@ from cnot import (
     w2_squared_1d,
 )
 from cnot.cli import load_scenario
+from cnot.solver import _QuantileProblem
 from cnot.welfare import minimize_social_cost, tax_marginal, taxed_stationarity_residual
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -172,6 +171,7 @@ def _gradient_families():
 def test_03_gradient_matches_finite_differences_across_families():
     """Analytic gradients track central differences to 1e-6 on 5 model families."""
     for fi, scenario in enumerate(_gradient_families()):
+        problem = _QuantileProblem(scenario)
         iv = scenario.interval
         rng = np.random.default_rng(1000 + fi)
         for _ in range(20):
@@ -180,14 +180,12 @@ def test_03_gradient_matches_finite_differences_across_families():
             raw = np.concatenate([[0.0], np.cumsum(gaps)])
             raw = iv.lo + pad + raw / raw[-1] * (iv.length - 2.0 * pad)
             h = 1e-6 * float(np.diff(raw).min())
-            grad = objective_gradient(scenario, raw)
+            grad = problem.gradient(problem.point(raw))
             fd = np.empty_like(grad)
             for k in range(scenario.m):
                 e = np.zeros(scenario.m)
                 e[k] = h
-                fd[k] = (
-                    objective_eval(scenario, raw + e) - objective_eval(scenario, raw - e)
-                ) / (2.0 * h)
+                fd[k] = (problem.value(raw + e) - problem.value(raw - e)) / (2.0 * h)
             rel = np.max(np.abs(fd - grad)) / (1.0 + np.max(np.abs(grad)))
             assert rel <= 1e-6
 

@@ -24,10 +24,15 @@ def test_submodule_exports_resolve():
 
 def test_package_exports_are_the_submodule_exports():
     """``cnot.__all__`` is the union of the library submodules' ``__all__``
-    (the CLI stays out of the package namespace) plus ``__version__``."""
+    (the CLI stays out of the package namespace) plus ``__version__``, and
+    each name is bound to its submodule's object: no re-export shadows
+    another."""
     expected = {"__version__"}
     for name in SUBMODULES:
-        expected.update(importlib.import_module(f"cnot.{name}").__all__)
+        module = importlib.import_module(f"cnot.{name}")
+        expected.update(module.__all__)
+        for attr in module.__all__:
+            assert getattr(cnot, attr) is getattr(module, attr), f"cnot.{attr}"
     assert set(cnot.__all__) == expected
     assert len(set(cnot.__all__)) == len(cnot.__all__)
     for attr in cnot.__all__:

@@ -67,7 +67,11 @@ def test_congestion_probe_rejects_wrong_inverse():
 
 
 def test_marginal_externality_values():
-    """s f'(s) is 1 for entropy and a*alpha*s^alpha for powers."""
+    """s f'(s) is 1 for entropy and a*alpha*s^alpha for powers.  A custom
+    spec without ``f_prime`` differences ``f`` with the relative step
+    ``1e-6 s``, which never leaves ``(0, inf)``: for ``f = log`` it reads 1
+    down to ``s = 1e-12`` and in the limit at 0, with no RuntimeWarning
+    (an error in this suite)."""
     s = np.array([0.2, 1.0, 4.0])
     assert np.allclose(CongestionSpec.entropy().marginal_externality(s), 1.0)
     assert np.allclose(
@@ -77,6 +81,9 @@ def test_marginal_externality_values():
         f=lambda t: t, F=lambda t: 0.5 * t * t, f_inv=lambda t: t
     )
     assert np.allclose(custom.marginal_externality(s), s, atol=1e-6)
+    log = CongestionSpec.custom(f=np.log, F=lambda t: t * np.log(t) - t, f_inv=np.exp)
+    near_zero = np.array([0.0, 1e-12, 1e-9, 1e-7, 0.5, 100.0])
+    assert np.allclose(log.marginal_externality(near_zero), 1.0, rtol=0.0, atol=1e-6)
 
 
 def test_mccann_flags():
@@ -202,20 +209,24 @@ def test_interaction_field_matches_dense_matrix():
 
 def test_kernel_field_on_sorted_points_with_ties():
     """The closed forms hold on arbitrary sorted points (a monotone map's
-    values, with ties), and the row-blocked custom route matches the dense
-    product."""
+    values, with ties), also on 200 points in [1000, 1001], where the
+    distance kernels' moments cancel unless the points are centred; and the
+    row-blocked custom route matches the dense product."""
     rng = np.random.default_rng(8)
-    points = np.sort(np.concatenate([rng.uniform(2.0, 5.0, 150), np.full(20, 3.5)]))
-    weights = rng.uniform(0.0, 1.0, points.size)
-    for kern in (
-        InteractionKernel.quadratic_distance(1.7),
-        InteractionKernel.product(0.9),
-        InteractionKernel.cubic_distance(1.3),
-        InteractionKernel.custom(lambda y, z: np.exp(-np.abs(y - z))),
-    ):
-        dense = np.asarray(kern.phi(points[:, None], points[None, :])) @ weights
-        fast = kern.field(points, weights)
-        assert np.max(np.abs(fast - dense)) < 1e-12 * (1.0 + np.max(np.abs(dense)))
+    near = np.sort(np.concatenate([rng.uniform(2.0, 5.0, 150), np.full(20, 3.5)]))
+    near_weights = rng.uniform(0.0, 1.0, near.size)
+    far = np.sort(rng.uniform(1000.0, 1001.0, 200))
+    far_weights = rng.uniform(0.0, 1.0, far.size)
+    for points, weights in ((near, near_weights), (far, far_weights)):
+        for kern in (
+            InteractionKernel.quadratic_distance(1.7),
+            InteractionKernel.product(0.9),
+            InteractionKernel.cubic_distance(1.3),
+            InteractionKernel.custom(lambda y, z: np.exp(-np.abs(y - z))),
+        ):
+            dense = np.asarray(kern.phi(points[:, None], points[None, :])) @ weights
+            fast = kern.field(points, weights)
+            assert np.max(np.abs(fast - dense)) < 1e-12 * (1.0 + np.max(np.abs(dense)))
 
 
 _SAMPLE_KERNELS = {
@@ -244,24 +255,13 @@ def test_kernel_sample_forms_match_dense_sums(name):
     for G in samples:
         m = G.size
         kern = _SAMPLE_KERNELS[name](1.3)
-        energy = np.sum(kern.phi(G[:, None], G[None, :])) / (2.0 * m * m)
-        assert kern.sample_energy(G) == pytest.approx(energy, rel=1e-12, abs=1e-14)
-        grad = np.sum(kern.dphi_dy(G[:, None], G[None, :]), axis=1) / (m * m)
-        tol = 1e-12 * (1.0 + np.max(np.abs(grad)))
-        assert np.max(np.abs(kern.sample_gradient(G) - grad)) < tol
-
-
-@pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
-def test_kernel_shared_sample_sums_change_nothing(name):
-    """Given ``sample_sums(G)``, the three sample forms return exactly what
-    they return alone; only the cubic kernel has sums to share."""
-    for G in (_sorted_samples_with_ties(), _sorted_samples_with_ties(1000.0, 1001.0)):
-        kern = _SAMPLE_KERNELS[name](1.3)
         sums = kern.sample_sums(G)
         assert (sums is None) == (name != "cubic")
-        assert kern.sample_energy(G, sums) == kern.sample_energy(G)
-        assert np.array_equal(kern.sample_gradient(G, sums), kern.sample_gradient(G))
-        assert np.array_equal(kern.sample_curvature(G, sums), kern.sample_curvature(G))
+        energy = np.sum(kern.phi(G[:, None], G[None, :])) / (2.0 * m * m)
+        assert kern.sample_energy(G, sums) == pytest.approx(energy, rel=1e-12, abs=1e-14)
+        grad = np.sum(kern.dphi_dy(G[:, None], G[None, :]), axis=1) / (m * m)
+        tol = 1e-12 * (1.0 + np.max(np.abs(grad)))
+        assert np.max(np.abs(kern.sample_gradient(G, sums) - grad)) < tol
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
@@ -271,13 +271,13 @@ def test_kernel_sample_curvature_is_energy_diagonal(name):
     is zero for kappa <= 0 and for custom kernels."""
     G = _sorted_samples_with_ties()
     kern = _SAMPLE_KERNELS[name](1.3)
-    curv = kern.sample_curvature(G)
+    curv = kern.sample_curvature(G, kern.sample_sums(G))
     assert curv.shape == G.shape
     if name == "custom":
         assert np.all(curv == 0.0)
         return
     h = 1e-2
-    energy = kern.sample_energy(G)
+    energy = kern.sample_energy(G, kern.sample_sums(G))
     rounding = 16.0 * np.finfo(float).eps * abs(energy) / h**2
     gaps = np.diff(G)
     room = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 2.0 * h
@@ -285,11 +285,14 @@ def test_kernel_sample_curvature_is_energy_diagonal(name):
         up, down = G.copy(), G.copy()
         up[j] += h
         down[j] -= h
-        second = (kern.sample_energy(up) - 2.0 * energy + kern.sample_energy(down)) / h**2
+        up_energy = kern.sample_energy(up, kern.sample_sums(up))
+        down_energy = kern.sample_energy(down, kern.sample_sums(down))
+        second = (up_energy - 2.0 * energy + down_energy) / h**2
         assert curv[j] == pytest.approx(second, rel=1e-6, abs=rounding)
     assert np.count_nonzero(room) >= 10
     for kappa in (0.0, -1.0):
-        assert np.all(_SAMPLE_KERNELS[name](kappa).sample_curvature(G) == 0.0)
+        kern = _SAMPLE_KERNELS[name](kappa)
+        assert np.all(kern.sample_curvature(G, kern.sample_sums(G)) == 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))

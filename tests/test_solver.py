@@ -23,8 +23,6 @@ from cnot import (
     gaussian_truncated_density,
     jko_flow,
     minimize_quantile,
-    objective_eval,
-    objective_gradient,
     project_monotone,
     uniform_density,
 )
@@ -99,8 +97,8 @@ def test_objective_identity_quantile_exact():
     """At the source quantile the objective is exactly the congestion integral."""
     for convention, expected in (("shifted", -1.0), ("plain", 0.0)):
         scenario = _uniform_scenario(convention=convention)
-        H = density_to_quantile(scenario.mu, scenario.m)
-        assert objective_eval(scenario, H) == pytest.approx(expected, abs=1e-12)
+        H = density_to_quantile(scenario.mu, scenario.m).values
+        assert _QuantileProblem(scenario).value(H) == pytest.approx(expected, abs=1e-12)
 
 
 def test_objective_contracted_quantile_closed_form():
@@ -111,7 +109,7 @@ def test_objective_contracted_quantile_closed_form():
     # transport: (1/m) sum (p/2)^2 / 2 = (2m-1) / (48 (m-1));
     # congestion: density 2 on [0, 1/2], so F(2)/2 = log 2 - 1 for s log s - s
     expected = (2 * m - 1) / (48.0 * (m - 1)) + np.log(2.0) - 1.0
-    assert objective_eval(scenario, p / 2.0) == pytest.approx(expected, rel=1e-12)
+    assert _QuantileProblem(scenario).value(p / 2.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_objective_gradient_matches_finite_differences():
@@ -129,36 +127,34 @@ def test_objective_gradient_matches_finite_differences():
         model=model,
         m=33,
     )
+    problem = _QuantileProblem(scenario)
     rng = np.random.default_rng(7)
     for _ in range(5):
         raw = np.sort(rng.uniform(0.05, 0.95, scenario.m))
         raw += np.linspace(0.0, 1e-3, scenario.m)  # keep gaps bounded away from 0
-        grad = objective_gradient(scenario, raw)
+        grad = problem.gradient(problem.point(raw))
         fd = np.zeros_like(grad)
         h = 1e-7
         for k in range(scenario.m):
             e = np.zeros(scenario.m)
             e[k] = h
-            fd[k] = (objective_eval(scenario, raw + e) - objective_eval(scenario, raw - e)) / (
-                2.0 * h
-            )
+            fd[k] = (problem.value(raw + e) - problem.value(raw - e)) / (2.0 * h)
         rel = np.max(np.abs(fd - grad)) / (1.0 + np.max(np.abs(grad)))
         assert rel < 1e-5
 
 
 def test_objective_rejects_bad_quantiles():
-    """Decreasing values raise; zero gaps give an infinite objective."""
+    """Decreasing values raise; zero gaps give an infinite objective and no
+    point to take a gradient at."""
     scenario = _uniform_scenario()
+    problem = _QuantileProblem(scenario)
     m = scenario.m
     down = np.linspace(1.0, 0.0, m)
     with pytest.raises(ValueError, match="non-decreasing"):
-        objective_eval(scenario, down)
+        problem.value(down)
     flat = np.full(m, 0.5)
-    assert objective_eval(scenario, flat) == np.inf
-    with pytest.raises(ValueError, match="strictly increasing"):
-        objective_gradient(scenario, flat)
-    with pytest.raises(ValueError, match="m >= 2"):
-        objective_eval(scenario, [0.5])
+    assert problem.value(flat) == np.inf
+    assert problem.point(flat) is None
 
 
 def test_project_monotone_pairwise_average():
@@ -232,8 +228,9 @@ def _weighted_pava_trial(y, interval, support_mode, weights):
 
 
 def _curvature_differencing_v_prime(problem, p):
-    """Reference curvature model that takes the potential's ``v''`` as the
-    central difference of ``v_prime``, step ``1e-6 (1 + |G|)``, in line."""
+    """Reference curvature model that takes the cost's ``C''`` and the
+    potential's ``v''`` as central differences of ``C_prime`` and
+    ``v_prime``, step ``1e-6 (1 + |t|)``, in line."""
     m, G, u = problem.m, p.G, p.u
     with np.errstate(over="ignore", divide="ignore"):
         psi2 = (m - 1) * u**3 * np.asarray(problem.model.congestion.f_prime(u), dtype=float)
@@ -251,7 +248,8 @@ def _curvature_differencing_v_prime(problem, p):
         - np.asarray(problem.model.potential.v_prime(G - h), dtype=float)
     ) / (2.0 * h)
     diag += np.maximum(v2, 0.0) / m
-    diag += problem.model.kernel.sample_curvature(G)
+    kernel = problem.model.kernel
+    diag += kernel.sample_curvature(G, kernel.sample_sums(G))
     diag[:-1] += psi2
     diag[1:] += psi2
     np.maximum(_CURV_MIN / m, diag, out=diag)
@@ -260,8 +258,8 @@ def _curvature_differencing_v_prime(problem, p):
 
 def test_curvature_with_a_custom_potential_differences_v_prime():
     """A potential built without ``v_second`` enters the curvature model
-    through the central difference of ``v_prime``, bit for bit, and shared
-    kernel sums leave the model unchanged."""
+    through the central difference of ``v_prime``, and the cost through
+    that of ``C_prime``, bit for bit."""
     grid = Grid(Interval(-1.0, 2.0), 32)
     potential = PotentialSpec(
         v=lambda x: np.cosh(np.asarray(x)) + 0.3 * np.asarray(x) ** 3,
@@ -462,8 +460,11 @@ def test_certificate_is_computed_on_first_read(monkeypatch):
 
 
 def test_minimize_g0_validation():
-    """An initial quantile of the wrong resolution is rejected."""
+    """An initial quantile of the wrong resolution, or of fewer than two
+    values, is rejected."""
     scenario = _uniform_scenario(m=65)
+    with pytest.raises(ValueError, match="m >= 2"):
+        minimize_quantile(scenario, G0=[0.5])
     with pytest.raises(ValueError, match="resolution m"):
         minimize_quantile(scenario, G0=np.linspace(0.0, 1.0, 64))
     with pytest.raises(ValueError, match="non-positive gaps"):
