@@ -358,8 +358,11 @@ class InteractionKernel:
         if self.kind != "cubic_distance":
             return None
         Gc = G - G.mean()
-        powers = (Gc, Gc * Gc, Gc * Gc * Gc)
-        return (Gc, *(np.concatenate([[0.0], np.cumsum(p)])[:-1] for p in powers))
+        powers = np.array((Gc, Gc * Gc, Gc * Gc * Gc))
+        # one sequential cumsum for the three rows: the bits of three 1-D ones
+        sums = np.zeros_like(powers)
+        np.cumsum(powers[:, :-1], axis=1, out=sums[:, 1:])
+        return (Gc, *sums)
 
     def sample_energy(self, G: np.ndarray, sums: Optional[tuple]) -> float:
         """``(1/(2 m^2)) sum_jk phi(G_j, G_k)`` on sorted samples ``G``

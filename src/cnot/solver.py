@@ -18,12 +18,13 @@ first-order condition ``f(nu) = M - phi^c - interaction - v`` pointwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from .energy import EnergyModel
 from .measures import (
@@ -183,8 +184,8 @@ class _QuantileProblem:
     def point(self, G: np.ndarray) -> Optional[_Point]:
         """The shared pieces at ``G``, or None when a gap is ``<= 0`` (there
         the objective is ``+inf``)."""
-        gaps = np.diff(G)
-        if np.any(gaps <= 0.0):
+        gaps = G[1:] - G[:-1]  # np.diff's subtraction, without its wrapper
+        if (gaps <= 0.0).any():
             return None
         return _Point(self, G, gaps)
 
@@ -199,16 +200,16 @@ class _QuantileProblem:
 
     def value_at(self, p: _Point) -> float:
         m = self.m
-        val = float(np.sum(self.cost.C(p.z)) / m)
-        val += float(np.sum(p.gaps * p.F_u))
+        val = float(self.cost.C(p.z).sum() / m)
+        val += float((p.gaps * p.F_u).sum())
         if self.model.potential is not None:
-            val += float(np.sum(self.model.potential.v(p.G)) / m)
+            val += float(self.model.potential.v(p.G).sum() / m)
         if self.model.kernel is not None:
             val += self.model.kernel.sample_energy(p.G, p.sums)
         if self.prox is not None:
             anchor, tau = self.prox
-            val += float(np.sum((p.G - anchor) ** 2) / (2.0 * tau * m))
-        if np.isnan(val):
+            val += float(((p.G - anchor) ** 2).sum() / (2.0 * tau * m))
+        if math.isnan(val):
             raise ValueError("objective produced NaN")
         return val
 
@@ -228,7 +229,7 @@ class _QuantileProblem:
         if self.prox is not None:
             anchor, tau = self.prox
             grad += (p.G - anchor) / (tau * m)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise RuntimeError("objective gradient overflowed; refine the resolution")
         return grad
 
@@ -249,9 +250,11 @@ class _QuantileProblem:
         m, G, u = self.m, p.G, p.u
         with np.errstate(over="ignore", divide="ignore"):
             psi2 = (m - 1) * u**3 * np.asarray(self.model.congestion.f_prime(u), dtype=float)
-        psi2 = np.where(
-            np.isfinite(psi2), np.minimum(_CURV_MAX, np.maximum(0.0, psi2)), _CURV_MAX
-        )
+        # in place, each bound first: the bytes of np.where(finite, np.clip(...), _CURV_MAX)
+        finite = np.isfinite(psi2)
+        np.minimum(_CURV_MAX, np.maximum(0.0, psi2, out=psi2), out=psi2)
+        if not finite.all():
+            psi2[~finite] = _CURV_MAX
         diag = np.maximum(self.C_second(p.z), 0.0) / m
         if self.model.potential is not None:
             v2 = np.asarray(self.model.potential.v_second(G), dtype=float)
@@ -264,6 +267,16 @@ class _QuantileProblem:
             diag += 1.0 / (self.prox[1] * m)
         np.maximum(_CURV_MIN / m, diag, out=diag)
         return np.minimum(_CURV_MAX, diag, out=diag), -psi2
+
+
+def solveh_banded(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Solve the tridiagonal system ``(diag, sub) x = rhs`` (``sub`` is overwritten) by
+    LAPACK ``dptsv``, as ``scipy.linalg.solveh_banded`` does for a two-row band but
+    without its validation layers; None when the matrix is not positive definite."""
+    _, _, x, info = dptsv(diag, sub, rhs, overwrite_e=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dptsv")
+    return x if info == 0 else None
 
 
 def isotonic_regression(*args, **kwargs):
@@ -339,34 +352,31 @@ def _newton_direction(
     given diagonally scaled components instead.  In ``fixed_endpoints`` mode
     the two ends are constants, not unknowns: their components are 0, so
     they enter neither the descent test nor the fallback.  The system is
-    solved as a two-row band by ``solveh_banded`` (LAPACK ``?ptsv``,
-    tridiagonal Cholesky), without its finiteness passes: ``grad`` is
-    checked finite by the caller.  If the model is not positive definite or
-    the result is not a descent direction, fall back to the diagonally
-    preconditioned gradient.
+    solved by ``solveh_banded``, a direct LAPACK ``dptsv`` call (tridiagonal
+    Cholesky) without finiteness passes: ``grad`` is checked finite by the
+    caller.  If the model is not positive definite or the result is not a
+    descent direction, fall back to the diagonally preconditioned gradient,
+    built only then or to fill the frozen coordinates.
     """
-    iv = scenario.interval
-    active = ((G <= iv.lo + _EDGE_TOL) & (grad > 0.0)) | (
-        (G >= iv.hi - _EDGE_TOL) & (grad < 0.0)
-    )
+    lo, hi = scenario.interval.lo + _EDGE_TOL, scenario.interval.hi - _EDGE_TOL
+    active = ((G <= lo) & (grad > 0.0)) | ((G >= hi) & (grad < 0.0))
     pinned = scenario.support_mode == "fixed_endpoints"
     if pinned:
-        active[0] = True
-        active[-1] = True
-    ab = np.zeros((2, G.size))
-    ab[0] = diag
-    ab[1, :-1] = np.where(active[:-1] | active[1:], 0.0, sub)
-    fallback = grad / diag
-    if pinned:
-        fallback[[0, -1]] = 0.0
-    try:
-        d = solveh_banded(ab, grad, overwrite_ab=True, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:  # a leading minor is not positive definite
-        return fallback
+        active[0] = active[-1] = True
+
+    def fallback() -> np.ndarray:
+        scaled = grad / diag
+        if pinned:
+            scaled[0] = scaled[-1] = 0.0
+        return scaled
+
+    d = solveh_banded(diag, np.where(active[:-1] | active[1:], 0.0, sub), grad)
+    if d is None:  # a leading minor is not positive definite
+        return fallback()
     if active.any():
-        d[active] = fallback[active]
-    if not np.all(np.isfinite(d)) or float(np.dot(d, grad)) <= 0.0:
-        return fallback
+        d[active] = fallback()[active]
+    if not np.isfinite(d).all() or float(np.dot(d, grad)) <= 0.0:
+        return fallback()
     return d
 
 
@@ -399,6 +409,14 @@ def minimize_quantile(
     ``EquilibriumResult``).
     """
     params = params or SolverParams()
+    G, J, iterations, converged, metadata = _projected_newton(scenario, params, G0, prox)
+    nu = quantile_to_density(G, scenario.grid)
+    return EquilibriumResult(nu, G, J, iterations, converged, scenario, metadata)
+
+
+def _projected_newton(scenario: Scenario, params: SolverParams, G0=None, prox=None) -> tuple:
+    """The Newton loop of ``minimize_quantile``, which bins no density:
+    ``(G, J, iterations, converged, metadata)``."""
     problem = _QuantileProblem(scenario, prox=prox)
     iv, mode = scenario.interval, scenario.support_mode
     # copies: the box map writes in place, and G0 may be the proximal anchor
@@ -417,7 +435,7 @@ def minimize_quantile(
     pg_norm = float("inf")
     grad = problem.gradient(point)
     for iterations in range(1, params.max_iters + 1):
-        pg_norm = float(np.max(np.abs(G - _trial_point(G - grad, iv, mode))))
+        pg_norm = float(np.abs(G - _trial_point(G - grad, iv, mode)).max())
         if pg_norm <= params.grad_tol:
             converged = True
             break
@@ -435,22 +453,14 @@ def minimize_quantile(
                     accepted = True
                     break
             step *= _BETA
-        if not accepted or np.max(np.abs(direction)) <= 1e-16 * (1.0 + np.max(np.abs(G))):
+        if not accepted or np.abs(direction).max() <= 1e-16 * (1.0 + np.abs(G).max()):
             stalled = True
             break
         grad = problem.gradient(cand_point)
         G, J, point = cand_point.G, J_cand, cand_point
 
-    quantile = QuantileFn(G, scenario.interval, support_mode=scenario.support_mode)
-    return EquilibriumResult(
-        nu=quantile_to_density(quantile, scenario.grid),
-        G=quantile,
-        J_value=float(J),
-        iterations=iterations,
-        converged=converged,
-        scenario=scenario,
-        metadata={"projected_gradient": pg_norm, "stalled": stalled},
-    )
+    metadata = {"projected_gradient": pg_norm, "stalled": stalled}
+    return QuantileFn(G, iv, support_mode=mode), float(J), iterations, converged, metadata
 
 
 def _solve_mass_equation(model: EnergyModel, w: np.ndarray) -> tuple[float, np.ndarray]:

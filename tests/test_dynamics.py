@@ -132,3 +132,27 @@ def test_jko_trajectory_bookkeeping():
     assert traj.diagnostics["direct_converged"]
     direct = minimize_quantile(scenario, params.inner)
     assert traj.diagnostics["direct_J"] == pytest.approx(direct.J_value, abs=1e-12)
+
+
+def test_jko_flow_bins_one_density_per_step(monkeypatch):
+    """A flow of k steps bins k densities, one per step's iterate: the
+    closing direct solve, of which only ``G``, J and ``converged`` are read,
+    bins none, and its diagnostics are those of ``minimize_quantile``."""
+    import cnot.solver
+
+    binned = []
+    real = cnot.solver.quantile_to_density
+
+    def spy(*args, **kwargs):
+        binned.append(args)
+        return real(*args, **kwargs)
+
+    scenario = _scenario(n=32, m=96)
+    params = JkoParams(tau=0.1, steps=3)
+    monkeypatch.setattr(cnot.solver, "quantile_to_density", spy)
+    traj = jko_flow(scenario, two_bumps_density(scenario.grid), params)
+    assert len(binned) == params.steps
+    monkeypatch.undo()
+    direct = minimize_quantile(scenario, params.inner)
+    assert traj.diagnostics["direct_J"] == direct.J_value
+    assert traj.diagnostics["direct_converged"] is direct.converged

@@ -264,6 +264,25 @@ def test_kernel_sample_forms_match_dense_sums(name):
         assert np.max(np.abs(kern.sample_gradient(G, sums) - grad)) < tol
 
 
+def test_cubic_sample_sums_have_the_bytes_of_three_prefix_sums():
+    """The cubic kernel's exclusive prefix sums of ``Gc``, ``Gc^2`` and
+    ``Gc^3``, taken as one ``(3, m)`` cumsum, equal byte for byte the three
+    1-D ``concatenate([[0.0], cumsum(p)])[:-1]`` sums, m = 2 included."""
+    rng = np.random.default_rng(11)
+    kern = InteractionKernel.cubic_distance(1.3)
+    for m in (2, 3, 17, 66, 1000):
+        for lo, hi in ((-1.0, 2.0), (1000.0, 1001.0)):
+            G = np.sort(rng.uniform(lo, hi, m))
+            Gc = G - G.mean()
+            expected = [Gc] + [
+                np.concatenate([[0.0], np.cumsum(p)])[:-1] for p in (Gc, Gc * Gc, Gc * Gc * Gc)
+            ]
+            sums = kern.sample_sums(G)
+            assert len(sums) == 4
+            for got, want in zip(sums, expected):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
 def test_kernel_sample_curvature_is_energy_diagonal(name):
     """For kappa > 0 the curvature is the exact Hessian diagonal of the

@@ -33,6 +33,7 @@ from cnot.solver import (
     _QuantileProblem,
     _trial_point,
 )
+from cnot.solver import solveh_banded as dptsv_solve
 
 
 def _uniform_scenario(n=64, m=129, convention="shifted", support_mode="free"):
@@ -336,6 +337,34 @@ def test_trial_point_has_the_bytes_of_np_clip():
             assert _trial_point(y.copy(), iv, "free").tobytes() == expected.tobytes()
 
 
+def test_curvature_clamps_psi2_with_the_bytes_of_np_where():
+    """The congestion band ``psi2`` of the curvature model is clamped in
+    place; on NaN, +-inf, -0.0, negative values and values above 1e30 it
+    has the bytes of ``np.where(np.isfinite(psi2), clip(psi2, 0, 1e30),
+    1e30)``, and the diagonal it feeds stays finite and positive.  At
+    m = 64 every special value occurs."""
+    specials = np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, 2.5, 1e29, 1e31, 1e300, 5e-324, -5e-324]
+    )
+    rng = np.random.default_rng(8)
+    for m in (2, 3, 17, 64):
+        base = _uniform_scenario(n=8, m=m)
+        values = rng.permutation(np.resize(specials, m - 1))
+        congestion = replace(base.model.congestion, f_prime=lambda s: values)
+        problem = _QuantileProblem(replace(base, model=replace(base.model, congestion=congestion)))
+        G = np.sort(rng.uniform(0.0, 1.0, m))
+        p = problem.point(G)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi2 = (m - 1) * p.u**3 * values
+            expected = np.where(
+                np.isfinite(psi2), np.minimum(_CURV_MAX, np.maximum(0.0, psi2)), _CURV_MAX
+            )
+            diag, sub = problem.curvature(p)
+        assert (-sub).tobytes() == expected.tobytes()
+        assert sub.tobytes() == (-expected).tobytes()
+        assert np.isfinite(diag).all() and (diag > 0.0).all()
+
+
 def test_solves_never_call_pava(monkeypatch):
     """Only the box can bind, so no solve runs the isotonic projection: with
     ``isotonic_regression`` made to raise, a free and a fixed-endpoint
@@ -545,33 +574,64 @@ def _banded_newton_direction(G, grad, diag, sub, scenario):
 
 
 def test_newton_direction_matches_banded_solve():
-    """The unchecked, in-place band solve gives bit for bit the direction of
-    the checked ``solveh_banded`` reference on random positive-definite
-    tridiagonals: free, pinned, and with a box-active end."""
+    """The direct LAPACK ``dptsv`` call gives bit for bit the direction of
+    the checked ``scipy.linalg.solveh_banded`` reference on random
+    positive-definite tridiagonals (free, pinned, and with a box-active
+    end), and on indefinite ones (free and pinned), where both take the
+    diagonally scaled fallback."""
     rng = np.random.default_rng(5)
     m = 17
     free = _uniform_scenario(n=8, m=m)
     pinned = _uniform_scenario(n=8, m=m, support_mode="fixed_endpoints")
     newton = 0
-    for case in ("free", "pinned", "box_active") * 30:
+    cases = ("free", "pinned", "box_active", "indefinite", "indefinite_pinned")
+    for case in cases * 30:
         G = np.sort(rng.uniform(0.05, 0.95, m))
         grad = rng.normal(0.0, 1.0, m) * 10.0 ** rng.uniform(-3.0, 3.0, m)
         diag = 10.0 ** rng.uniform(-4.0, 4.0, m)
         # |sub_i| < 0.5 sqrt(diag_i diag_{i+1}) keeps the matrix diagonally
-        # dominant after symmetric scaling, hence positive definite
-        sub = -rng.uniform(0.0, 0.45, m - 1) * np.sqrt(diag[:-1] * diag[1:])
-        scenario = pinned if case == "pinned" else free
-        if case == "pinned":
+        # dominant after symmetric scaling, hence positive definite;
+        # |sub_i| > sqrt(diag_i diag_{i+1}) makes every 2 x 2 minor negative
+        scale = (1.5, 4.0) if case.startswith("indefinite") else (0.0, 0.45)
+        sub = -rng.uniform(*scale, m - 1) * np.sqrt(diag[:-1] * diag[1:])
+        scenario = pinned if case.endswith("pinned") else free
+        if scenario is pinned:
             G[0], G[-1] = 0.0, 1.0
         elif case == "box_active":
             G[-1], grad[-1] = 1.0, -abs(grad[-1])
+        sub_before = sub.copy()
         d = _newton_direction(G, grad, diag, sub, scenario)
+        assert np.array_equal(sub, sub_before)
         assert np.array_equal(d, _banded_newton_direction(G, grad, diag, sub, scenario))
         fallback = grad / diag
-        if case == "pinned":
+        if scenario is pinned:
             fallback[[0, -1]] = 0.0
-        newton += not np.array_equal(d, fallback)
+        if case.startswith("indefinite"):
+            assert d.tobytes() == fallback.tobytes()
+        else:
+            newton += not np.array_equal(d, fallback)
     assert newton >= 80
+
+
+def test_solveh_banded_calls_dptsv_and_reports_an_indefinite_matrix():
+    """``solver.solveh_banded(diag, sub, rhs)`` returns the bits of
+    ``scipy.linalg.solveh_banded`` on a positive-definite tridiagonal, leaves
+    ``diag`` and ``rhs`` as they were, and returns None when the matrix is
+    not positive definite."""
+    rng = np.random.default_rng(3)
+    for m in (2, 5, 64):
+        diag = rng.uniform(1.0, 2.0, m)
+        sub = rng.uniform(-0.4, 0.4, m - 1)
+        rhs = rng.normal(size=m)
+        ab = np.zeros((2, m))
+        ab[0], ab[1, :-1] = diag, sub
+        expected = solveh_banded(ab, rhs, lower=True)
+        diag_before, rhs_before = diag.copy(), rhs.copy()
+        x = dptsv_solve(diag, sub.copy(), rhs)
+        assert x.tobytes() == expected.tobytes()
+        assert np.array_equal(diag, diag_before) and np.array_equal(rhs, rhs_before)
+    assert dptsv_solve(np.array([1.0, 1.0]), np.array([2.0]), np.array([1.0, 0.0])) is None
+    assert dptsv_solve(np.array([1.0, -1.0, 1.0]), np.zeros(2), np.ones(3)) is None
 
 
 def test_fixed_endpoint_power_product_solve_converges():
