@@ -431,11 +431,16 @@ def _cmd_welfare(bundle: _Bundle, args, out: Path, payload: dict) -> int:
         "cost_of_anarchy": report.cost_of_anarchy,
         "stationarity_residual_paper": report.stationarity_residual_paper,
         "stationarity_residual_marginal": report.stationarity_residual_marginal,
+        "converged_equilibrium": report.converged_equilibrium,
+        "converged_optimum": report.converged_optimum,
         "warnings": list(report.warnings),
     })
     _write_json(out / "welfare.json", payload)
     _write_csv(out / "taxes.csv", "node,tax_paper,tax_marginal",
                (bundle.scenario.grid.nodes, report.tax_paper, report.tax_marginal))
+    if not (report.converged_equilibrium and report.converged_optimum):
+        print("a welfare solve did not converge; report written", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -188,7 +188,8 @@ class CongestionSpec:
         """Congestion spec whose antiderivative is ``s f(s)`` (total congestion
         cost), i.e. marginal ``f(s) + s f'(s)`` — the social counterpart of ``f``.
 
-        Custom specs invert the social marginal by bisection."""
+        Every branch's ``F`` takes the limit 0 at ``s = 0``, where ``f`` may be
+        infinite.  Custom specs invert the social marginal by bisection."""
         if self.kind == "entropy":
             return CongestionSpec(
                 f=_log1, F=_entropy_F_plain,
@@ -207,7 +208,8 @@ class CongestionSpec:
 
         def F_social(s):
             s = np.asarray(s, dtype=float)
-            return s * np.asarray(f(s), dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(s > 0.0, s * np.asarray(f(s), dtype=float), 0.0)
 
         return CongestionSpec(
             f=f_social, F=F_social, f_inv=_numeric_inverse(f_social),

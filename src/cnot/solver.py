@@ -44,7 +44,6 @@ __all__ = [
     "Scenario",
     "SolverParams",
     "EquilibriumResult",
-    "project_monotone",
     "minimize_quantile",
     "best_response_iterate",
 ]
@@ -280,32 +279,13 @@ def solveh_banded(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> Optiona
 
 
 def isotonic_regression(*args, **kwargs):
-    """``scipy.optimize.isotonic_regression``, which loads on the first call."""
+    """``scipy.optimize.isotonic_regression``, which loads on the first call.
+
+    No cnot code calls it: it is kept only as a benchmark tracer target and
+    goes when the benchmark drops that target (ROADMAP direction 1)."""
     from scipy.optimize import isotonic_regression as pava
 
     return pava(*args, **kwargs)
-
-
-def project_monotone(G_raw, interval, support_mode: str = "free") -> QuantileFn:
-    """Nearest non-decreasing vector (pool-adjacent-violators), clipped to the
-    interval.  In ``fixed_endpoints`` mode the first and last values are the
-    interval ends, not unknowns: their input values are ignored and only the
-    interior is pooled, which is the exact projection onto the pinned set."""
-    y = np.ascontiguousarray(np.asarray(G_raw, dtype=float))
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("quantile needs at least m >= 2 values")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("quantile values must be finite")
-    if support_mode not in SUPPORT_MODES:
-        raise ValueError(f"unknown support_mode {support_mode!r}")
-    if support_mode != "fixed_endpoints":
-        v = np.clip(isotonic_regression(y).x, interval.lo, interval.hi)
-    else:
-        v = np.empty_like(y)
-        v[0], v[-1] = interval.lo, interval.hi
-        if y.size > 2:
-            v[1:-1] = np.clip(isotonic_regression(y[1:-1]).x, interval.lo, interval.hi)
-    return QuantileFn(v, interval, support_mode=support_mode)
 
 
 def _trial_point(y: np.ndarray, interval, support_mode: str) -> np.ndarray:

@@ -6,9 +6,10 @@ and the interaction term enters un-halved,
 
     SC[nu] = W_c(mu, nu) + int f(nu) dnu + int v dnu + double-int phi dnu dnu.
 
-Minimizing it therefore reuses the quantile solver on a *derived* scenario:
-congestion with antiderivative ``s f(s)`` (marginal ``f(s) + s f'(s)``, see
+It is the transport cost plus the energy of a *derived* scenario: congestion
+with antiderivative ``s f(s)`` (marginal ``f(s) + s f'(s)``, see
 ``CongestionSpec.social``) and the kernel doubled (``InteractionKernel.scaled``).
+Minimizing it therefore reuses the quantile solver on that scenario.
 Two corrective taxes are provided side by side: the average-cost form
 ``f(nu) nu - F(nu) + int phi dnu`` and the marginal (Pigouvian) form
 ``nu f'(nu) + int phi dnu``; their stationarity residuals at the social
@@ -18,12 +19,12 @@ average-cost form depends on the antiderivative convention.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .energy import EnergyModel
+from .energy import EnergyModel, energy_eval
 from .measures import DiscreteDensity
 from .solver import (
     EquilibriumResult,
@@ -47,7 +48,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WelfareReport:
-    """Equilibrium vs optimum social costs, both tax vectors, both residuals."""
+    """Equilibrium vs optimum social costs, both tax vectors, both residuals,
+    and whether each solve converged.  Only a converged optimum is known to
+    minimize the social cost, so only then are the ratio and order checked."""
 
     sc_equilibrium: float
     sc_optimum: float
@@ -56,33 +59,27 @@ class WelfareReport:
     tax_marginal: np.ndarray
     stationarity_residual_paper: float
     stationarity_residual_marginal: float
+    converged_equilibrium: bool
+    converged_optimum: bool
     warnings: tuple = ()
 
     def __post_init__(self) -> None:
-        if not self.cost_of_anarchy >= 1.0 - 1e-9:
+        if self.converged_optimum and not self.cost_of_anarchy >= 1.0 - 1e-9:
             raise ValueError("cost of anarchy must be >= 1 (optimum minimizes social cost)")
-        if not self.sc_optimum <= self.sc_equilibrium + 1e-9:
+        if self.converged_optimum and not self.sc_optimum <= self.sc_equilibrium + 1e-9:
             raise ValueError("optimum social cost cannot exceed the equilibrium's")
 
 
 def social_cost(scenario: Scenario, nu: DiscreteDensity) -> float:
-    """``SC[nu]`` with the monotone transport cost at the scenario resolution.
+    """``SC[nu]``: the monotone transport cost at the scenario resolution plus
+    the social scenario's ``energy_eval``.
 
     Zero-density cells contribute nothing to the congestion term (the
-    ``s f(s) -> 0`` limit), so logarithmic congestion needs no sentinel.
+    ``s f(s) -> 0`` limit, which ``CongestionSpec.social`` takes), so
+    logarithmic congestion needs no sentinel.
     """
-    model = scenario.model
-    d = model.grid.delta
-    v = nu.values
-    positive = v > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_vals = np.asarray(model.congestion.f(np.where(positive, v, 1.0)), dtype=float)
-    total = wasserstein_cost_1d(scenario.mu, nu, scenario.cost, m=scenario.m)
-    total += float(d * np.sum(np.where(positive, f_vals * v, 0.0)))
-    total += float(np.dot(model.potential_values(), nu.masses))
-    if model.kernel is not None:
-        total += float(nu.masses @ model.interaction_field(nu))
-    return float(total)
+    transport = wasserstein_cost_1d(scenario.mu, nu, scenario.cost, m=scenario.m)
+    return float(transport + energy_eval(social_scenario(scenario).model, nu))
 
 
 def social_scenario(scenario: Scenario) -> Scenario:
@@ -122,15 +119,9 @@ def tax_paper(scenario: Scenario, nu: DiscreteDensity) -> np.ndarray:
     congestion spec (it shifts by ``c * nu`` when ``F`` shifts by ``c s``);
     the scenario's convention flag travels with any report built from this.
     """
-    model = scenario.model
-    v = nu.values
-    positive = v > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_vals = np.asarray(model.congestion.f(np.where(positive, v, 1.0)), dtype=float)
-    congestion_part = np.where(positive, f_vals * v, 0.0) - np.asarray(
-        model.congestion.F(v), dtype=float
-    )
-    return congestion_part + model.interaction_field(nu)
+    model, v = scenario.model, nu.values
+    social_F = np.asarray(model.congestion.social().F(v), dtype=float)
+    return social_F - np.asarray(model.congestion.F(v), dtype=float) + model.interaction_field(nu)
 
 
 def tax_marginal(scenario: Scenario, nu: DiscreteDensity) -> np.ndarray:
@@ -208,5 +199,7 @@ def cost_of_anarchy(
         tax_marginal=tm,
         stationarity_residual_paper=taxed_stationarity_residual(scenario, opt.nu, tp),
         stationarity_residual_marginal=taxed_stationarity_residual(scenario, opt.nu, tm),
+        converged_equilibrium=eq.converged,
+        converged_optimum=opt.converged,
         warnings=tuple(notes),
     )

@@ -415,9 +415,24 @@ def test_welfare_writes_report_and_taxes(tmp_path):
     payload = json.loads((out / "welfare.json").read_text())
     assert payload["cost_of_anarchy"] >= 1.0
     assert payload["sc_optimum"] <= payload["sc_equilibrium"]
+    assert payload["converged_equilibrium"] and payload["converged_optimum"]
     taxes = (out / "taxes.csv").read_text().strip().splitlines()
     assert taxes[0] == "node,tax_paper,tax_marginal"
     assert len(taxes) == 49
+
+
+def test_welfare_on_unconverged_solves_exits_2(tmp_path, capsys):
+    """A report resting on an unconverged solve is written with its
+    convergence flags and taxes, and the command exits 2."""
+    scn = _write_scenario(tmp_path / "s.json", solver={"max_iters": 1})
+    out = tmp_path / "out"
+    assert main(["welfare", "--scenario", str(scn), "--out", str(out)]) == 2
+    assert "did not converge" in capsys.readouterr().err
+    payload = json.loads((out / "welfare.json").read_text())
+    assert payload["converged_equilibrium"] is False
+    assert payload["converged_optimum"] is False
+    assert "error" not in payload
+    assert (out / "taxes.csv").exists()
 
 
 def test_sweep_solves_each_value(tmp_path):

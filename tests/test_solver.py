@@ -23,7 +23,6 @@ from cnot import (
     gaussian_truncated_density,
     jko_flow,
     minimize_quantile,
-    project_monotone,
     uniform_density,
 )
 from cnot.solver import (
@@ -158,31 +157,6 @@ def test_objective_rejects_bad_quantiles():
     assert problem.point(flat) is None
 
 
-def test_project_monotone_pairwise_average():
-    """The isotonic projection pools a descending pair to its average."""
-    iv = Interval(0.0, 1.0)
-    out = project_monotone([1.0, 0.0], iv)
-    assert np.allclose(out.values, [0.5, 0.5])
-    out = project_monotone([-2.0, 0.3, 4.0], iv)
-    assert np.allclose(out.values, [0.0, 0.3, 1.0])
-    pinned = project_monotone([0.2, 0.5, 0.9], iv, support_mode="fixed_endpoints")
-    assert pinned.values[0] == 0.0 and pinned.values[-1] == 1.0
-    with pytest.raises(ValueError, match="finite"):
-        project_monotone([0.0, np.nan], iv)
-    with pytest.raises(ValueError, match="support_mode"):
-        project_monotone([0.0, 1.0], iv, support_mode="weird")
-
-
-def test_project_monotone_fixed_endpoints_ignores_end_trials():
-    """Pinned ends are constants: a wild trial value at an end does not pool
-    into the interior, so the result is the exact projection onto the
-    pinned monotone set."""
-    out = project_monotone([0.0, 0.5, 0.6, -100.0], Interval(0.0, 1.0), "fixed_endpoints")
-    assert np.array_equal(out.values, [0.0, 0.5, 0.6, 1.0])
-    out = project_monotone([7.0, 0.4, 0.2, 1.0], Interval(0.0, 1.0), "fixed_endpoints")
-    assert np.allclose(out.values, [0.0, 0.3, 0.3, 1.0])
-
-
 def _isotonic_min_max(y, w):
     """Weighted isotonic fit by the min-max formula
     ``x_i = max_{j <= i} min_{k >= i} mean_w(y[j..k])`` (cubic, no PAVA)."""
@@ -194,24 +168,6 @@ def _isotonic_min_max(y, w):
             for j in range(i + 1)
         )
     return x
-
-
-def test_weighted_fixed_endpoint_projection_matches_brute_force():
-    """The fixed-endpoint projection is the interior's isotonic fit (the
-    min-max formula with unit weights), clipped to the interval, with the
-    ends set to lo and hi; the end trials do not change the interior."""
-    iv = Interval(-1.0, 2.0)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = int(rng.integers(3, 12))
-        y = rng.normal(0.5, 2.0, m)
-        v = project_monotone(y, iv, "fixed_endpoints").values
-        assert v[0] == iv.lo and v[-1] == iv.hi
-        expected = np.clip(_isotonic_min_max(y[1:-1], np.ones(m - 2)), iv.lo, iv.hi)
-        assert np.allclose(v[1:-1], expected, rtol=0.0, atol=1e-12)
-        y2 = y.copy()
-        y2[[0, -1]] = rng.normal(0.0, 100.0, 2)
-        assert np.array_equal(project_monotone(y2, iv, "fixed_endpoints").values, v)
 
 
 def _weighted_pava_trial(y, interval, support_mode, weights):
@@ -226,6 +182,29 @@ def _weighted_pava_trial(y, interval, support_mode, weights):
         isotonic_regression(y[1:-1], weights=weights[1:-1]).x, interval.lo, interval.hi
     )
     return v
+
+
+def test_weighted_fixed_endpoint_projection_matches_brute_force():
+    """The reference trial of ``test_trial_point_matches_weighted_pava_trial``
+    is the weighted isotonic fit (the min-max formula) clipped to the
+    interval; in ``fixed_endpoints`` mode only the interior is fitted, the
+    ends are lo and hi, and the end trials do not change the interior."""
+    iv = Interval(-1.0, 2.0)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        m = int(rng.integers(3, 12))
+        y = rng.normal(0.5, 2.0, m)
+        w = 10.0 ** rng.uniform(-3.0, 3.0, m)
+        v = _weighted_pava_trial(y, iv, "free", w)
+        expected = np.clip(_isotonic_min_max(y, w), iv.lo, iv.hi)
+        assert np.allclose(v, expected, rtol=0.0, atol=1e-12)
+        v = _weighted_pava_trial(y, iv, "fixed_endpoints", w)
+        assert v[0] == iv.lo and v[-1] == iv.hi
+        expected = np.clip(_isotonic_min_max(y[1:-1], w[1:-1]), iv.lo, iv.hi)
+        assert np.allclose(v[1:-1], expected, rtol=0.0, atol=1e-12)
+        y2 = y.copy()
+        y2[[0, -1]] = rng.normal(0.0, 100.0, 2)
+        assert np.array_equal(_weighted_pava_trial(y2, iv, "fixed_endpoints", w), v)
 
 
 def _curvature_differencing_v_prime(problem, p):
@@ -399,8 +378,6 @@ def test_solves_never_call_pava(monkeypatch):
     for name, solve in solves.items():
         assert np.array_equal(solve(), before[name]), name
     assert np.array_equal(anchor, start)
-    with pytest.raises(AssertionError, match="isotonic_regression"):
-        project_monotone([1.0, 0.0], iv)
 
 
 def test_minimize_uniform_source_is_fixed_point():

@@ -22,8 +22,10 @@ from cnot import (
     tax_marginal,
     tax_paper,
     taxed_stationarity_residual,
+    density_from_values,
     gaussian_truncated_density,
     uniform_density,
+    wasserstein_cost_1d,
 )
 
 
@@ -49,28 +51,25 @@ def _congested(n=128, m=1024, kappa=2.0):
 
 
 def test_welfare_report_validation():
-    """Reports with an impossible ratio or ordering are rejected."""
+    """Reports with an impossible ratio or ordering are rejected when the
+    optimum converged; an unconverged optimum is reported as it is."""
     tax = np.zeros(4)
+    fields = dict(
+        sc_equilibrium=1.0,
+        sc_optimum=2.0,
+        cost_of_anarchy=0.5,
+        tax_paper=tax,
+        tax_marginal=tax,
+        stationarity_residual_paper=0.0,
+        stationarity_residual_marginal=0.0,
+        converged_equilibrium=True,
+        converged_optimum=True,
+    )
     with pytest.raises(ValueError, match="anarchy"):
-        WelfareReport(
-            sc_equilibrium=1.0,
-            sc_optimum=2.0,
-            cost_of_anarchy=0.5,
-            tax_paper=tax,
-            tax_marginal=tax,
-            stationarity_residual_paper=0.0,
-            stationarity_residual_marginal=0.0,
-        )
+        WelfareReport(**fields)
     with pytest.raises(ValueError, match="optimum"):
-        WelfareReport(
-            sc_equilibrium=1.0,
-            sc_optimum=2.0,
-            cost_of_anarchy=2.0,
-            tax_paper=tax,
-            tax_marginal=tax,
-            stationarity_residual_paper=0.0,
-            stationarity_residual_marginal=0.0,
-        )
+        WelfareReport(**{**fields, "cost_of_anarchy": 2.0})
+    assert not WelfareReport(**{**fields, "converged_optimum": False}).converged_optimum
 
 
 def test_social_cost_uniform_closed_form():
@@ -95,14 +94,58 @@ def test_social_cost_ignores_empty_cells():
     grid = scenario.grid
     values = np.zeros(grid.n)
     values[: grid.n // 2] = 2.0
-    from cnot import density_from_values
-
     nu = density_from_values(grid, values)
     sc = social_cost(scenario, nu)
     assert np.isfinite(sc)
     # congestion integral: 2 log 2 over half the interval
     transport = sc - np.log(2.0)
     assert transport >= 0.0
+
+
+def test_social_cost_matches_the_written_out_formula():
+    """``social_cost`` is ``W + d sum f(nu) nu + sum v mass + mass . field``
+    (the un-halved interaction) with power congestion, the cubic kernel and
+    a polynomial potential together."""
+    grid = Grid(Interval(-0.5, 1.5), 40)
+    model = EnergyModel(
+        grid=grid,
+        congestion=CongestionSpec.power(1.5, 0.3),
+        kernel=InteractionKernel.cubic_distance(0.8),
+        potential=PotentialSpec.poly([0.1, -0.4, 0.7, 0.2]),
+    )
+    scenario = Scenario(
+        mu=gaussian_truncated_density(grid, 0.4, 0.3), cost=CostSpec.quadratic(), model=model, m=160
+    )
+    nu = gaussian_truncated_density(grid, 0.7, 0.25)
+    v, masses = nu.values, nu.masses
+    expected = (
+        wasserstein_cost_1d(scenario.mu, nu, scenario.cost, m=scenario.m)
+        + grid.delta * np.sum(0.3 * v**1.5 * v)
+        + np.dot(model.potential.v(grid.nodes), masses)
+        + masses @ model.interaction_field(nu)
+    )
+    assert social_cost(scenario, nu) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_custom_social_congestion_takes_the_zero_limit():
+    """A custom spec's social antiderivative ``s f(s)`` is 0 at an empty cell
+    even where ``f(0)`` is infinite, without a floating-point warning, and
+    the social cost of a density with empty cells stays finite."""
+    custom = CongestionSpec.custom(
+        f=np.log, F=lambda s: s * np.log(s) - s, f_inv=np.exp
+    )
+    F = custom.social().F(np.array([0.0, 0.5]))
+    assert np.array_equal(F, [0.0, 0.5 * np.log(0.5)])
+    grid = Grid(Interval(0.0, 1.0), 32)
+    scenario = Scenario(
+        mu=uniform_density(grid),
+        cost=CostSpec.quadratic(),
+        model=EnergyModel(grid=grid, congestion=custom),
+        m=128,
+    )
+    values = np.zeros(grid.n)
+    values[: grid.n // 2] = 2.0
+    assert np.isfinite(social_cost(scenario, density_from_values(grid, values)))
 
 
 def test_social_congestion_entropy_and_power():
