@@ -18,13 +18,16 @@ first-order condition ``f(nu) = M - phi^c - interaction - v`` pointwise.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .energy import EnergyModel
 from .measures import (
@@ -268,10 +271,50 @@ class _QuantileProblem:
         return np.minimum(_CURV_MAX, diag, out=diag), -psi2
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_dptsv():
+    """LAPACK ``dptsv`` from scipy's ``_flapack`` extension, loaded from its file.
+
+    Importing the ``scipy.linalg`` package to reach this one routine would
+    cost most of a cold ``import cnot``.  The file sits at ``linalg/_flapack``
+    beside scipy's ``__init__`` (``find_spec`` locates it without importing
+    scipy).  The module is registered as ``scipy.linalg._flapack``, the name
+    scipy imports it under, so a later ``import scipy.linalg`` reuses it and
+    its ``lapack.dptsv`` is this object (the package then binds no
+    ``_flapack`` attribute; ``from scipy.linalg import _flapack`` still finds
+    the module).  On any failure (a build that keeps the extension elsewhere
+    or cannot load it this way) the routine comes from ``scipy.linalg.lapack``.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module.dptsv
+    try:
+        root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+        stem = os.path.join(root, "linalg", "_flapack")
+        path = next(stem + sx for sx in EXTENSION_SUFFIXES if os.path.isfile(stem + sx))
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        dptsv = module.dptsv
+    except Exception:  # whatever breaks the file route, the package import is the reference
+        from scipy.linalg.lapack import dptsv
+
+        return dptsv
+    sys.modules[_FLAPACK] = module
+    return dptsv
+
+
+dptsv = _load_dptsv()
+
+
 def solveh_banded(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     """Solve the tridiagonal system ``(diag, sub) x = rhs`` (``sub`` is overwritten) by
     LAPACK ``dptsv``, as ``scipy.linalg.solveh_banded`` does for a two-row band but
-    without its validation layers; None when the matrix is not positive definite."""
+    without its validation layers; None when the matrix is not positive definite.
+    ``dptsv`` is loaded from scipy's LAPACK extension without importing the
+    ``scipy.linalg`` package (``_load_dptsv``)."""
     _, _, x, info = dptsv(diag, sub, rhs, overwrite_e=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dptsv")

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import EnergyModel, energy_eval
+from .energy import CongestionSpec, EnergyModel, energy_eval
 from .measures import DiscreteDensity
 from .solver import (
     EquilibriumResult,
@@ -78,8 +78,12 @@ def social_cost(scenario: Scenario, nu: DiscreteDensity) -> float:
     ``s f(s) -> 0`` limit, which ``CongestionSpec.social`` takes), so
     logarithmic congestion needs no sentinel.
     """
+    return _social_cost(scenario, social_scenario(scenario), nu)
+
+
+def _social_cost(scenario: Scenario, social: Scenario, nu: DiscreteDensity) -> float:
     transport = wasserstein_cost_1d(scenario.mu, nu, scenario.cost, m=scenario.m)
-    return float(transport + energy_eval(social_scenario(scenario).model, nu))
+    return float(transport + energy_eval(social.model, nu))
 
 
 def social_scenario(scenario: Scenario) -> Scenario:
@@ -119,8 +123,12 @@ def tax_paper(scenario: Scenario, nu: DiscreteDensity) -> np.ndarray:
     congestion spec (it shifts by ``c * nu`` when ``F`` shifts by ``c s``);
     the scenario's convention flag travels with any report built from this.
     """
+    return _tax_paper(scenario, scenario.model.congestion.social(), nu)
+
+
+def _tax_paper(scenario: Scenario, social: CongestionSpec, nu: DiscreteDensity) -> np.ndarray:
     model, v = scenario.model, nu.values
-    social_F = np.asarray(model.congestion.social().F(v), dtype=float)
+    social_F = np.asarray(social.F(v), dtype=float)
     return social_F - np.asarray(model.congestion.F(v), dtype=float) + model.interaction_field(nu)
 
 
@@ -161,13 +169,16 @@ def cost_of_anarchy(
     Outside the uniqueness regime the found equilibrium need not be the
     worst one; the report then carries a warning and the ratio is a lower
     bound.  A non-positive optimal social cost leaves the ratio undefined
-    (reported as ``inf`` with a warning); equal costs give exactly 1.
+    (reported as ``inf`` with a warning); equal costs give exactly 1.  The
+    social scenario is built once and serves the optimum, both social costs
+    and the average-cost tax.
     """
     params = params or SolverParams()
+    social = social_scenario(scenario)
     eq = minimize_quantile(scenario, params)
-    opt = minimize_social_cost(scenario, params)
-    sc_eq = social_cost(scenario, eq.nu)
-    sc_opt = social_cost(scenario, opt.nu)
+    opt = minimize_quantile(social, params)
+    sc_eq = _social_cost(scenario, social, eq.nu)
+    sc_opt = _social_cost(scenario, social, opt.nu)
 
     notes = []
     missing = _uniqueness_flags(scenario)
@@ -189,7 +200,7 @@ def cost_of_anarchy(
         notes.append(note)
         coa = float("inf")
 
-    tp = tax_paper(scenario, opt.nu)
+    tp = _tax_paper(scenario, social.model.congestion, opt.nu)
     tm = tax_marginal(scenario, opt.nu)
     return WelfareReport(
         sc_equilibrium=sc_eq,

@@ -48,25 +48,38 @@ def loaded():
     return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
 
 before, linalg = loaded(), "scipy.linalg" in sys.modules
+grid = cnot.Grid(cnot.Interval(0.0, 1.0), 16)
+result = cnot.minimize_quantile(cnot.Scenario(
+    mu=cnot.uniform_density(grid), cost=cnot.CostSpec.quadratic(),
+    model=cnot.EnergyModel(grid=grid, congestion=cnot.CongestionSpec.entropy()), m=32))
+solved, linalg_solved = result.converged, "scipy.linalg" in sys.modules
 x = np.array([0.0, 1.0])
 plan, _, value = cnot.solve_lp(np.array([0.5, 0.5]), x, np.array([0.5, 0.5]), x,
                                cost_matrix=(x[:, None] - x[None, :]) ** 2)
-print(json.dumps({"before": before, "linalg": linalg, "after": loaded(),
+import scipy.linalg.lapack
+print(json.dumps({"before": before, "linalg": linalg, "solved": solved,
+                  "linalg_solved": linalg_solved, "after": loaded(),
+                  "same_dptsv": scipy.linalg.lapack.dptsv is cnot.solver.dptsv,
                   "plan": plan.matrix.tolist(), "value": value}))
 """
 
 
 def test_import_leaves_the_lp_solver_unloaded():
-    """A fresh ``import cnot, cnot.cli`` loads ``scipy.linalg`` (every solve
-    needs it) but neither ``scipy.optimize`` nor ``scipy.sparse``; the first
-    ``solve_lp`` call loads them and returns the exact plan."""
+    """A fresh ``import cnot, cnot.cli`` loads neither ``scipy.optimize`` nor
+    ``scipy.sparse``, and not the ``scipy.linalg`` package either: the solver
+    takes LAPACK ``dptsv`` from scipy's extension file, and a solve loads no
+    more.  The first ``solve_lp`` call loads ``scipy.optimize`` and returns
+    the exact plan; the ``scipy.linalg`` it brings reuses the extension, so
+    ``scipy.linalg.lapack.dptsv`` is the solver's routine."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout)
     assert out["before"] == []
-    assert out["linalg"]
+    assert not out["linalg"]
+    assert out["solved"] and not out["linalg_solved"]
     assert "scipy.optimize" in out["after"]
+    assert out["same_dptsv"]
     assert out["plan"] == [[0.5, 0.0], [0.0, 0.5]]
     assert out["value"] == 0.0

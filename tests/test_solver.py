@@ -1,6 +1,11 @@
 """Tests for the quantile objective and the projected-Newton equilibrium solver."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -609,6 +614,65 @@ def test_solveh_banded_calls_dptsv_and_reports_an_indefinite_matrix():
         assert np.array_equal(diag, diag_before) and np.array_equal(rhs, rhs_before)
     assert dptsv_solve(np.array([1.0, 1.0]), np.array([2.0]), np.array([1.0, 0.0])) is None
     assert dptsv_solve(np.array([1.0, -1.0, 1.0]), np.zeros(2), np.ones(3)) is None
+
+
+DPTSV_PROBE = """
+import importlib.util, json, sys
+import numpy as np
+
+route = sys.argv[1]
+if route == "broken":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *a: None if name == "scipy" else find_spec(name, *a)
+if route == "scipy":
+    from scipy.linalg.lapack import dptsv
+else:
+    from cnot.solver import dptsv
+linalg = "scipy.linalg" in sys.modules
+flapack = sys.modules.get("scipy.linalg._flapack")
+rng = np.random.default_rng(7)
+results = []
+for m in (2, 5, 64):
+    d, e, b = rng.uniform(1.0, 2.0, m), rng.uniform(-0.4, 0.4, m - 1), rng.normal(size=m)
+    indefinite = d.copy()
+    indefinite[m // 2] = -1.0
+    for diag in (d, indefinite):
+        *arrays, info = dptsv(diag, e, b)
+        results.append([a.tobytes().hex() for a in arrays] + [int(info)])
+import scipy.linalg.lapack
+print(json.dumps({"linalg": linalg, "results": results,
+                  "is_lapack": scipy.linalg.lapack.dptsv is dptsv,
+                  "reused": scipy.linalg.lapack._flapack is flapack}))
+"""
+
+
+def _dptsv_probe(route: str) -> dict:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", DPTSV_PROBE, route], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_dptsv_loaded_from_the_extension_file_has_the_bits_of_scipy_lapack():
+    """``solver.dptsv`` comes from scipy's ``_flapack`` file without importing
+    the ``scipy.linalg`` package, and returns the bits of
+    ``scipy.linalg.lapack.dptsv`` (each in a fresh process) on
+    positive-definite and indefinite tridiagonals.  With scipy's location
+    broken (``find_spec`` answers None), the loader falls back to
+    ``scipy.linalg.lapack`` and gives the same bits.  Either way a later
+    ``import scipy.linalg`` reuses the extension module the solver loaded
+    and hands out the solver's routine."""
+    reference = _dptsv_probe("scipy")
+    loaded = _dptsv_probe("file")
+    fallback = _dptsv_probe("broken")
+    assert not loaded["linalg"] and fallback["linalg"]
+    for out in (loaded, fallback):
+        assert out["is_lapack"] and out["reused"]
+    assert loaded["results"] == reference["results"]
+    assert fallback["results"] == reference["results"]
+    infos = [r[-1] for r in reference["results"]]
+    assert infos[0::2] == [0, 0, 0] and all(info > 0 for info in infos[1::2])
 
 
 def test_fixed_endpoint_power_product_solve_converges():

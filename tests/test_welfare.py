@@ -16,6 +16,7 @@ from cnot import (
     WelfareReport,
     cost_of_anarchy,
     equilibrium_residual,
+    minimize_quantile,
     minimize_social_cost,
     social_cost,
     social_scenario,
@@ -26,6 +27,7 @@ from cnot import (
     gaussian_truncated_density,
     uniform_density,
     wasserstein_cost_1d,
+    welfare,
 )
 
 
@@ -300,3 +302,28 @@ def test_social_scenario_shares_geometry():
     assert derived.m == scenario.m
     assert derived.mu is scenario.mu
     assert derived.model.kernel.kappa == pytest.approx(2.0 * scenario.model.kernel.kappa)
+
+
+def test_cost_of_anarchy_builds_the_social_scenario_once(monkeypatch):
+    """``cost_of_anarchy`` builds one social scenario (one
+    ``CongestionSpec.social`` call) for the optimum, both social costs and
+    the average-cost tax, and reports the bits the public functions give."""
+    scenario, params = _congested(n=32, m=128), SolverParams(grad_tol=1e-8)
+    calls = {"scenario": 0, "social": 0}
+
+    def counted(key, fn):
+        def spy(*args):
+            calls[key] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(welfare, "social_scenario", counted("scenario", welfare.social_scenario))
+    monkeypatch.setattr(CongestionSpec, "social", counted("social", CongestionSpec.social))
+    report = cost_of_anarchy(scenario, params)
+    assert calls == {"scenario": 1, "social": 1}
+    monkeypatch.undo()
+
+    opt = minimize_social_cost(scenario, params)
+    assert report.sc_equilibrium == social_cost(scenario, minimize_quantile(scenario, params).nu)
+    assert report.sc_optimum == social_cost(scenario, opt.nu)
+    assert report.tax_paper.tobytes() == tax_paper(scenario, opt.nu).tobytes()
