@@ -105,6 +105,16 @@ def _check_keys(obj: dict, allowed: set, pointer: str) -> None:
              "unknown field")
 
 
+def _kind(obj: dict, pointer: str, fields_by_kind: dict) -> str:
+    """The section's ``kind``, one of the table's keys; the section may hold
+    only ``kind`` and that kind's fields."""
+    kind = obj.get("kind")
+    _require(isinstance(kind, str) and kind in fields_by_kind, f"{pointer}/kind",
+             "must be one of: " + ", ".join(fields_by_kind))
+    _check_keys(obj, {"kind", *fields_by_kind[kind]}, pointer)
+    return kind
+
+
 def _load_density_file(path: Path, grid: Grid, pointer: str) -> DiscreteDensity:
     _require(path.is_file(), pointer, f"file not found: {path}")
     try:
@@ -117,20 +127,19 @@ def _load_density_file(path: Path, grid: Grid, pointer: str) -> DiscreteDensity:
     values = table[:, -1]
     _require(values.size == grid.n, pointer,
              f"expected {grid.n} rows (one per grid cell), got {values.size}")
-    _require(bool(np.all(np.isfinite(values)) and np.all(values >= 0)), pointer,
-             "density values must be finite and non-negative")
-    _require(float(values.sum()) > 0.0, pointer, "density must carry positive mass")
-    return density_from_values(grid, values)
+    try:
+        return density_from_values(grid, values)
+    except ValueError as exc:
+        raise ScenarioError(pointer, str(exc)) from exc
 
 
 def _build_mu(raw: dict, grid: Grid, base_dir: Path) -> DiscreteDensity:
     obj = _get_section(raw, "mu", "/mu")
-    kind = obj.get("kind")
+    kind = _kind(obj, "/mu", {"uniform": (), "gaussian_truncated": ("mean", "sigma"),
+                              "table": ("path",)})
     if kind == "uniform":
-        _check_keys(obj, {"kind"}, "/mu")
         return uniform_density(grid)
     if kind == "gaussian_truncated":
-        _check_keys(obj, {"kind", "mean", "sigma"}, "/mu")
         mean = _number(obj, "mean", "/mu")
         sigma = _number(obj, "sigma", "/mu")
         _require(sigma > 0, "/mu/sigma", "must be > 0")
@@ -139,87 +148,60 @@ def _build_mu(raw: dict, grid: Grid, base_dir: Path) -> DiscreteDensity:
                  "resulting density is not strictly positive on the grid "
                  "(truncated tail underflows); widen sigma or shrink the interval")
         return mu
-    if kind == "table":
-        _check_keys(obj, {"kind", "path"}, "/mu")
-        path = obj.get("path")
-        _require(isinstance(path, str), "/mu/path", "must be a file path string")
-        mu = _load_density_file(base_dir / path, grid, "/mu/path")
-        _require(bool(np.all(mu.values > 0)), "/mu/path",
-                 "table density must be strictly positive on every cell "
-                 "(the source measure must have full support on the interval)")
-        return mu
-    raise ScenarioError("/mu/kind", "must be one of: uniform, gaussian_truncated, table")
+    path = obj.get("path")
+    _require(isinstance(path, str), "/mu/path", "must be a file path string")
+    mu = _load_density_file(base_dir / path, grid, "/mu/path")
+    _require(bool(np.all(mu.values > 0)), "/mu/path",
+             "table density must be strictly positive on every cell "
+             "(the source measure must have full support on the interval)")
+    return mu
 
 
 def _build_cost(raw: dict) -> CostSpec:
     obj = _get_section(raw, "cost", "/cost", default={"kind": "quadratic"})
-    kind = obj.get("kind")
-    if kind == "quadratic":
-        _check_keys(obj, {"kind"}, "/cost")
+    if _kind(obj, "/cost", {"quadratic": (), "convex_difference": ("p",)}) == "quadratic":
         return CostSpec.quadratic()
-    if kind == "convex_difference":
-        _check_keys(obj, {"kind", "p"}, "/cost")
-        p = _number(obj, "p", "/cost")
-        _require(p > 1.0, "/cost/p", "must be > 1")
-        return CostSpec.power(p)
-    raise ScenarioError("/cost/kind", "must be one of: quadratic, convex_difference")
+    p = _number(obj, "p", "/cost")
+    _require(p > 1.0, "/cost/p", "must be > 1")
+    return CostSpec.power(p)
 
 
 def _build_congestion(raw: dict) -> CongestionSpec:
     obj = _get_section(raw, "congestion", "/congestion")
-    kind = obj.get("kind")
+    kind = _kind(obj, "/congestion", {"entropy": ("convention",), "power": ("alpha", "a")})
     if kind == "entropy":
-        _check_keys(obj, {"kind", "convention"}, "/congestion")
         convention = obj.get("convention", "shifted")
         _require(convention in ("shifted", "plain"), "/congestion/convention",
                  "must be 'shifted' or 'plain'")
         return CongestionSpec.entropy(convention)
-    if kind == "power":
-        _check_keys(obj, {"kind", "alpha", "a"}, "/congestion")
-        alpha = _number(obj, "alpha", "/congestion")
-        a = _number(obj, "a", "/congestion", default=1.0)
-        _require(alpha > 0, "/congestion/alpha", "must be > 0")
-        _require(a > 0, "/congestion/a", "must be > 0")
-        return CongestionSpec.power(alpha, a)
-    raise ScenarioError("/congestion/kind", "must be one of: entropy, power")
+    alpha = _number(obj, "alpha", "/congestion")
+    a = _number(obj, "a", "/congestion", default=1.0)
+    _require(alpha > 0, "/congestion/alpha", "must be > 0")
+    _require(a > 0, "/congestion/a", "must be > 0")
+    return CongestionSpec.power(alpha, a)
 
 
 def _build_kernel(raw: dict) -> Optional[InteractionKernel]:
     obj = _get_section(raw, "kernel", "/kernel", default={"kind": "none"})
-    kind = obj.get("kind")
+    kind = _kind(obj, "/kernel", {"none": (), "quadratic_distance": ("kappa",),
+                                  "cubic_distance": ("kappa",), "product": ("kappa",)})
     if kind == "none":
-        _check_keys(obj, {"kind"}, "/kernel")
         return None
-    builders = {
-        "quadratic_distance": InteractionKernel.quadratic_distance,
-        "cubic_distance": InteractionKernel.cubic_distance,
-        "product": InteractionKernel.product,
-    }
-    if kind in builders:
-        _check_keys(obj, {"kind", "kappa"}, "/kernel")
-        kappa = _number(obj, "kappa", "/kernel")
-        return builders[kind](kappa)
-    raise ScenarioError("/kernel/kind",
-                        "must be one of: none, quadratic_distance, cubic_distance, product")
+    # each family's constructor is named after its kind
+    return getattr(InteractionKernel, kind)(_number(obj, "kappa", "/kernel"))
 
 
 def _build_potential(raw: dict) -> Optional[PotentialSpec]:
     obj = _get_section(raw, "potential", "/potential", default={"kind": "none"})
-    kind = obj.get("kind")
-    if kind == "none":
-        _check_keys(obj, {"kind"}, "/potential")
+    if _kind(obj, "/potential", {"none": (), "poly": ("coeffs", "declared_convex")}) == "none":
         return None
-    if kind == "poly":
-        _check_keys(obj, {"kind", "coeffs", "declared_convex"}, "/potential")
-        coeffs = obj.get("coeffs")
-        _require(isinstance(coeffs, list) and len(coeffs) > 0
-                 and all(_is_finite_number(c) for c in coeffs),
-                 "/potential/coeffs", "must be a non-empty list of finite numbers")
-        declared = obj.get("declared_convex", False)
-        _require(isinstance(declared, bool), "/potential/declared_convex",
-                 "must be a boolean")
-        return PotentialSpec.poly(coeffs, declared_convex=declared)
-    raise ScenarioError("/potential/kind", "must be one of: none, poly")
+    coeffs = obj.get("coeffs")
+    _require(isinstance(coeffs, list) and len(coeffs) > 0
+             and all(_is_finite_number(c) for c in coeffs),
+             "/potential/coeffs", "must be a non-empty list of finite numbers")
+    declared = obj.get("declared_convex", False)
+    _require(isinstance(declared, bool), "/potential/declared_convex", "must be a boolean")
+    return PotentialSpec.poly(coeffs, declared_convex=declared)
 
 
 def _build_solver_params(raw: dict) -> SolverParams:
@@ -275,9 +257,7 @@ def _bundle_from_raw(raw: dict, base_dir: Path) -> _Bundle:
     support_mode = raw.get("support_mode", "free")
     _require(support_mode in SUPPORT_MODES, "/support_mode",
              "must be " + " or ".join(map(repr, SUPPORT_MODES)))
-    seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "/seed",
-             "must be an integer")
+    seed = _integer(raw, "seed", "", default=0)
 
     mu = _build_mu(raw, grid, base_dir)
     cost = _build_cost(raw)

@@ -9,6 +9,7 @@ noise and break the exact descent property).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,8 +32,8 @@ class JkoParams:
     inner: SolverParams = field(default_factory=SolverParams)
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be a finite number > 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 

@@ -4,9 +4,10 @@ The energy of a density ``nu`` is
 
     E[nu] = integral F(nu) + integral v dnu + 1/2 double-integral phi dnu dnu
 
-with ``F' = f`` (up to an additive constant for the plain-entropy bookkeeping
-convention, which changes nothing at first order against mass-preserving
-perturbations).  Its first variation is
+with ``F' = f + c``, where ``c`` (``CongestionSpec.F_prime_shift``) is 1 for the
+plain-entropy bookkeeping convention and 0 otherwise: it adds ``c`` to ``E`` and
+changes nothing at first order against mass-preserving perturbations.  Its
+first variation is
 
     V[nu](y) = f(nu(y)) + v(y) + integral phi(y, z) dnu(z).
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,9 +78,10 @@ def _fd_positive(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray
 class CongestionSpec:
     """Congestion cost ``f`` with antiderivative ``F`` and inverse.
 
-    ``F_prime`` may differ from ``f`` by a constant only (bookkeeping
-    conventions); the constructor probes monotonicity of ``f`` and the
-    ``F' = f + const`` relation by finite differences.  The family's closed
+    ``F' = f + F_prime_shift``, a constant the ``convention`` fixes: 1 for
+    plain entropy, 0 for every other spec.  The constructor probes that
+    ``f`` is increasing, that ``F' - f`` equals this constant (by central
+    differences) and that ``f_inv`` inverts ``f``.  The family's closed
     forms live here: ``marginal_externality`` and the social counterpart
     ``social``.
     """
@@ -87,7 +90,6 @@ class CongestionSpec:
     F: Callable[[np.ndarray], np.ndarray]
     f_inv: Callable[[np.ndarray], np.ndarray]
     f_prime: Callable[[np.ndarray], np.ndarray]
-    F_prime: Callable[[np.ndarray], np.ndarray]
     kind: str = "custom"
     convention: Optional[str] = None
     params: dict = field(default_factory=dict)
@@ -99,15 +101,20 @@ class CongestionSpec:
             raise ValueError("congestion f must be finite on (0, inf)")
         if np.any(np.diff(fv) <= 0.0):
             raise ValueError("congestion f must be strictly increasing")
-        # F' = f up to an additive constant, by central differences
-        dev = _fd_positive(self.F)(_PROBE_S) - fv
-        if np.max(np.abs(dev - dev.mean())) > 1e-6 * (1.0 + np.max(np.abs(fv))):
-            raise ValueError("congestion F' must equal f up to a constant")
+        # F' = f + F_prime_shift, by central differences
+        dev = _fd_positive(self.F)(_PROBE_S) - fv - self.F_prime_shift
+        if np.max(np.abs(dev)) > 1e-6 * (1.0 + np.max(np.abs(fv))):
+            raise ValueError(f"congestion F' - f must equal {self.F_prime_shift:g}")
         # round-trip of the inverse on the probe range
         rt = np.asarray(self.f_inv(fv), dtype=float)
         if np.max(np.abs(rt - _PROBE_S) / _PROBE_S) > 1e-8:
             raise ValueError("congestion f_inv must invert f")
         object.__setattr__(self, "satisfies_mccann", mccann_check(self))
+
+    @property
+    def F_prime_shift(self) -> float:
+        """The constant ``F' - f``: 1.0 for plain entropy, 0.0 otherwise."""
+        return 1.0 if self.convention == "plain" else 0.0
 
     @staticmethod
     def entropy(convention: str = "shifted") -> "CongestionSpec":
@@ -125,7 +132,6 @@ class CongestionSpec:
             F=_entropy_F_shifted if shifted else _entropy_F_plain,
             f_inv=np.exp,
             f_prime=lambda s: 1.0 / np.asarray(s, dtype=float),
-            F_prime=_log if shifted else _log1,
             kind="entropy",
             convention=convention,
         )
@@ -153,7 +159,7 @@ class CongestionSpec:
             return a * alpha * np.asarray(s, dtype=float) ** (alpha - 1.0)
 
         return CongestionSpec(
-            f=f, F=F, f_inv=f_inv, f_prime=f_prime, F_prime=f,
+            f=f, F=F, f_inv=f_inv, f_prime=f_prime,
             kind="power", params={"alpha": alpha, "a": a},
         )
 
@@ -163,11 +169,10 @@ class CongestionSpec:
         F: Callable[[np.ndarray], np.ndarray],
         f_inv: Callable[[np.ndarray], np.ndarray],
         f_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        F_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> "CongestionSpec":
+        """A spec from ``f``, its antiderivative ``F`` (``F' = f``) and inverse."""
         return CongestionSpec(
-            f=f, F=F, f_inv=f_inv, f_prime=f_prime or _fd_positive(f),
-            F_prime=F_prime or f, kind="custom",
+            f=f, F=F, f_inv=f_inv, f_prime=f_prime or _fd_positive(f), kind="custom",
         )
 
     def marginal_externality(self, s: np.ndarray) -> np.ndarray:
@@ -194,7 +199,7 @@ class CongestionSpec:
             return CongestionSpec(
                 f=_log1, F=_entropy_F_plain,
                 f_inv=lambda t: np.exp(np.asarray(t, dtype=float) - 1.0),
-                f_prime=self.f_prime, F_prime=_log1,
+                f_prime=self.f_prime,
             )
         if self.kind == "power":
             alpha, a = self.params["alpha"], self.params["a"]
@@ -213,7 +218,7 @@ class CongestionSpec:
 
         return CongestionSpec(
             f=f_social, F=F_social, f_inv=_numeric_inverse(f_social),
-            f_prime=_fd_positive(f_social), F_prime=f_social,
+            f_prime=_fd_positive(f_social),
         )
 
 
@@ -535,7 +540,8 @@ class EnergyModel:
     """Congestion + optional potential + optional interaction on a grid.
 
     The one place the kernel and the potential are checked: construction
-    calls each one's ``validate_on`` once, on ``grid.interval``.
+    calls each one's ``validate_on`` once, on ``grid.interval``.  ``social``
+    is the model whose energy is the social cost's, built on first read.
     """
 
     grid: Grid
@@ -548,6 +554,17 @@ class EnergyModel:
             self.kernel.validate_on(self.grid.interval)
         if self.potential is not None:
             self.potential.validate_on(self.grid.interval)
+
+    @cached_property
+    def social(self) -> "EnergyModel":
+        """The social counterpart: congestion ``social()``, the kernel doubled
+        (``scaled(2.0)``) and the same potential."""
+        return EnergyModel(
+            grid=self.grid,
+            congestion=self.congestion.social(),
+            kernel=None if self.kernel is None else self.kernel.scaled(2.0),
+            potential=self.potential,
+        )
 
     def kernel_matrix(self) -> Optional[np.ndarray]:
         if self.kernel is None:

@@ -171,9 +171,9 @@ class DiscreteDensity:
 class QuantileFn:
     """Quantile function sampled at probabilities ``j/(m-1)``, ``j = 0..m-1``.
 
-    Values must be non-decreasing.  In ``fixed_endpoints`` mode the first and
-    last values are pinned to the interval endpoints (full support); ``free``
-    mode only requires the values to stay inside the interval.
+    Values must be finite and non-decreasing, and in ``fixed_endpoints`` mode
+    start at ``interval.lo`` and end at ``interval.hi``.  Values outside the
+    interval are not refused here: each consumer clips them or checks them.
     """
 
     values: np.ndarray

@@ -88,14 +88,15 @@ class Scenario:
 @dataclass(frozen=True)
 class SolverParams:
     """Projected-Newton stopping parameters: the iteration cap and the
-    projected-gradient tolerance."""
+    projected-gradient tolerance, a finite number > 0 (an infinite one would
+    accept the start point as converged)."""
 
     max_iters: int = 5000
     grad_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or not self.grad_tol > 0:
-            raise ValueError("solver parameters must be positive")
+        if self.max_iters < 1 or not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("solver parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,7 @@ class _QuantileProblem:
         self.cost = scenario.cost
         self.C_second = _fd_derivative(scenario.cost.C_prime)
         self.model = scenario.model
+        self.F_prime_shift = scenario.model.congestion.F_prime_shift
         if prox is not None:
             anchor, tau = prox
             anchor = np.ascontiguousarray(anchor, dtype=float)
@@ -221,7 +223,10 @@ class _QuantileProblem:
         m = self.m
         grad = -np.asarray(self.cost.C_prime(p.z), dtype=float) / m
         with np.errstate(over="ignore"):
-            psi = p.F_u - p.u * np.asarray(self.model.congestion.F_prime(p.u), dtype=float)
+            F_prime = np.asarray(self.model.congestion.f(p.u), dtype=float)
+            if self.F_prime_shift:  # F' = f + the convention's constant
+                F_prime = F_prime + self.F_prime_shift
+            psi = p.F_u - p.u * F_prime
         grad[1:] += psi
         grad[:-1] -= psi
         if self.model.potential is not None:

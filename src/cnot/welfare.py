@@ -6,10 +6,11 @@ and the interaction term enters un-halved,
 
     SC[nu] = W_c(mu, nu) + int f(nu) dnu + int v dnu + double-int phi dnu dnu.
 
-It is the transport cost plus the energy of a *derived* scenario: congestion
-with antiderivative ``s f(s)`` (marginal ``f(s) + s f'(s)``, see
-``CongestionSpec.social``) and the kernel doubled (``InteractionKernel.scaled``).
-Minimizing it therefore reuses the quantile solver on that scenario.
+It is the transport cost plus the energy of the model's social counterpart
+``EnergyModel.social``: congestion with antiderivative ``s f(s)`` (marginal
+``f(s) + s f'(s)``, see ``CongestionSpec.social``) and the kernel doubled
+(``InteractionKernel.scaled``).  Minimizing it therefore reuses the quantile
+solver on the scenario with that model.
 Two corrective taxes are provided side by side: the average-cost form
 ``f(nu) nu - F(nu) + int phi dnu`` and the marginal (Pigouvian) form
 ``nu f'(nu) + int phi dnu``; their stationarity residuals at the social
@@ -19,12 +20,12 @@ average-cost form depends on the antiderivative convention.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .energy import CongestionSpec, EnergyModel, energy_eval
+from .energy import energy_eval
 from .measures import DiscreteDensity
 from .solver import (
     EquilibriumResult,
@@ -72,36 +73,19 @@ class WelfareReport:
 
 def social_cost(scenario: Scenario, nu: DiscreteDensity) -> float:
     """``SC[nu]``: the monotone transport cost at the scenario resolution plus
-    the social scenario's ``energy_eval``.
+    ``energy_eval`` of the model's social counterpart, ``EnergyModel.social``.
 
     Zero-density cells contribute nothing to the congestion term (the
     ``s f(s) -> 0`` limit, which ``CongestionSpec.social`` takes), so
     logarithmic congestion needs no sentinel.
     """
-    return _social_cost(scenario, social_scenario(scenario), nu)
-
-
-def _social_cost(scenario: Scenario, social: Scenario, nu: DiscreteDensity) -> float:
     transport = wasserstein_cost_1d(scenario.mu, nu, scenario.cost, m=scenario.m)
-    return float(transport + energy_eval(social.model, nu))
+    return float(transport + energy_eval(scenario.model.social, nu))
 
 
 def social_scenario(scenario: Scenario) -> Scenario:
     """The scenario whose individual objective is the social cost."""
-    model = scenario.model
-    derived = EnergyModel(
-        grid=model.grid,
-        congestion=model.congestion.social(),
-        kernel=None if model.kernel is None else model.kernel.scaled(2.0),
-        potential=model.potential,
-    )
-    return Scenario(
-        mu=scenario.mu,
-        cost=scenario.cost,
-        model=derived,
-        m=scenario.m,
-        support_mode=scenario.support_mode,
-    )
+    return replace(scenario, model=scenario.model.social)
 
 
 def minimize_social_cost(
@@ -123,12 +107,8 @@ def tax_paper(scenario: Scenario, nu: DiscreteDensity) -> np.ndarray:
     congestion spec (it shifts by ``c * nu`` when ``F`` shifts by ``c s``);
     the scenario's convention flag travels with any report built from this.
     """
-    return _tax_paper(scenario, scenario.model.congestion.social(), nu)
-
-
-def _tax_paper(scenario: Scenario, social: CongestionSpec, nu: DiscreteDensity) -> np.ndarray:
     model, v = scenario.model, nu.values
-    social_F = np.asarray(social.F(v), dtype=float)
+    social_F = np.asarray(model.social.congestion.F(v), dtype=float)
     return social_F - np.asarray(model.congestion.F(v), dtype=float) + model.interaction_field(nu)
 
 
@@ -170,15 +150,14 @@ def cost_of_anarchy(
     worst one; the report then carries a warning and the ratio is a lower
     bound.  A non-positive optimal social cost leaves the ratio undefined
     (reported as ``inf`` with a warning); equal costs give exactly 1.  The
-    social scenario is built once and serves the optimum, both social costs
-    and the average-cost tax.
+    model builds its social counterpart once (``EnergyModel.social``), and
+    it serves the optimum, both social costs and the average-cost tax.
     """
     params = params or SolverParams()
-    social = social_scenario(scenario)
     eq = minimize_quantile(scenario, params)
-    opt = minimize_quantile(social, params)
-    sc_eq = _social_cost(scenario, social, eq.nu)
-    sc_opt = _social_cost(scenario, social, opt.nu)
+    opt = minimize_social_cost(scenario, params)
+    sc_eq = social_cost(scenario, eq.nu)
+    sc_opt = social_cost(scenario, opt.nu)
 
     notes = []
     missing = _uniqueness_flags(scenario)
@@ -200,7 +179,7 @@ def cost_of_anarchy(
         notes.append(note)
         coa = float("inf")
 
-    tp = _tax_paper(scenario, social.model.congestion, opt.nu)
+    tp = tax_paper(scenario, opt.nu)
     tm = tax_marginal(scenario, opt.nu)
     return WelfareReport(
         sc_equilibrium=sc_eq,

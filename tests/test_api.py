@@ -83,3 +83,16 @@ def test_import_leaves_the_lp_solver_unloaded():
     assert out["same_dptsv"]
     assert out["plan"] == [[0.5, 0.0], [0.0, 0.5]]
     assert out["value"] == 0.0
+
+
+def test_readme_library_quick_start_runs():
+    """The README's library quick-start runs as written, with no
+    RuntimeWarning, and its solve converges."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split()[0] == "True"

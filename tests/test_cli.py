@@ -62,6 +62,27 @@ def test_bad_mu_kind_reports_pointer(tmp_path, capsys):
     assert "/mu/kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,kinds", [
+    ("mu", "uniform, gaussian_truncated, table"),
+    ("cost", "quadratic, convex_difference"),
+    ("congestion", "entropy, power"),
+    ("kernel", "none, quadratic_distance, cubic_distance, product"),
+    ("potential", "none, poly"),
+])
+def test_section_kind_must_be_one_of_its_table(tmp_path, capsys, section, kinds):
+    """Each section names its kinds once: an unknown kind, a missing one or
+    one that is not a string exits 1 with the section's ``/kind`` pointer and
+    the kinds listed; a field the named kind does not take is unknown."""
+    for kind in ("other", None, ["list"]):
+        scn = _write_scenario(tmp_path / "s.json", **{section: {"kind": kind}})
+        assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: /{section}/kind: must be one of: {kinds}\n" in capsys.readouterr().err
+    first = kinds.split(", ")[0]
+    scn = _write_scenario(tmp_path / "s.json", **{section: {"kind": first, "stray": 1}})
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: /{section}/stray: unknown field" in capsys.readouterr().err
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     """A missing path, a directory and a file that is not UTF-8 exit 1."""
     assert main(["solve", "--scenario", str(tmp_path / "nope.json")]) == 1
@@ -317,15 +338,24 @@ def test_verify_eq_reuses_the_solve_certificate(tmp_path, monkeypatch):
 
 
 def test_malformed_density_csv_is_a_validation_error(tmp_path, capsys):
-    """A density CSV that is not numeric, or a directory in its place, exits
-    1 with the field's pointer, for ``--density``, ``--init-file`` and a
-    ``mu`` table alike."""
+    """A density CSV that is not numeric, a directory in its place, or values
+    that ``density_from_values`` refuses (negative, not finite, zero mass)
+    exit 1 with the field's pointer, for ``--density``, ``--init-file`` and
+    a ``mu`` table alike."""
     bad = tmp_path / "bad.csv"
     bad.write_text("node,nu\n0.1,abc\n")
     folder = tmp_path / "folder"
     folder.mkdir()
+    cases = [(bad, "not a numeric CSV table"), (folder, "file not found")]
+    for name, values, message in (
+        ("neg.csv", [-1.0] + [1.0] * 47, "must be finite and non-negative"),
+        ("nan.csv", [float("nan")] + [1.0] * 47, "must be finite and non-negative"),
+        ("zero.csv", [0.0] * 48, "must carry positive mass"),
+    ):
+        (tmp_path / name).write_text("".join(f"{v!r}\n" for v in values))
+        cases.append((tmp_path / name, "density values " + message))
     scn = _write_scenario(tmp_path / "s.json")
-    for path, message in ((bad, "not a numeric CSV table"), (folder, "file not found")):
+    for path, message in cases:
         for command, extra, pointer in (
             ("verify", ["--density", str(path), "--checks", "eq"], "/density"),
             ("jko", ["--init", "file", "--init-file", str(path)], "/init-file"),

@@ -40,9 +40,10 @@ def _scenario(n=64, m=256, kappa=2.0):
 
 
 def test_jko_params_validation():
-    """Step size and horizon must be positive."""
-    for tau in (0.0, float("nan")):
-        with pytest.raises(ValueError, match="tau"):
+    """Step size and horizon must be positive, and the step finite (as the
+    CLI's ``--tau`` check asks)."""
+    for tau in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be a finite number > 0"):
             JkoParams(tau=tau, steps=5)
     with pytest.raises(ValueError, match="steps"):
         JkoParams(tau=0.1, steps=0)

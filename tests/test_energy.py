@@ -53,9 +53,18 @@ def test_congestion_probe_rejects_decreasing_f():
 
 
 def test_congestion_probe_rejects_wrong_antiderivative():
-    """F' must equal f up to an additive constant."""
+    """F' must equal f plus the convention's constant, ``F_prime_shift``: 1
+    for plain entropy, 0 for every other spec.  A custom ``F = s log s`` has
+    ``F' = log + 1``, plain entropy's bookkeeping, which only that
+    convention declares; accepted, it would price a gradient off by the
+    constant and stop at the first iterate."""
     with pytest.raises(ValueError, match="F'"):
         CongestionSpec.custom(f=np.log, F=lambda s: s * s, f_inv=np.exp)
+    with pytest.raises(ValueError, match="F'"):
+        CongestionSpec.custom(f=np.log, F=lambda s: s * np.log(s), f_inv=np.exp)
+    assert CongestionSpec.entropy("plain").F_prime_shift == 1.0
+    assert CongestionSpec.entropy("shifted").F_prime_shift == 0.0
+    assert CongestionSpec.entropy("plain").social().F_prime_shift == 0.0
 
 
 def test_congestion_probe_rejects_wrong_inverse():

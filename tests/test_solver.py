@@ -89,13 +89,17 @@ def test_scenario_validation():
 
 
 def test_solver_params_validation():
-    """The iteration cap and the tolerance must be positive (NaN is not)."""
+    """The iteration cap and the tolerance must be positive (NaN is not),
+    and the tolerance finite: an infinite one would pass the stop test at
+    the start point and report an unsolved problem as converged."""
     with pytest.raises(ValueError):
         SolverParams(max_iters=0)
     with pytest.raises(ValueError):
         SolverParams(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolverParams(grad_tol=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        SolverParams(grad_tol=float("inf"))
 
 
 def test_objective_identity_quantile_exact():

@@ -171,7 +171,6 @@ def test_social_congestion_generic_path():
         F=lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
         f_inv=lambda t: np.asarray(t, dtype=float),
         f_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        F_prime=lambda s: np.asarray(s, dtype=float),
         kind="custom",
     )
     soc = linear.social()
@@ -190,6 +189,28 @@ def test_tax_paper_entropy_conventions():
         model = EnergyModel(grid=grid, congestion=CongestionSpec.entropy(convention))
         scenario = Scenario(mu=uniform_density(grid), cost=CostSpec.quadratic(), model=model)
         assert np.allclose(tax_paper(scenario, nu), expected, atol=1e-12)
+
+
+def test_entropy_conventions_price_the_same_equilibrium():
+    """Plain and shifted entropy solve to the same G and M; J differs by
+    exactly 1 (the integral of F' - f = 1 against unit mass) and the
+    average-cost tax by nu."""
+    grid = Grid(Interval(0.0, 1.0), 64)
+    mu = gaussian_truncated_density(grid, 0.5, 0.15)
+    solves, scenarios = {}, {}
+    for convention in ("shifted", "plain"):
+        model = EnergyModel(grid=grid, congestion=CongestionSpec.entropy(convention),
+                            kernel=InteractionKernel.quadratic_distance(2.0))
+        scenarios[convention] = Scenario(mu=mu, cost=CostSpec.quadratic(), model=model, m=256)
+        solves[convention] = minimize_quantile(scenarios[convention], SolverParams(grad_tol=1e-9))
+    shifted, plain = solves["shifted"], solves["plain"]
+    assert shifted.converged and plain.converged
+    assert np.max(np.abs(plain.G.values - shifted.G.values)) <= 1e-15
+    assert abs(plain.M - shifted.M) <= 1e-15
+    assert plain.J_value - shifted.J_value == pytest.approx(1.0, abs=1e-12)
+    nu = shifted.nu
+    gap = tax_paper(scenarios["shifted"], nu) - tax_paper(scenarios["plain"], nu)
+    assert np.allclose(gap, nu.values, rtol=0.0, atol=1e-12)
 
 
 def test_tax_marginal_entropy_is_one_plus_field():
@@ -305,11 +326,13 @@ def test_social_scenario_shares_geometry():
 
 
 def test_cost_of_anarchy_builds_the_social_scenario_once(monkeypatch):
-    """``cost_of_anarchy`` builds one social scenario (one
-    ``CongestionSpec.social`` call) for the optimum, both social costs and
-    the average-cost tax, and reports the bits the public functions give."""
+    """``cost_of_anarchy`` builds one social scenario, and the model one
+    social counterpart (one ``CongestionSpec.social`` call), for the
+    optimum, both social costs and the average-cost tax.  It prices through
+    the public ``social_cost`` (twice) and ``tax_paper`` (once) and reports
+    the bits they give."""
     scenario, params = _congested(n=32, m=128), SolverParams(grad_tol=1e-8)
-    calls = {"scenario": 0, "social": 0}
+    calls = {"scenario": 0, "social": 0, "social_cost": 0, "tax_paper": 0}
 
     def counted(key, fn):
         def spy(*args):
@@ -319,8 +342,10 @@ def test_cost_of_anarchy_builds_the_social_scenario_once(monkeypatch):
 
     monkeypatch.setattr(welfare, "social_scenario", counted("scenario", welfare.social_scenario))
     monkeypatch.setattr(CongestionSpec, "social", counted("social", CongestionSpec.social))
+    monkeypatch.setattr(welfare, "social_cost", counted("social_cost", welfare.social_cost))
+    monkeypatch.setattr(welfare, "tax_paper", counted("tax_paper", welfare.tax_paper))
     report = cost_of_anarchy(scenario, params)
-    assert calls == {"scenario": 1, "social": 1}
+    assert calls == {"scenario": 1, "social": 1, "social_cost": 2, "tax_paper": 1}
     monkeypatch.undo()
 
     opt = minimize_social_cost(scenario, params)
