@@ -143,8 +143,11 @@ def _build_mu(raw: dict, grid: Grid, base_dir: Path) -> DiscreteDensity:
         mean = _number(obj, "mean", "/mu")
         sigma = _number(obj, "sigma", "/mu")
         _require(sigma > 0, "/mu/sigma", "must be > 0")
-        mu = gaussian_truncated_density(grid, mean, sigma)
-        _require(bool(np.all(mu.values > 0)), "/mu/sigma",
+        try:
+            mu = gaussian_truncated_density(grid, mean, sigma)
+        except ValueError:  # every cell underflows: no mass left to normalize
+            mu = None
+        _require(mu is not None and bool(np.all(mu.values > 0)), "/mu/sigma",
                  "resulting density is not strictly positive on the grid "
                  "(truncated tail underflows); widen sigma or shrink the interval")
         return mu

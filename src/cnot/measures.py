@@ -212,13 +212,20 @@ def uniform_density(grid: Grid) -> DiscreteDensity:
 
 
 def density_from_values(grid: Grid, values: Iterable[float]) -> DiscreteDensity:
-    """Density from raw non-negative cell values, normalized to unit mass."""
+    """Density from raw non-negative cell values, normalized to unit mass.
+
+    Finite values whose sum overflows are first divided by their maximum;
+    values with a finite sum are normalized as they are."""
     v = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
     if v.shape != (grid.n,):
         raise ValueError(f"expected {grid.n} values, got {v.shape}")
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise ValueError("density values must be finite and non-negative")
-    total = v.sum() * grid.delta
+    with np.errstate(over="ignore"):
+        total = v.sum() * grid.delta
+    if not np.isfinite(total):
+        v = v / v.max()
+        total = v.sum() * grid.delta
     if total <= 0:
         raise ValueError("density values must carry positive mass")
     return DiscreteDensity(grid, v / total)

@@ -3,19 +3,23 @@
 Two independent routes to the transport cost are kept side by side on
 purpose: the quantile (monotone rearrangement) route used by the solver, and
 an exact linear-programming oracle on atomized measures used to cross-check
-it.  The LP also returns dual potentials with a certified duality gap.
+it.  The LP also returns dual potentials with a certified duality gap, and
+calls HiGHS through scipy's compiled ``_highspy/_core`` extension, loaded
+from its file on the first call (``_load_scipy_extension``).
 """
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from importlib.machinery import EXTENSION_SUFFIXES
+from types import ModuleType
+from typing import Callable, Optional
 
 import numpy as np
 
 from .measures import DiscreteDensity, density_to_quantile
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "CostSpec",
@@ -188,13 +192,87 @@ def wasserstein_cost_1d(
     return float(np.sum(cost.C(H - G)) / m)
 
 
-def _transport_lp_matrix(n: int, m: int) -> sparse.csr_matrix:
-    from scipy import sparse
+def _load_scipy_extension(name: str) -> ModuleType:
+    """scipy's compiled module ``name`` (``scipy.linalg._flapack``, say), loaded
+    from its file without importing the scipy packages above it.
 
-    rows = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
-    cols = np.concatenate([np.arange(n * m), np.arange(n * m)])
-    vals = np.ones(2 * n * m)
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n + m, n * m)).tocsr()
+    Importing a whole scipy package to reach one extension costs tens of
+    megabytes and hundreds of modules.  The file sits under the directory of
+    scipy's ``__init__`` (``find_spec`` locates it without importing scipy),
+    at the path of the dotted name, with one of ``EXTENSION_SUFFIXES``.  The
+    module is registered under ``name``, the name scipy imports it under, so
+    a later import of its package reuses it: an extension module must not be
+    loaded twice.  A module already loaded under ``name`` is returned as it
+    is.  Raises whatever breaks the file route (a build that keeps the
+    extension elsewhere or cannot load it this way); callers fall back to
+    the package import.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    stem = os.path.join(root, *name.split(".")[1:])
+    path = next(stem + sx for sx in EXTENSION_SUFFIXES if os.path.isfile(stem + sx))
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _highs_solve(
+    highs: ModuleType, c: np.ndarray, indptr: np.ndarray, indices: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``min c.x`` subject to ``A x = rhs``, ``x >= 0`` with the 0/1 matrix
+    ``A`` in CSC form, solved by HiGHS with the options
+    ``linprog(method="highs")`` passes (presolve on, dual simplex, no
+    output); returns ``x``, the row duals and the objective value."""
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(c.size)
+    lp.col_upper_ = np.full(c.size, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = rhs
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = np.ones(indices.size)
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.output_flag = options.log_to_console = False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"transport LP failed: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    return (
+        np.array(solution.col_value),
+        np.array(solution.row_dual),
+        float(solver.getInfo().objective_function_value),
+    )
+
+
+def _linprog_solve(
+    c: np.ndarray, indptr: np.ndarray, indices: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``_highs_solve`` through ``scipy.optimize.linprog``, which loads
+    ``scipy.optimize`` and ``scipy.sparse``."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
+    A = csc_array((np.ones(indices.size), indices, indptr), shape=(rhs.size, c.size))
+    res = linprog(c, A_eq=A, b_eq=rhs, bounds=(0.0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return res.x, np.asarray(res.eqlin.marginals, dtype=float), float(res.fun)
 
 
 def solve_lp(
@@ -211,11 +289,11 @@ def solve_lp(
     matrix form admits non-interval atom sets, e.g. product couplings).
     The dual potentials come from the LP equality multipliers; ``phi`` is
     shifted to vanish at atom 0, ``phi_c`` is tightened to the exact
-    c-transform, and the duality gap is certified to 1e-9.  ``scipy.optimize``
-    and ``scipy.sparse`` load on the first call, not with ``cnot``.
+    c-transform, and the duality gap is certified to 1e-9.  HiGHS is called
+    through scipy's compiled bindings, loaded from their file on the first
+    call (no scipy package is imported); only where that fails does the LP go
+    through ``scipy.optimize.linprog``, with the same bits.
     """
-    from scipy.optimize import linprog
-
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -223,7 +301,7 @@ def solve_lp(
     n, m = a.size, b.size
     if n > MAX_LP_ATOMS or m > MAX_LP_ATOMS:
         raise ValueError(f"LP oracle caps atom counts at {MAX_LP_ATOMS}")
-    if abs(a.sum() - 1.0) > 1e-9 or abs(b.sum() - 1.0) > 1e-9:
+    if not (abs(a.sum() - 1.0) <= 1e-9 and abs(b.sum() - 1.0) <= 1e-9):  # NaN fails too
         raise ValueError("atom weights must each sum to one")
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("atom weights must be non-negative")
@@ -235,19 +313,23 @@ def solve_lp(
         cm = np.asarray(cost_matrix, dtype=float)
         if cm.shape != (n, m):
             raise ValueError("cost matrix shape must be (len(a), len(b))")
+    if not np.all(np.isfinite(cm)):
+        raise ValueError("cost matrix must be finite")
 
-    res = linprog(
-        cm.ravel(),
-        A_eq=_transport_lp_matrix(n, m),
-        b_eq=np.concatenate([a, b]),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan_matrix = np.clip(res.x.reshape(n, m), 0.0, None)
-    value = float(res.fun)
-    u = np.asarray(res.eqlin.marginals[:n], dtype=float)
+    # column i * m + j (plan entry (i, j)) holds rows i and n + j
+    indptr = np.arange(0, 2 * n * m + 1, 2, dtype=np.int32)
+    indices = np.empty(2 * n * m, dtype=np.int32)
+    indices[0::2] = np.repeat(np.arange(n, dtype=np.int32), m)
+    indices[1::2] = np.tile(np.arange(n, n + m, dtype=np.int32), n)
+    args = (cm.ravel(), indptr, indices, np.concatenate([a, b]))
+    try:
+        highs = _load_scipy_extension(_HIGHS)
+    except Exception:  # whatever breaks the file route, linprog is the reference
+        flat, duals, value = _linprog_solve(*args)
+    else:
+        flat, duals, value = _highs_solve(highs, *args)
+    plan_matrix = np.clip(flat.reshape(n, m), 0.0, None)
+    u = duals[:n]
     phi = u - u[0]
     phi_c = np.min(cm - phi[:, None], axis=0)
     pair = PotentialPair(phi=phi, phi_c=phi_c)

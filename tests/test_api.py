@@ -56,9 +56,10 @@ solved, linalg_solved = result.converged, "scipy.linalg" in sys.modules
 x = np.array([0.0, 1.0])
 plan, _, value = cnot.solve_lp(np.array([0.5, 0.5]), x, np.array([0.5, 0.5]), x,
                                cost_matrix=(x[:, None] - x[None, :]) ** 2)
+after = loaded()
 import scipy.linalg.lapack
 print(json.dumps({"before": before, "linalg": linalg, "solved": solved,
-                  "linalg_solved": linalg_solved, "after": loaded(),
+                  "linalg_solved": linalg_solved, "after": after,
                   "same_dptsv": scipy.linalg.lapack.dptsv is cnot.solver.dptsv,
                   "plan": plan.matrix.tolist(), "value": value}))
 """
@@ -68,8 +69,10 @@ def test_import_leaves_the_lp_solver_unloaded():
     """A fresh ``import cnot, cnot.cli`` loads neither ``scipy.optimize`` nor
     ``scipy.sparse``, and not the ``scipy.linalg`` package either: the solver
     takes LAPACK ``dptsv`` from scipy's extension file, and a solve loads no
-    more.  The first ``solve_lp`` call loads ``scipy.optimize`` and returns
-    the exact plan; the ``scipy.linalg`` it brings reuses the extension, so
+    more.  The first ``solve_lp`` call loads only scipy's HiGHS bindings
+    (``scipy.optimize._highspy._core``) from their file, still no
+    ``scipy.optimize`` or ``scipy.sparse`` package, and returns the exact
+    plan.  A later ``import scipy.linalg`` reuses the LAPACK extension, so
     ``scipy.linalg.lapack.dptsv`` is the solver's routine."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -79,7 +82,7 @@ def test_import_leaves_the_lp_solver_unloaded():
     assert out["before"] == []
     assert not out["linalg"]
     assert out["solved"] and not out["linalg_solved"]
-    assert "scipy.optimize" in out["after"]
+    assert out["after"] and all(m.startswith("scipy.optimize._highspy._core") for m in out["after"])
     assert out["same_dptsv"]
     assert out["plan"] == [[0.5, 0.0], [0.0, 0.5]]
     assert out["value"] == 0.0

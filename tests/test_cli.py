@@ -260,6 +260,17 @@ def test_non_finite_scenario_numbers_are_rejected(tmp_path, capsys, section, val
     assert f"{pointer}: " in capsys.readouterr().err
 
 
+def test_gaussian_source_that_underflows_everywhere_is_a_validation_error(tmp_path, capsys):
+    """A truncated Gaussian so narrow that every cell underflows to zero
+    fails validation under ``/mu/sigma``, not with a traceback."""
+    scn = _write_scenario(tmp_path / "s.json", grid_n=16, quantile_m=64,
+                          mu={"kind": "gaussian_truncated", "mean": 0.5, "sigma": 1e-4})
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "/mu/sigma: " in err and "underflows" in err
+    assert "Traceback" not in err
+
+
 def test_verify_runs_requested_checks(tmp_path):
     scn = _write_scenario(tmp_path / "s.json")
     out = tmp_path / "out"

@@ -66,6 +66,19 @@ def test_density_from_values_normalizes():
         density_from_values(grid, np.full(10, -1.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_from_values_scales_values_whose_sum_overflows():
+    """Finite values whose sum overflows (1e308 in every cell) give the
+    uniform density with no overflow warning; values with a finite sum keep
+    the bits of a plain normalization."""
+    grid = Grid(Interval(0.0, 1.0), 16)
+    d = density_from_values(grid, np.full(16, 1e308))
+    assert np.array_equal(d.values, uniform_density(grid).values)
+    values = np.random.default_rng(2).uniform(0.5, 1.5, 16)
+    plain = values / (values.sum() * grid.delta)
+    assert density_from_values(grid, values).values.tobytes() == plain.tobytes()
+
+
 def test_builtin_densities_unit_mass():
     """The shipped density constructors all integrate to one."""
     grid = Grid(Interval(3.0, 7.0), 33)

@@ -1,5 +1,10 @@
 """Transport costs, the LP oracle, and Kantorovich duality."""
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from cnot import (
     density_from_values,
     gaussian_truncated_density,
     kantorovich_potential_1d,
+    minimize_quantile,
     monotone_map_1d,
     pushforward,
     quantile_resolution,
@@ -20,6 +26,10 @@ from cnot import (
     w2_squared_1d,
     wasserstein_cost_1d,
 )
+from cnot.cli import _load_bundle
+from cnot.verify import _PURITY_ATOMS, _coarsen_atoms
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _block(grid, center, halfwidth):
@@ -129,6 +139,131 @@ def test_lp_validation():
         solve_lp(np.array([1.5, -0.5]), x, np.array([0.5, 0.5]), x, cost=CostSpec.quadratic())
     with pytest.raises(ValueError):
         solve_lp(np.array([0.5, 0.5]), x, np.array([0.5, 0.5]), x)
+
+
+def test_lp_rejects_non_finite_costs_and_weights():
+    """A NaN or infinite cost entry, or a NaN weight, is a ``ValueError``
+    before any solve."""
+    x = np.array([0.0, 1.0])
+    w = np.array([0.5, 0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        cm = np.array([[0.0, 1.0], [bad, 0.0]])
+        with pytest.raises(ValueError, match="cost matrix must be finite"):
+            solve_lp(w, x, w, x, cost_matrix=cm)
+    infinite_at_zero = CostSpec.convex_difference(lambda t: np.where(t == 0.0, np.inf, t * t))
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_lp(w, x, w, x, cost=infinite_at_zero)
+    with pytest.raises(ValueError, match="sum to one"):
+        solve_lp(np.array([np.nan, 0.5]), x, w, x, cost=CostSpec.quadratic())
+
+
+def _linprog_reference(a, b, cm):
+    """Plan, ``phi`` and value of the transport LP through
+    ``scipy.optimize.linprog(method="highs")``, with the constraint matrix
+    built from COO triplets: the independent reference for the direct
+    HiGHS route."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    n, m = a.size, b.size
+    rows = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
+    cols = np.tile(np.arange(n * m), 2)
+    A = coo_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m)).tocsr()
+    res = linprog(cm.ravel(), A_eq=A, b_eq=np.concatenate([a, b]), bounds=(0.0, None),
+                  method="highs")
+    assert res.status == 0
+    u = res.eqlin.marginals[:n]
+    return np.clip(res.x.reshape(n, m), 0.0, None), u - u[0], res.fun
+
+
+def _assert_lp_bits(a, x, b, y, cm):
+    plan, pair, value = solve_lp(a, x, b, y, cost_matrix=cm)
+    ref_plan, ref_phi, ref_value = _linprog_reference(a, b, cm)
+    assert plan.matrix.tobytes() == ref_plan.tobytes()
+    assert pair.phi.tobytes() == ref_phi.tobytes()
+    assert pair.phi_c.tobytes() == np.min(cm - ref_phi[:, None], axis=0).tobytes()
+    assert value == ref_value
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (8, 8), (5, 13), (40, 17), (64, 64)])
+def test_lp_has_the_bits_of_linprog_on_random_problems(n, m):
+    """On seeded random transport LPs, square and rectangular, with
+    quadratic and with unstructured costs, ``solve_lp`` returns the plan,
+    duals and value that ``linprog(method="highs")`` gives, byte for byte."""
+    rng = np.random.default_rng(100 * n + m)
+    a = rng.uniform(0.1, 1.0, n)
+    a /= a.sum()
+    b = rng.uniform(0.1, 1.0, m)
+    b /= b.sum()
+    x = np.sort(rng.uniform(-1.0, 1.0, n))
+    y = np.sort(rng.uniform(-1.0, 1.0, m))
+    _assert_lp_bits(a, x, b, y, CostSpec.quadratic().cost_matrix(x, y))
+    _assert_lp_bits(a, x, b, y, rng.uniform(0.0, 1.0, (n, m)))
+
+
+@pytest.mark.parametrize("name", ["uniform", "congested_gaussian", "cubic_attraction", "figure1"])
+def test_lp_has_the_bits_of_linprog_on_the_shipped_purity_problems(name):
+    """The purity check's LP on a shipped scenario (both measures coarsened
+    to 64 atoms, as ``purity_check`` does) has the bits of
+    ``linprog(method="highs")``."""
+    bundle = _load_bundle(str(ROOT / "scenarios" / f"{name}.json"))
+    scenario = bundle.scenario
+    nu = minimize_quantile(scenario, bundle.params).nu
+    k = min(_PURITY_ATOMS, scenario.n)
+    a, x = _coarsen_atoms(scenario.mu, k)
+    b, y = _coarsen_atoms(nu, k)
+    _assert_lp_bits(a, x, b, y, scenario.cost.cost_matrix(x, y))
+
+
+LP_ROUTE_PROBE = """
+import importlib.util, json, sys
+import numpy as np
+
+if sys.argv[1] == "broken":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *a: None if name == "scipy" else find_spec(name, *a)
+from cnot import CostSpec, solve_lp
+
+rng = np.random.default_rng(5)
+results = []
+for n, m in ((6, 6), (9, 4)):
+    a, b = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m)
+    a, b = a / a.sum(), b / b.sum()
+    x, y = np.sort(rng.uniform(0.0, 1.0, n)), np.sort(rng.uniform(0.0, 1.0, m))
+    plan, pair, value = solve_lp(a, x, b, y, cost=CostSpec.quadratic())
+    results.append([plan.matrix.tobytes().hex(), pair.phi.tobytes().hex(),
+                    pair.phi_c.tobytes().hex(), value.hex()])
+packages = [name for name in sys.modules
+            if name == "scipy.optimize" or name.startswith("scipy.sparse")]
+core = sys.modules.get("scipy.optimize._highspy._core")
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _highs_wrapper
+ok = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs").x.tolist() == [1.0, 0.0]
+print(json.dumps({"results": results, "packages": packages, "linprog_ok": ok,
+                  "reused": core is not None and _highs_wrapper._h is core}))
+"""
+
+
+def _lp_route_probe(route: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", LP_ROUTE_PROBE, route], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_lp_loads_highs_from_its_file_and_falls_back_to_linprog():
+    """In a fresh process ``solve_lp`` reaches HiGHS without importing the
+    ``scipy.optimize`` or ``scipy.sparse`` packages, and a later
+    ``from scipy.optimize import linprog`` works and reuses the loaded
+    bindings.  With scipy's location broken (``find_spec`` answers None) the
+    LP goes through ``linprog`` instead and gives the same bits."""
+    direct = _lp_route_probe("file")
+    fallback = _lp_route_probe("broken")
+    assert direct["packages"] == []
+    assert "scipy.optimize" in fallback["packages"]
+    assert direct["linprog_ok"] and fallback["linprog_ok"]
+    assert direct["reused"]
+    assert direct["results"] == fallback["results"]
 
 
 def test_c_transform_definition():
