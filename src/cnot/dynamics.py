@@ -102,8 +102,7 @@ def jko_step(
     inner: Optional[SolverParams] = None,
 ) -> DiscreteDensity:
     """One minimizing-movement step from ``nu_k`` with step size ``tau``."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    JkoParams(tau=tau, steps=1)  # refuses a tau that is not a finite number > 0
     if nu_k.grid != scenario.grid:
         raise ValueError("nu_k must live on the scenario grid")
     G_anchor = density_to_quantile(nu_k, scenario.m).values

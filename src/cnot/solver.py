@@ -176,8 +176,8 @@ class _QuantileProblem:
         if prox is not None:
             anchor, tau = prox
             anchor = np.ascontiguousarray(anchor, dtype=float)
-            if anchor.shape != (self.m,) or not tau > 0:
-                raise ValueError("proximal anchor must have length m and tau > 0")
+            if anchor.shape != (self.m,) or not 0.0 < tau < math.inf:
+                raise ValueError("proximal anchor must have length m and a finite tau > 0")
             prox = (anchor, float(tau))
         self.prox = prox
 
@@ -272,37 +272,17 @@ class _QuantileProblem:
         return np.minimum(_CURV_MAX, diag, out=diag), -psi2
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _load_dptsv():
-    """LAPACK ``dptsv`` from scipy's ``_flapack`` extension, loaded from its file.
-
-    Importing the ``scipy.linalg`` package to reach this one routine would
-    cost most of a cold ``import cnot``.  ``transport._load_scipy_extension``
-    loads the file under scipy's own name ``scipy.linalg._flapack``, so a
-    later ``import scipy.linalg`` reuses it and its ``lapack.dptsv`` is this
-    object (the package then binds no ``_flapack`` attribute; ``from
-    scipy.linalg import _flapack`` still finds the module).  On any failure
-    of the file route the routine comes from ``scipy.linalg.lapack``.
-    """
-    try:
-        return _load_scipy_extension(_FLAPACK).dptsv
-    except Exception:  # whatever breaks the file route, the package import is the reference
-        from scipy.linalg.lapack import dptsv
-
-        return dptsv
-
-
-dptsv = _load_dptsv()
+dptsv = _load_scipy_extension("scipy.linalg._flapack").dptsv
 
 
 def solveh_banded(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     """Solve the tridiagonal system ``(diag, sub) x = rhs`` (``sub`` is overwritten) by
     LAPACK ``dptsv``, as ``scipy.linalg.solveh_banded`` does for a two-row band but
     without its validation layers; None when the matrix is not positive definite.
-    ``dptsv`` is loaded from scipy's LAPACK extension without importing the
-    ``scipy.linalg`` package (``_load_dptsv``)."""
+    ``dptsv`` comes from scipy's LAPACK extension ``scipy.linalg._flapack``, loaded by
+    ``transport._load_scipy_extension``: from its file without importing the
+    ``scipy.linalg`` package, or where that fails through the import system.  A later
+    ``import scipy.linalg`` reuses the module, so its ``lapack.dptsv`` is this routine."""
     _, _, x, info = dptsv(diag, sub, rhs, overwrite_e=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dptsv")

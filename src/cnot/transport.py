@@ -4,8 +4,9 @@ Two independent routes to the transport cost are kept side by side on
 purpose: the quantile (monotone rearrangement) route used by the solver, and
 an exact linear-programming oracle on atomized measures used to cross-check
 it.  The LP also returns dual potentials with a certified duality gap, and
-calls HiGHS through scipy's compiled ``_highspy/_core`` extension, loaded
-from its file on the first call (``_load_scipy_extension``).
+calls HiGHS through scipy's compiled ``_highspy/_core`` extension, loaded on
+the first call by ``_load_scipy_extension``: from its file, or through the
+import system where the file route fails.
 """
 from __future__ import annotations
 
@@ -203,19 +204,22 @@ def _load_scipy_extension(name: str) -> ModuleType:
     module is registered under ``name``, the name scipy imports it under, so
     a later import of its package reuses it: an extension module must not be
     loaded twice.  A module already loaded under ``name`` is returned as it
-    is.  Raises whatever breaks the file route (a build that keeps the
-    extension elsewhere or cannot load it this way); callers fall back to
-    the package import.
+    is.  Where any step of the file route fails (a build that keeps the
+    extension elsewhere or cannot load it this way), the same module comes
+    from ``importlib.import_module(name)``, which imports its packages too.
     """
     module = sys.modules.get(name)
     if module is not None:
         return module
-    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
-    stem = os.path.join(root, *name.split(".")[1:])
-    path = next(stem + sx for sx in EXTENSION_SUFFIXES if os.path.isfile(stem + sx))
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+        stem = os.path.join(root, *name.split(".")[1:])
+        path = next(stem + sx for sx in EXTENSION_SUFFIXES if os.path.isfile(stem + sx))
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:  # whatever breaks the file route, the import system is the reference
+        return importlib.import_module(name)
     sys.modules[name] = module
     return module
 
@@ -227,9 +231,9 @@ def _highs_solve(
     highs: ModuleType, c: np.ndarray, indptr: np.ndarray, indices: np.ndarray, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """``min c.x`` subject to ``A x = rhs``, ``x >= 0`` with the 0/1 matrix
-    ``A`` in CSC form, solved by HiGHS with the options
-    ``linprog(method="highs")`` passes (presolve on, dual simplex, no
-    output); returns ``x``, the row duals and the objective value."""
+    ``A`` in CSC form, solved by HiGHS with the options scipy's own HiGHS LP
+    method passes (presolve on, dual simplex, no output), so with its bits;
+    returns ``x``, the row duals and the objective value."""
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
     lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
@@ -260,21 +264,6 @@ def _highs_solve(
     )
 
 
-def _linprog_solve(
-    c: np.ndarray, indptr: np.ndarray, indices: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """``_highs_solve`` through ``scipy.optimize.linprog``, which loads
-    ``scipy.optimize`` and ``scipy.sparse``."""
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_array
-
-    A = csc_array((np.ones(indices.size), indices, indptr), shape=(rhs.size, c.size))
-    res = linprog(c, A_eq=A, b_eq=rhs, bounds=(0.0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return res.x, np.asarray(res.eqlin.marginals, dtype=float), float(res.fun)
-
-
 def solve_lp(
     a: np.ndarray,
     x: np.ndarray,
@@ -290,9 +279,9 @@ def solve_lp(
     The dual potentials come from the LP equality multipliers; ``phi`` is
     shifted to vanish at atom 0, ``phi_c`` is tightened to the exact
     c-transform, and the duality gap is certified to 1e-9.  HiGHS is called
-    through scipy's compiled bindings, loaded from their file on the first
-    call (no scipy package is imported); only where that fails does the LP go
-    through ``scipy.optimize.linprog``, with the same bits.
+    through scipy's compiled bindings, loaded by ``_load_scipy_extension``
+    on the first call: from their file, so that no scipy package is
+    imported, or where that fails through the import system.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -321,13 +310,9 @@ def solve_lp(
     indices = np.empty(2 * n * m, dtype=np.int32)
     indices[0::2] = np.repeat(np.arange(n, dtype=np.int32), m)
     indices[1::2] = np.tile(np.arange(n, n + m, dtype=np.int32), n)
-    args = (cm.ravel(), indptr, indices, np.concatenate([a, b]))
-    try:
-        highs = _load_scipy_extension(_HIGHS)
-    except Exception:  # whatever breaks the file route, linprog is the reference
-        flat, duals, value = _linprog_solve(*args)
-    else:
-        flat, duals, value = _highs_solve(highs, *args)
+    flat, duals, value = _highs_solve(
+        _load_scipy_extension(_HIGHS), cm.ravel(), indptr, indices, np.concatenate([a, b])
+    )
     plan_matrix = np.clip(flat.reshape(n, m), 0.0, None)
     u = duals[:n]
     phi = u - u[0]

@@ -60,7 +60,7 @@ class ResidualReport:
     core_cells: int = 0
 
     def __post_init__(self) -> None:
-        if self.residual_sup < 0 or self.residual_eq < 0:
+        if not (self.residual_sup >= 0 and self.residual_eq >= 0):  # NaN fails too
             raise ValueError("residuals must be non-negative")
 
 
@@ -122,8 +122,8 @@ def equilibrium_residual(
     total = pair.phi_c + first_variation(scenario.model, nu)
     if tax is not None:
         tax = np.asarray(tax, dtype=float)
-        if tax.shape != (scenario.n,):
-            raise ValueError("tax must be a vector on the scenario grid")
+        if tax.shape != (scenario.n,) or not np.all(np.isfinite(tax)):
+            raise ValueError("tax must be a finite vector on the scenario grid")
         total = total + tax
     epsilon = _SUPPORT_EPS_FACTOR * float(np.max(nu.values))
     support = nu.values > epsilon
@@ -133,7 +133,7 @@ def equilibrium_residual(
         core = support
     M = float(np.median(total[core]))
     residual_eq = float(np.max(np.abs(total[core] - M)))
-    residual_sup = float(max(0.0, np.max(M - total)))
+    residual_sup = float(np.max(M - total, initial=0.0))
     return ResidualReport(
         residual_sup=residual_sup,
         residual_eq=residual_eq,
@@ -145,48 +145,44 @@ def equilibrium_residual(
 
 
 def _coarsen_atoms(nu: DiscreteDensity, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate grid cells into ``k`` consecutive blocks (mass-weighted centers)."""
-    n = nu.grid.n
-    bounds = np.linspace(0, n, k + 1).astype(int)
-    nodes = nu.grid.nodes
-    masses = nu.masses
-    weights = np.empty(k)
-    points = np.empty(k)
-    for i in range(k):
-        sl = slice(bounds[i], bounds[i + 1])
-        w = masses[sl].sum()
-        weights[i] = w
-        points[i] = (
-            float(np.dot(masses[sl], nodes[sl]) / w) if w > 0 else float(nodes[sl].mean())
-        )
+    """Aggregate grid cells into ``k`` consecutive blocks (mass-weighted centers;
+    a block with no mass sits at the mean of its nodes)."""
+    nodes, masses = nu.grid.nodes, nu.masses
+    bounds = np.linspace(0, nu.grid.n, k + 1).astype(int)
+    starts = bounds[:-1]
+    weights = np.add.reduceat(masses, starts)
+    points = np.add.reduceat(nodes, starts) / np.diff(bounds)
+    np.divide(np.add.reduceat(masses * nodes, starts), weights, out=points, where=weights > 0)
     return weights / weights.sum(), points
 
 
 def _monotone_plan_cost(
     a: np.ndarray, x: np.ndarray, b: np.ndarray, y: np.ndarray, cost: CostSpec
 ) -> float:
-    """North-west-corner (monotone) coupling cost for sorted atom lists."""
-    total = 0.0
-    i = j = 0
-    ai, bj = a[0], b[0]
-    C = cost.C
-    while True:
-        move = min(ai, bj)
-        if move > 0:
-            total += move * float(C(x[i] - y[j]))
-        ai -= move
-        bj -= move
-        if ai <= 1e-15:
-            i += 1
-            if i == a.size:
-                break
-            ai = a[i]
-        if bj <= 1e-15:
-            j += 1
-            if j == b.size:
-                break
-            bj = b[j]
-    return total
+    """North-west-corner (monotone) coupling cost for sorted atom lists: the
+    two step quantiles paired on the union of their cumulative weights."""
+    A, B = np.cumsum(a), np.cumsum(b)
+    breaks = np.union1d(A, B)
+    i = np.minimum(np.searchsorted(A, breaks), a.size - 1)
+    j = np.minimum(np.searchsorted(B, breaks), b.size - 1)
+    return float(np.dot(np.diff(breaks, prepend=0.0), cost.C(x[i] - y[j])))
+
+
+def _crossing_scan(plan: np.ndarray) -> tuple[int, Optional[tuple]]:
+    """Used rows of ``plan`` whose first used column lies left of the rightmost
+    used column of the used rows above: their count, and the first of them as
+    ``(row, first column, rightmost column above)``.  An entry is used above
+    ``1e-10 max(1, max(plan))``."""
+    used = plan > 1e-10 * max(1.0, float(np.max(plan)))
+    rows = np.flatnonzero(used.any(axis=1))
+    first = used[rows].argmax(axis=1)
+    last = used.shape[1] - 1 - used[rows, ::-1].argmax(axis=1)
+    prev_max = np.maximum.accumulate(np.concatenate([[-1], last]))[:-1]
+    crossed = np.flatnonzero(first < prev_max)
+    if not crossed.size:
+        return 0, None
+    c = crossed[0]
+    return int(crossed.size), (int(rows[c]), int(first[c]), int(prev_max[c]))
 
 
 def purity_check(scenario: "Scenario", nu: DiscreteDensity) -> PurityReport:
@@ -205,20 +201,7 @@ def purity_check(scenario: "Scenario", nu: DiscreteDensity) -> PurityReport:
     plan, _, lp_value = solve_lp(a, x, b, y, cost=scenario.cost)
     monotone_value = _monotone_plan_cost(a, x, b, y, scenario.cost)
     cost_gap = abs(monotone_value - lp_value)
-
-    tol = 1e-10 * max(1.0, float(np.max(plan.matrix)))
-    crossings = 0
-    witness = None
-    prev_max = -1
-    for i in range(k):
-        cols = np.nonzero(plan.matrix[i] > tol)[0]
-        if cols.size == 0:
-            continue
-        if cols[0] < prev_max:
-            crossings += 1
-            if witness is None:
-                witness = (i, int(cols[0]), prev_max)
-        prev_max = max(prev_max, int(cols[-1]))
+    crossings, witness = _crossing_scan(plan.matrix)
     pure = bool(crossings == 0 and cost_gap <= 1e-8 * (1.0 + abs(lp_value)))
     return PurityReport(
         pure=pure,
@@ -290,7 +273,7 @@ def displacement_convexity_probe(
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, 21)
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0.0) or np.any(t_grid > 1.0):
+    if not np.all((0.0 <= t_grid) & (t_grid <= 1.0)):  # NaN fails too
         raise ValueError("t_grid values must lie in [0, 1]")
     scenario.cost.require_strictly_convex(scenario.interval.length)
     Ga = density_to_quantile(nu_a, scenario.m).values
@@ -300,7 +283,7 @@ def displacement_convexity_probe(
     J_b = problem.value(Gb)
     J_values = np.array([problem.value((1.0 - t) * Ga + t * Gb) for t in t_grid])
     chords = (1.0 - t_grid) * J_a + t_grid * J_b
-    max_violation = float(max(0.0, np.max(J_values - chords)))
+    max_violation = float(np.max(J_values - chords, initial=0.0))
     J_mid = problem.value(0.5 * (Ga + Gb))
     midpoint_margin = float(0.5 * J_a + 0.5 * J_b - J_mid)
     return DisplacementReport(
@@ -329,7 +312,7 @@ def transport_derivative_check(
     if nu.grid != mu.grid or rho.grid != mu.grid:
         raise ValueError("all three measures must share one grid")
     eps = np.asarray(list(eps_list), dtype=float)
-    if np.any(eps <= 0.0) or np.any(eps > 1.0):
+    if not np.all((0.0 < eps) & (eps <= 1.0)):  # NaN fails too
         raise ValueError("eps values must lie in (0, 1]")
     pair = kantorovich_potential_1d(mu, nu, cost)
     direction = rho.values - nu.values

@@ -50,11 +50,11 @@ def test_jko_params_validation():
 
 
 def test_jko_step_validation():
-    """Single-step inputs are checked for sign and grid compatibility."""
+    """Single-step inputs are checked for sign, finiteness and grid compatibility."""
     scenario = _scenario()
     nu0 = uniform_density(scenario.grid)
-    for tau in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="tau"):
+    for tau in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be a finite number > 0"):
             jko_step(scenario, nu0, tau=tau)
     other = uniform_density(Grid(Interval(0.0, 1.0), 48))
     with pytest.raises(ValueError, match="grid"):

@@ -663,8 +663,8 @@ def test_dptsv_loaded_from_the_extension_file_has_the_bits_of_scipy_lapack():
     the ``scipy.linalg`` package, and returns the bits of
     ``scipy.linalg.lapack.dptsv`` (each in a fresh process) on
     positive-definite and indefinite tridiagonals.  With scipy's location
-    broken (``find_spec`` answers None), the loader falls back to
-    ``scipy.linalg.lapack`` and gives the same bits.  Either way a later
+    broken (``find_spec`` answers None), the extension comes through the
+    import system, which loads ``scipy.linalg``, and gives the same bits.  Either way a later
     ``import scipy.linalg`` reuses the extension module the solver loaded
     and hands out the solver's routine."""
     reference = _dptsv_probe("scipy")
@@ -731,8 +731,8 @@ def test_proximal_anchor_pins_solution():
     assert np.max(np.abs(far.G.values - anchor)) > 1e-2
     with pytest.raises(ValueError, match="anchor"):
         minimize_quantile(scenario, prox=(anchor[:-1], 1.0))
-    for tau in (0.0, float("nan")):
-        with pytest.raises(ValueError, match="anchor"):
+    for tau in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite tau > 0"):
             minimize_quantile(scenario, prox=(anchor, tau))
 
 

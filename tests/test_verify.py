@@ -25,6 +25,7 @@ from cnot import (
     two_bumps_density,
     uniform_density,
 )
+from cnot.verify import _coarsen_atoms, _crossing_scan, _monotone_plan_cost
 
 
 def _uniform_scenario(n=64, m=256):
@@ -49,9 +50,10 @@ def _congested(n=128, m=1024, kappa=2.0):
 
 
 def test_residual_report_validation():
-    """Negative residuals are impossible and rejected."""
-    with pytest.raises(ValueError, match="non-negative"):
-        ResidualReport(residual_sup=-1.0, residual_eq=0.0, M=0.0, epsilon=1e-6)
+    """Negative and NaN residuals are impossible and rejected."""
+    for sup, eq in ((-1.0, 0.0), (np.nan, 0.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="non-negative"):
+            ResidualReport(residual_sup=sup, residual_eq=eq, M=0.0, epsilon=1e-6)
 
 
 def test_equilibrium_residual_uniform_is_zero():
@@ -88,6 +90,11 @@ def test_equilibrium_residual_erodes_support_edges():
         equilibrium_residual(scenario, uniform_density(Grid(Interval(0.0, 1.0), 48)))
     with pytest.raises(ValueError, match="grid"):
         equilibrium_residual(scenario, nu, tax=np.zeros(31))
+    for bad in (np.nan, np.inf):
+        tax = np.zeros(32)
+        tax[5] = bad
+        with pytest.raises(ValueError, match="tax must be a finite vector"):
+            equilibrium_residual(scenario, nu, tax=tax)
 
 
 def test_purity_of_computed_equilibrium():
@@ -101,6 +108,126 @@ def test_purity_of_computed_equilibrium():
     assert report.witness is None
     assert report.atoms <= 64
     assert report.cost_gap <= 1e-8 * (1.0 + abs(report.lp_value))
+
+
+def _coarsen_atoms_loop(nu, k):
+    """Block-by-block reference for ``_coarsen_atoms``."""
+    bounds = np.linspace(0, nu.grid.n, k + 1).astype(int)
+    weights, points = np.empty(k), np.empty(k)
+    for i in range(k):
+        sl = slice(bounds[i], bounds[i + 1])
+        w = nu.masses[sl].sum()
+        weights[i] = w
+        points[i] = np.dot(nu.masses[sl], nu.grid.nodes[sl]) / w if w > 0 else nu.grid.nodes[sl].mean()
+    return weights / weights.sum(), points
+
+
+def _monotone_plan_cost_loop(a, x, b, y, cost):
+    """North-west-corner walk over the two atom lists, the reference for
+    ``_monotone_plan_cost``."""
+    total, i, j, ai, bj = 0.0, 0, 0, a[0], b[0]
+    while True:
+        move = min(ai, bj)
+        if move > 0:
+            total += move * float(cost.C(x[i] - y[j]))
+        ai -= move
+        bj -= move
+        if ai <= 1e-15:
+            i += 1
+            if i == a.size:
+                return total
+            ai = a[i]
+        if bj <= 1e-15:
+            j += 1
+            if j == b.size:
+                return total
+            bj = b[j]
+
+
+def _crossing_scan_loop(plan):
+    """Row-by-row reference for ``_crossing_scan``."""
+    tol = 1e-10 * max(1.0, float(np.max(plan)))
+    crossings, witness, prev_max = 0, None, -1
+    for i in range(plan.shape[0]):
+        cols = np.nonzero(plan[i] > tol)[0]
+        if cols.size == 0:
+            continue
+        if cols[0] < prev_max:
+            crossings += 1
+            if witness is None:
+                witness = (i, int(cols[0]), prev_max)
+        prev_max = max(prev_max, int(cols[-1]))
+    return crossings, witness
+
+
+def test_coarsen_atoms_matches_the_block_loop_and_places_empty_blocks_at_their_mean():
+    """Blocks of a density with a massless stretch keep the loop's weights and
+    centres (to rounding), and a block with no mass sits at its mean node."""
+    grid = Grid(Interval(0.0, 1.0), 50)
+    values = np.exp(-0.5 * ((grid.nodes - 0.3) / 0.1) ** 2)
+    values[20:35] = 0.0
+    nu = density_from_values(grid, values)
+    for k in (1, 7, 16, 50):
+        weights, points = _coarsen_atoms(nu, k)
+        ref_weights, ref_points = _coarsen_atoms_loop(nu, k)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-14, atol=1e-300)
+        np.testing.assert_allclose(points, ref_points, rtol=1e-14)
+    weights, points = _coarsen_atoms(nu, 10)  # blocks of 5 cells; 4..6 have no mass
+    assert np.all(weights[4:7] == 0.0) and np.all(weights[[0, 1, 2, 3, 7]] > 0.0)
+    np.testing.assert_allclose(points[4:7], [grid.nodes[5 * i:5 * i + 5].mean() for i in (4, 5, 6)],
+                               rtol=1e-15)
+
+
+def test_monotone_plan_cost_matches_the_north_west_corner_walk():
+    """On atom lists with tied cumulative breaks, zero weights (first, inside
+    and last) and random weights, the cost equals the walk's."""
+    cost = CostSpec.quadratic()
+    x, y = np.linspace(0.0, 1.0, 4), np.array([0.1, 0.2, 0.6, 0.9])
+    cases = [
+        (np.full(4, 0.25), np.full(4, 0.25)),
+        (np.array([0.25, 0.25, 0.5, 0.0]), np.array([0.5, 0.0, 0.25, 0.25])),
+        (np.array([0.0, 0.5, 0.0, 0.5]), np.array([0.125, 0.375, 0.5, 0.0])),
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a, b = rng.uniform(0.0, 1.0, 4), rng.uniform(0.0, 1.0, 4)
+        a[rng.integers(4)] = 0.0
+        cases.append((a / a.sum(), b / b.sum()))
+    for a, b in cases:
+        assert _monotone_plan_cost(a, x, b, y, cost) == pytest.approx(
+            _monotone_plan_cost_loop(a, x, b, y, cost), rel=1e-12, abs=1e-15)
+    dyadic = cases[1]  # every break is exact: four pieces of mass 1/4
+    assert _monotone_plan_cost(dyadic[0], x, dyadic[1], y, cost) == pytest.approx(0.5 * (
+        0.25 * 0.1**2 + 0.25 * (1 / 3 - 0.1) ** 2 + 0.25 * (2 / 3 - 0.6) ** 2 + 0.25 * (2 / 3 - 0.9) ** 2),
+        rel=1e-15)
+
+
+def test_crossing_scan_matches_the_row_loop_on_random_sparse_plans():
+    """On random sparse plans, with and without crossings and with empty
+    rows, the scan gives the loop's count and witness; the witness names a
+    used entry left of a used entry in a row above."""
+    rng = np.random.default_rng(3)
+    crossed = 0
+    for _ in range(400):
+        n, m = rng.integers(1, 12, size=2)
+        plan = rng.uniform(0.0, 1.0, (n, m)) * (rng.uniform(size=(n, m)) < rng.uniform(0.05, 0.5))
+        if not plan.any():
+            plan[rng.integers(n), rng.integers(m)] = 1.0
+        plan[rng.uniform(size=(n, m)) < 0.05] = 1e-14  # below the usage threshold
+        count, witness = _crossing_scan(plan)
+        assert (count, witness) == _crossing_scan_loop(plan)
+        if count:
+            crossed += 1
+            row, col, right = witness
+            assert col < right and plan[row, col] > 1e-9
+            assert np.any(plan[:row, right] > 1e-9)
+        else:
+            assert witness is None
+    assert crossed > 100
+    monotone = np.diag(np.full(5, 0.2))
+    assert _crossing_scan(monotone) == (0, None)
+    monotone[[1, 3]] = monotone[[3, 1]]
+    assert _crossing_scan(monotone) == (2, (2, 2, 3))  # rows 2 and 3 start left of column 3
 
 
 def test_purity_requires_strictly_convex_cost():
@@ -179,8 +306,9 @@ def test_displacement_convexity_along_geodesics():
     assert report.J_values.shape == (21,)
     assert report.J_a == pytest.approx(report.J_values[0])
     assert report.J_b == pytest.approx(report.J_values[-1])
-    with pytest.raises(ValueError, match="t_grid"):
-        displacement_convexity_probe(scenario, nu_a, nu_b, t_grid=[-0.1, 0.5])
+    for t_grid in ([-0.1, 0.5], [0.5, 1.1], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="t_grid"):
+            displacement_convexity_probe(scenario, nu_a, nu_b, t_grid=t_grid)
 
 
 def test_transport_derivative_quotients_converge():
@@ -192,8 +320,9 @@ def test_transport_derivative_quotients_converge():
     report = transport_derivative_check(mu, nu, rho, CostSpec.quadratic(), eps_list=(1e-1, 1e-2, 1e-3))
     assert report.errors[-1] < report.errors[0]
     assert report.errors[-1] < 1e-3 * (1.0 + abs(report.predicted))
-    with pytest.raises(ValueError, match="eps"):
-        transport_derivative_check(mu, nu, rho, CostSpec.quadratic(), eps_list=(0.0,))
+    for eps in (0.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match="eps values"):
+            transport_derivative_check(mu, nu, rho, CostSpec.quadratic(), eps_list=(eps,))
     other = uniform_density(Grid(Interval(0.0, 1.0), 32))
     with pytest.raises(ValueError, match="grid"):
         transport_derivative_check(mu, nu, other, CostSpec.quadratic())
