@@ -528,11 +528,25 @@ class PotentialSpec:
         dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
         d2c = np.polynomial.polynomial.polyder(c, 2)
         return PotentialSpec(
-            v=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c),
-            v_prime=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), dc),
-            v_second=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d2c),
+            v=_horner(c), v_prime=_horner(dc), v_second=_horner(d2c),
             kind="poly", declared_convex=declared_convex,
         )
+
+
+def _horner(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``x -> sum c[k] x^k`` by Horner's rule in one buffer: the operations of
+    ``np.polynomial.polynomial.polyval``, from ``x * 0.0`` on, so its bits."""
+
+    def value(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = x * 0.0
+        out += c[-1]
+        for ck in c[-2::-1]:
+            out *= x
+            out += ck
+        return out
+
+    return value
 
 
 @dataclass(frozen=True)
@@ -565,12 +579,6 @@ class EnergyModel:
             kernel=None if self.kernel is None else self.kernel.scaled(2.0),
             potential=self.potential,
         )
-
-    def kernel_matrix(self) -> Optional[np.ndarray]:
-        if self.kernel is None:
-            return None
-        y = self.grid.nodes
-        return np.asarray(self.kernel.phi(y[:, None], y[None, :]), dtype=float)
 
     def potential_values(self) -> np.ndarray:
         y = self.grid.nodes

@@ -228,12 +228,14 @@ _HIGHS = "scipy.optimize._highspy._core"
 
 
 def _highs_solve(
-    highs: ModuleType, c: np.ndarray, indptr: np.ndarray, indices: np.ndarray, rhs: np.ndarray
+    highs: ModuleType, c: np.ndarray, indptr: np.ndarray, indices: np.ndarray, rhs: np.ndarray,
+    basis: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """``min c.x`` subject to ``A x = rhs``, ``x >= 0`` with the 0/1 matrix
-    ``A`` in CSC form, solved by HiGHS with the options scipy's own HiGHS LP
-    method passes (presolve on, dual simplex, no output), so with its bits;
-    returns ``x``, the row duals and the objective value."""
+    ``A`` in CSC form, by HiGHS's dual simplex with no output and presolve on
+    (as scipy's HiGHS LP method, so with its bits), or off and started from
+    ``basis``: its columns and the last row basic, the rest at their lower
+    bounds.  Returns ``x``, the row duals and the objective value."""
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
     lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
@@ -246,12 +248,19 @@ def _highs_solve(
     lp.a_matrix_.index_ = indices
     lp.a_matrix_.value_ = np.ones(indices.size)
     options = highs.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "on" if basis is None else "off"
     options.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     options.output_flag = options.log_to_console = False
     solver = highs._Highs()
     solver.passOptions(options)
     solver.passModel(lp)
+    if basis is not None:
+        kinds = np.full(c.size + rhs.size, highs.HighsBasisStatus.kLower, dtype=object)
+        kinds[np.append(basis, kinds.size - 1)] = highs.HighsBasisStatus.kBasic
+        start = highs.HighsBasis()
+        start.col_status, start.row_status = kinds[: c.size].tolist(), kinds[c.size :].tolist()
+        if solver.setBasis(start) != highs.HighsStatus.kOk:
+            raise RuntimeError("transport LP refused its starting basis")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
@@ -271,6 +280,7 @@ def solve_lp(
     y: np.ndarray,
     cost: Optional[CostSpec] = None,
     cost_matrix: Optional[np.ndarray] = None,
+    basis: Optional[np.ndarray] = None,
 ) -> tuple[TransportPlan, PotentialPair, float]:
     """Exact transport LP between weighted atoms; returns plan, duals, value.
 
@@ -281,7 +291,10 @@ def solve_lp(
     c-transform, and the duality gap is certified to 1e-9.  HiGHS is called
     through scipy's compiled bindings, loaded by ``_load_scipy_extension``
     on the first call: from their file, so that no scipy package is
-    imported, or where that fails through the import system.
+    imported, or where that fails through the import system.  ``basis``, the
+    flat indices ``i * m + j`` of ``n + m - 1`` plan cells forming a spanning
+    tree, starts HiGHS from that basis (see ``_highs_solve``); its pricing
+    still proves optimality.  Without it the LP has ``linprog``'s bits.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -304,6 +317,11 @@ def solve_lp(
             raise ValueError("cost matrix shape must be (len(a), len(b))")
     if not np.all(np.isfinite(cm)):
         raise ValueError("cost matrix must be finite")
+    if basis is not None:
+        basis = np.unique(basis)
+        valid = basis.dtype.kind in "iu" and basis.size == n + m - 1
+        if not (valid and 0 <= basis[0] and basis[-1] < n * m):
+            raise ValueError("basis must list n + m - 1 distinct plan cells i * m + j")
 
     # column i * m + j (plan entry (i, j)) holds rows i and n + j
     indptr = np.arange(0, 2 * n * m + 1, 2, dtype=np.int32)
@@ -311,7 +329,7 @@ def solve_lp(
     indices[0::2] = np.repeat(np.arange(n, dtype=np.int32), m)
     indices[1::2] = np.tile(np.arange(n, n + m, dtype=np.int32), n)
     flat, duals, value = _highs_solve(
-        _load_scipy_extension(_HIGHS), cm.ravel(), indptr, indices, np.concatenate([a, b])
+        _load_scipy_extension(_HIGHS), cm.ravel(), indptr, indices, np.concatenate([a, b]), basis
     )
     plan_matrix = np.clip(flat.reshape(n, m), 0.0, None)
     u = duals[:n]

@@ -1,4 +1,7 @@
 """Congestion specs, interaction kernels, potentials, and the energy model."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from cnot import (
     mccann_check,
     uniform_density,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_entropy_conventions_share_f():
@@ -155,6 +160,29 @@ def test_potential_poly_second_derivative_is_closed_form():
         assert np.array_equal(PotentialSpec.poly(coeffs).v_second(x), np.zeros_like(x))
 
 
+@pytest.mark.parametrize("scenario", ["figure1", "cubic_attraction"])
+def test_potential_poly_has_the_bytes_of_polyval(scenario):
+    """``v``, ``v_prime`` and ``v_second`` of a shipped scenario's ``poly``
+    potential are byte for byte ``polyval`` of the coefficients and of their
+    two derivatives: on the interval and far outside it, at ±0, ±inf, NaN
+    and overflow, and on a 0-d input."""
+    doc = json.loads((ROOT / "scenarios" / f"{scenario}.json").read_text())
+    coeffs = np.asarray(doc["potential"]["coeffs"], dtype=float)
+    pot = PotentialSpec.poly(coeffs)
+    rng = np.random.default_rng(12)
+    x = np.concatenate([
+        np.linspace(doc["interval"]["lo"], doc["interval"]["hi"], 257),
+        rng.normal(0.0, 1e3, 64),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300],
+    ])
+    P = np.polynomial.polynomial
+    derivatives = (coeffs, P.polyder(coeffs), P.polyder(coeffs, 2))
+    with np.errstate(all="ignore"):  # inf * 0 and (1e300)^k warn in both
+        for fn, c in zip((pot.v, pot.v_prime, pot.v_second), derivatives):
+            assert fn(x).tobytes() == P.polyval(x, c).tobytes()
+            assert fn(np.float64(-0.5)).tobytes() == P.polyval(np.asarray(-0.5), c).tobytes()
+
+
 def test_potential_custom_second_derivative_is_central_difference():
     """A potential built without ``v_second`` differentiates ``v_prime``
     centrally with step ``1e-6 (1 + |x|)``, bit for bit."""
@@ -200,6 +228,13 @@ def test_energy_eval_with_potential_and_kernel():
     assert energy_eval(model, nu) == pytest.approx(1.0 / 3.0 + 0.25, abs=1e-4)
 
 
+def _kernel_matrix(kernel, grid):
+    """The dense kernel matrix ``phi(y_i, y_j)`` on the grid nodes: the
+    reference for the structured fields."""
+    y = grid.nodes
+    return np.asarray(kernel.phi(y[:, None], y[None, :]), dtype=float)
+
+
 def test_interaction_field_matches_dense_matrix():
     """Structured kernel fast paths agree with the dense matrix route."""
     rng = np.random.default_rng(7)
@@ -212,7 +247,7 @@ def test_interaction_field_matches_dense_matrix():
     ):
         model = EnergyModel(grid=grid, congestion=CongestionSpec.entropy(), kernel=kern)
         fast = model.interaction_field(nu)
-        dense = model.kernel_matrix() @ nu.masses
+        dense = _kernel_matrix(kern, grid) @ nu.masses
         assert np.max(np.abs(fast - dense)) < 1e-12 * (1.0 + np.max(np.abs(dense)))
 
 

@@ -27,7 +27,7 @@ from cnot import (
     wasserstein_cost_1d,
 )
 from cnot.cli import _load_bundle
-from cnot.verify import _PURITY_ATOMS, _coarsen_atoms
+from cnot.verify import _PURITY_ATOMS, _coarsen_atoms, _crossing_scan, _staircase
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -155,6 +155,38 @@ def test_lp_rejects_non_finite_costs_and_weights():
         solve_lp(w, x, w, x, cost=infinite_at_zero)
     with pytest.raises(ValueError, match="sum to one"):
         solve_lp(np.array([np.nan, 0.5]), x, w, x, cost=CostSpec.quadratic())
+
+
+def test_lp_basis_validation():
+    """A starting basis must list ``n + m - 1`` distinct integer plan cells
+    inside the plan; a spanning tree that is not optimal is only a start."""
+    x = np.linspace(0.0, 1.0, 3)
+    a = np.full(3, 1.0 / 3.0)
+    cost = CostSpec.quadratic()
+    staircase = _staircase(a, a)[0]
+    assert staircase.tolist() == [0, 3, 4, 7, 8]  # the diagonal, down first on each tie
+    for bad in (staircase[:-1], np.r_[staircase[:-1], 0], np.r_[staircase[:-1], 9],
+                np.r_[-1, staircase[1:]], staircase.astype(float)):
+        with pytest.raises(ValueError, match="basis must list"):
+            solve_lp(a, x, a, x, cost=cost, basis=bad)
+    for basis in (staircase, [0, 1, 2, 5, 8], [8, 7, 4, 3, 0]):
+        assert solve_lp(a, x, a, x, cost=cost, basis=basis)[2] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["uniform", "congested_gaussian", "cubic_attraction", "figure1"])
+def test_lp_from_the_staircase_basis_matches_the_cold_lp_on_the_shipped_purity_problems(name):
+    """Started from the monotone staircase, the purity check's LP on a shipped
+    scenario gives the cold route's value to 1e-12 relative, and a plan with
+    no crossing."""
+    bundle = _load_bundle(str(ROOT / "scenarios" / f"{name}.json"))
+    scenario = bundle.scenario
+    nu = minimize_quantile(scenario, bundle.params).nu
+    k = min(_PURITY_ATOMS, scenario.n)
+    a, x = _coarsen_atoms(scenario.mu, k)
+    b, y = _coarsen_atoms(nu, k)
+    plan, _, value = solve_lp(a, x, b, y, cost=scenario.cost, basis=_staircase(a, b)[0])
+    assert value == pytest.approx(solve_lp(a, x, b, y, cost=scenario.cost)[2], rel=1e-12)
+    assert _crossing_scan(plan.matrix) == (0, None)
 
 
 def _linprog_reference(a, b, cm):

@@ -21,11 +21,12 @@ from cnot import (
     minimize_quantile,
     monge_ampere_residual_1d,
     purity_check,
+    solve_lp,
     transport_derivative_check,
     two_bumps_density,
     uniform_density,
 )
-from cnot.verify import _coarsen_atoms, _crossing_scan, _monotone_plan_cost
+from cnot.verify import _coarsen_atoms, _crossing_scan, _monotone_plan_cost, _staircase
 
 
 def _uniform_scenario(n=64, m=256):
@@ -228,6 +229,73 @@ def test_crossing_scan_matches_the_row_loop_on_random_sparse_plans():
     assert _crossing_scan(monotone) == (0, None)
     monotone[[1, 3]] = monotone[[3, 1]]
     assert _crossing_scan(monotone) == (2, (2, 2, 3))  # rows 2 and 3 start left of column 3
+
+
+def _seeded_quadratic_lp(seed, equal_weights=False):
+    """Sorted uniform atoms on [0, 1], 64 a side, with normalised uniform
+    weights on [0.1, 1] (or all 1/64)."""
+    rng = np.random.default_rng(seed)
+    x, y = np.sort(rng.uniform(0.0, 1.0, 64)), np.sort(rng.uniform(0.0, 1.0, 64))
+    a, b = rng.uniform(0.1, 1.0, 64), rng.uniform(0.1, 1.0, 64)
+    if equal_weights:
+        a, b = np.full(64, 1.0 / 64), np.full(64, 1.0 / 64)
+    return a / a.sum(), x, b / b.sum(), y
+
+
+@pytest.mark.parametrize("seed,equal_weights", [(1021, False), (1039, False), (1051, False),
+                                                (1050, True)])
+def test_staircase_basis_certifies_the_lps_whose_cold_solve_misses_the_gap(seed, equal_weights):
+    """On these seeded 64 x 64 quadratic LPs a cold HiGHS solve ends with a
+    duality gap above 1e-9 and ``solve_lp`` raises; started from the
+    monotone staircase it certifies, at the monotone plan's cost."""
+    a, x, b, y = _seeded_quadratic_lp(seed, equal_weights)
+    cost = CostSpec.quadratic()
+    plan, _, value = solve_lp(a, x, b, y, cost=cost, basis=_staircase(a, b)[0])
+    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-12)
+    assert _crossing_scan(plan.matrix) == (0, None)
+
+
+def test_staircase_basis_does_not_rubber_stamp_a_non_convex_cost():
+    """With the concave cost ``-(x - y)^2`` the monotone staircase is a start,
+    not the answer: HiGHS pivots to the cold route's value, well below the
+    staircase's cost, and the plan crosses."""
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(0.1, 1.0, 12), rng.uniform(0.1, 1.0, 9)
+    a, b = a / a.sum(), b / b.sum()
+    x, y = np.sort(rng.uniform(0.0, 1.0, 12)), np.sort(rng.uniform(0.0, 1.0, 9))
+    cm = -((x[:, None] - y[None, :]) ** 2)
+    cells, mass = _staircase(a, b)
+    plan, _, value = solve_lp(a, x, b, y, cost_matrix=cm, basis=cells)
+    assert value == pytest.approx(solve_lp(a, x, b, y, cost_matrix=cm)[2], rel=1e-12)
+    assert value < np.dot(mass, cm.ravel()[cells]) - 0.1
+    crossings, witness = _crossing_scan(plan.matrix)
+    assert crossings > 0 and witness is not None
+
+
+def test_staircase_keeps_tied_breaks_and_zero_weight_atoms():
+    """Tied cumulative weights and zero-weight atoms (first, inside, last)
+    still give ``n + m - 1`` distinct cells, stepping down first on a tie, and
+    that basis certifies at the monotone plan's cost."""
+    a = np.array([0.25, 0.0, 0.25, 0.5, 0.0])
+    b = np.array([0.0, 0.5, 0.0, 0.25, 0.25])
+    x, y = np.linspace(0.0, 1.0, 5), np.linspace(0.1, 0.9, 5)
+    cells, mass = _staircase(a, b)
+    assert cells.tolist() == [0, 1, 6, 11, 16, 17, 18, 19, 24]
+    assert mass.tolist() == [0.0, 0.25, 0.0, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0]
+    cost = CostSpec.quadratic()
+    _, _, value = solve_lp(a, x, b, y, cost=cost, basis=cells)
+    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-12)
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        n, m = rng.integers(1, 9, size=2)
+        a = rng.choice([0.0, 0.25, 0.5], n) + (rng.uniform(size=n) < 0.3) * rng.uniform(0, 1, n)
+        b = rng.choice([0.0, 0.25, 0.5], m)
+        a[0] += 0.25
+        b[-1] += 0.25
+        cells, mass = _staircase(a / a.sum(), b / b.sum())
+        i, j = np.divmod(cells, m)
+        assert np.unique(cells).size == n + m - 1 and np.all(mass >= 0.0)
+        assert np.all(np.diff(i) + np.diff(j) == 1) and (i[-1], j[-1]) == (n - 1, m - 1)
 
 
 def test_purity_requires_strictly_convex_cost():
