@@ -3,10 +3,10 @@
 Two independent routes to the transport cost are kept side by side on
 purpose: the quantile (monotone rearrangement) route used by the solver, and
 an exact linear-programming oracle on atomized measures used to cross-check
-it.  The LP also returns dual potentials with a certified duality gap, and
-calls HiGHS through scipy's compiled ``_highspy/_core`` extension, loaded on
-the first call by ``_load_scipy_extension``: from its file, or through the
-import system where the file route fails.
+it.  The LP returns dual potentials with a certified duality gap.  It calls
+HiGHS, without presolve, through scipy's compiled ``_highspy/_core``
+extension (loaded on first use by ``_load_scipy_extension``), and starts it
+from the monotone coupling when the cost matrix is Monge, cold otherwise.
 """
 from __future__ import annotations
 
@@ -227,50 +227,69 @@ def _load_scipy_extension(name: str) -> ModuleType:
 _HIGHS = "scipy.optimize._highspy._core"
 
 
+def _staircase(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n + m - 1`` cells ``i * m + j`` of the north-west-corner (monotone)
+    coupling in walk order, and their masses.  On a tie of cumulative weights
+    the walk steps down first, so zero-weight atoms keep a cell and the cells
+    span the LP."""
+    A, B = np.cumsum(a), np.cumsum(b)
+    ends = np.concatenate([A[:-1], B[:-1]])
+    order = np.argsort(ends, kind="stable")
+    i = np.concatenate([[0], np.cumsum(order < a.size - 1)])
+    mass = np.diff(ends[order], prepend=0.0, append=max(A[-1], B[-1]))
+    return i * b.size + np.arange(i.size) - i, mass
+
+
 def _highs_solve(
-    highs: ModuleType, c: np.ndarray, indptr: np.ndarray, indices: np.ndarray, rhs: np.ndarray,
-    basis: Optional[np.ndarray] = None,
+    highs: ModuleType, cm: np.ndarray, a: np.ndarray, b: np.ndarray, start: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """``min c.x`` subject to ``A x = rhs``, ``x >= 0`` with the 0/1 matrix
-    ``A`` in CSC form, by HiGHS's dual simplex with no output and presolve on
-    (as scipy's HiGHS LP method, so with its bits), or off and started from
-    ``basis``: its columns and the last row basic, the rest at their lower
-    bounds.  Returns ``x``, the row duals and the objective value."""
+    """The transport LP ``min <cm, P>`` over plans ``P >= 0`` with row sums
+    ``a`` and column sums ``b``, by HiGHS's dual simplex with no output or
+    presolve.  Its feasibility tolerances are the ones ``solve_lp`` checks,
+    primal 1e-10 (plan marginals) and dual 1e-9 (the gap certificate): at
+    HiGHS's default 1e-7 a cold solve without presolve can fail both.
+    It starts from the basis of the ``start`` cells ``i * m + j`` and the
+    last row, the rest at their lower bounds, or cold if ``start`` is None.
+    The matrix goes to HiGHS in CSC form as lists, which pybind converts
+    faster than arrays.  Returns the flat plan, row duals and value."""
+    n, m = a.size, b.size
     lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.num_col_ = lp.a_matrix_.num_col_ = n * m
+    lp.num_row_ = lp.a_matrix_.num_row_ = n + m
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(c.size)
-    lp.col_upper_ = np.full(c.size, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = rhs
-    lp.a_matrix_.start_ = indptr
-    lp.a_matrix_.index_ = indices
-    lp.a_matrix_.value_ = np.ones(indices.size)
+    lp.col_cost_ = cm.ravel()
+    lp.col_lower_ = np.zeros(n * m)
+    lp.col_upper_ = np.full(n * m, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b])
+    # column i * m + j (plan entry (i, j)) holds rows i and n + j
+    indices = np.empty(2 * n * m, dtype=np.int32)
+    indices[0::2] = np.repeat(np.arange(n, dtype=np.int32), m)
+    indices[1::2] = np.tile(np.arange(n, n + m, dtype=np.int32), n)
+    lp.a_matrix_.start_ = list(range(0, 2 * n * m + 1, 2))
+    lp.a_matrix_.index_ = indices.tolist()
+    lp.a_matrix_.value_ = [1.0] * (2 * n * m)
     options = highs.HighsOptions()
-    options.presolve = "on" if basis is None else "off"
+    options.presolve = "off"
+    options.primal_feasibility_tolerance, options.dual_feasibility_tolerance = 1e-10, 1e-9
     options.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     options.output_flag = options.log_to_console = False
     solver = highs._Highs()
     solver.passOptions(options)
     solver.passModel(lp)
-    if basis is not None:
-        kinds = np.full(c.size + rhs.size, highs.HighsBasisStatus.kLower, dtype=object)
-        kinds[np.append(basis, kinds.size - 1)] = highs.HighsBasisStatus.kBasic
-        start = highs.HighsBasis()
-        start.col_status, start.row_status = kinds[: c.size].tolist(), kinds[c.size :].tolist()
-        if solver.setBasis(start) != highs.HighsStatus.kOk:
+    if start is not None:
+        lower, basic = highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic
+        basis, cols = highs.HighsBasis(), [lower] * (n * m)
+        for k in start.tolist():
+            cols[k] = basic
+        basis.col_status, basis.row_status = cols, [lower] * (n + m - 1) + [basic]
+        if solver.setBasis(basis) != highs.HighsStatus.kOk:
             raise RuntimeError("transport LP refused its starting basis")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         raise RuntimeError(f"transport LP failed: {solver.modelStatusToString(status)}")
-    solution = solver.getSolution()
-    return (
-        np.array(solution.col_value),
-        np.array(solution.row_dual),
-        float(solver.getInfo().objective_function_value),
-    )
+    solution, value = solver.getSolution(), float(solver.getInfo().objective_function_value)
+    return np.array(solution.col_value), np.array(solution.row_dual), value
 
 
 def solve_lp(
@@ -280,27 +299,29 @@ def solve_lp(
     y: np.ndarray,
     cost: Optional[CostSpec] = None,
     cost_matrix: Optional[np.ndarray] = None,
-    basis: Optional[np.ndarray] = None,
 ) -> tuple[TransportPlan, PotentialPair, float]:
     """Exact transport LP between weighted atoms; returns plan, duals, value.
 
     Either a ``CostSpec`` or an explicit cost matrix must be given (the
-    matrix form admits non-interval atom sets, e.g. product couplings).
-    The dual potentials come from the LP equality multipliers; ``phi`` is
-    shifted to vanish at atom 0, ``phi_c`` is tightened to the exact
-    c-transform, and the duality gap is certified to 1e-9.  HiGHS is called
-    through scipy's compiled bindings, loaded by ``_load_scipy_extension``
-    on the first call: from their file, so that no scipy package is
-    imported, or where that fails through the import system.  ``basis``, the
-    flat indices ``i * m + j`` of ``n + m - 1`` plan cells forming a spanning
-    tree, starts HiGHS from that basis (see ``_highs_solve``); its pricing
-    still proves optimality.  Without it the LP has ``linprog``'s bits.
+    matrix form admits non-interval atom sets, e.g. product couplings);
+    ``x`` and ``y`` give one position per weight either way.  The dual
+    potentials come from the LP equality multipliers; ``phi`` is shifted to
+    vanish at atom 0, ``phi_c`` is tightened to the exact c-transform, and
+    the duality gap is certified to 1e-9.  HiGHS is called through scipy's
+    compiled bindings, loaded by ``_load_scipy_extension`` on the first
+    call: from their file, so that no scipy package is imported, or where
+    that fails through the import system.  It runs without presolve.  With
+    the atoms sorted by position, a Monge cost matrix
+    (``c[i, j] + c[i+1, j+1] <= c[i, j+1] + c[i+1, j]``, as for any cost
+    convex in ``x - y``) makes the monotone coupling optimal, and HiGHS
+    starts from its ``_staircase`` cells; any other starts cold.  The start
+    decides speed only: HiGHS's pricing and the gap certificate decide
+    optimality.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    a, b, x, y = (np.asarray(v, dtype=float) for v in (a, b, x, y))
     n, m = a.size, b.size
+    if not (a.ndim == b.ndim == 1 and x.shape == a.shape and y.shape == b.shape):
+        raise ValueError("positions and weights must be 1-D, one position per weight")
     if n > MAX_LP_ATOMS or m > MAX_LP_ATOMS:
         raise ValueError(f"LP oracle caps atom counts at {MAX_LP_ATOMS}")
     if not (abs(a.sum() - 1.0) <= 1e-9 and abs(b.sum() - 1.0) <= 1e-9):  # NaN fails too
@@ -317,23 +338,15 @@ def solve_lp(
             raise ValueError("cost matrix shape must be (len(a), len(b))")
     if not np.all(np.isfinite(cm)):
         raise ValueError("cost matrix must be finite")
-    if basis is not None:
-        basis = np.unique(basis)
-        valid = basis.dtype.kind in "iu" and basis.size == n + m - 1
-        if not (valid and 0 <= basis[0] and basis[-1] < n * m):
-            raise ValueError("basis must list n + m - 1 distinct plan cells i * m + j")
 
-    # column i * m + j (plan entry (i, j)) holds rows i and n + j
-    indptr = np.arange(0, 2 * n * m + 1, 2, dtype=np.int32)
-    indices = np.empty(2 * n * m, dtype=np.int32)
-    indices[0::2] = np.repeat(np.arange(n, dtype=np.int32), m)
-    indices[1::2] = np.tile(np.arange(n, n + m, dtype=np.int32), n)
-    flat, duals, value = _highs_solve(
-        _load_scipy_extension(_HIGHS), cm.ravel(), indptr, indices, np.concatenate([a, b]), basis
-    )
+    xo, yo = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+    cs, start = cm[np.ix_(xo, yo)], None
+    if np.all(cs[:-1, :-1] + cs[1:, 1:] <= cs[:-1, 1:] + cs[1:, :-1]):
+        i, j = np.divmod(_staircase(a[xo], b[yo])[0], m)
+        start = xo[i] * m + yo[j]
+    flat, duals, value = _highs_solve(_load_scipy_extension(_HIGHS), cm, a, b, start)
     plan_matrix = np.clip(flat.reshape(n, m), 0.0, None)
-    u = duals[:n]
-    phi = u - u[0]
+    phi = duals[:n] - duals[0]
     phi_c = np.min(cm - phi[:, None], axis=0)
     pair = PotentialPair(phi=phi, phi_c=phi_c)
     gap = abs(value - pair.dual_value(a, b))

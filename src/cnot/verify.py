@@ -18,6 +18,7 @@ from .energy import first_variation
 from .measures import DiscreteDensity, density_to_quantile
 from .transport import (
     CostSpec,
+    _staircase,
     kantorovich_potential_1d,
     monotone_map_1d,
     solve_lp,
@@ -156,19 +157,6 @@ def _coarsen_atoms(nu: DiscreteDensity, k: int) -> tuple[np.ndarray, np.ndarray]
     return weights / weights.sum(), points
 
 
-def _staircase(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n + m - 1`` cells ``i * m + j`` of the north-west-corner (monotone)
-    coupling in walk order, and their masses.  On a tie of cumulative weights
-    the walk steps down first, so zero-weight atoms keep a cell and the cells
-    span the LP."""
-    A, B = np.cumsum(a), np.cumsum(b)
-    ends = np.concatenate([A[:-1], B[:-1]])
-    order = np.argsort(ends, kind="stable")
-    i = np.concatenate([[0], np.cumsum(order < a.size - 1)])
-    mass = np.diff(ends[order], prepend=0.0, append=max(A[-1], B[-1]))
-    return i * b.size + np.arange(i.size) - i, mass
-
-
 def _monotone_plan_cost(
     a: np.ndarray, x: np.ndarray, b: np.ndarray, y: np.ndarray, cost: CostSpec
 ) -> float:
@@ -203,14 +191,13 @@ def purity_check(scenario: "Scenario", nu: DiscreteDensity) -> PurityReport:
     blocks, solves the exact LP, and checks (a) the monotone coupling
     achieves the LP value within 1e-8 and (b) the LP plan's support has no
     crossings (each source's targets lie weakly to the right of every
-    earlier source's targets).  The LP starts from the monotone coupling's
-    ``_staircase`` basis; HiGHS's own pricing decides whether it is optimal.
+    earlier source's targets).
     """
     scenario.cost.require_strictly_convex(scenario.interval.length)
     k = min(_PURITY_ATOMS, scenario.n)
     a, x = _coarsen_atoms(scenario.mu, k)
     b, y = _coarsen_atoms(nu, k)
-    plan, _, lp_value = solve_lp(a, x, b, y, cost=scenario.cost, basis=_staircase(a, b)[0])
+    plan, _, lp_value = solve_lp(a, x, b, y, cost=scenario.cost)
     monotone_value = _monotone_plan_cost(a, x, b, y, scenario.cost)
     cost_gap = abs(monotone_value - lp_value)
     crossings, witness = _crossing_scan(plan.matrix)

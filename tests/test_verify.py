@@ -26,7 +26,8 @@ from cnot import (
     two_bumps_density,
     uniform_density,
 )
-from cnot.verify import _coarsen_atoms, _crossing_scan, _monotone_plan_cost, _staircase
+from cnot.transport import _HIGHS, _highs_solve, _load_scipy_extension, _staircase
+from cnot.verify import _coarsen_atoms, _crossing_scan, _monotone_plan_cost
 
 
 def _uniform_scenario(n=64, m=256):
@@ -246,27 +247,31 @@ def _seeded_quadratic_lp(seed, equal_weights=False):
                                                 (1050, True)])
 def test_staircase_basis_certifies_the_lps_whose_cold_solve_misses_the_gap(seed, equal_weights):
     """On these seeded 64 x 64 quadratic LPs a cold HiGHS solve ends with a
-    duality gap above 1e-9 and ``solve_lp`` raises; started from the
-    monotone staircase it certifies, at the monotone plan's cost."""
+    duality gap above 1e-9, which ``solve_lp`` refused when it started
+    cold; started from the monotone staircase, as ``solve_lp`` does for a
+    Monge cost, it certifies at the monotone plan's cost to 1e-14 relative."""
     a, x, b, y = _seeded_quadratic_lp(seed, equal_weights)
     cost = CostSpec.quadratic()
-    plan, _, value = solve_lp(a, x, b, y, cost=cost, basis=_staircase(a, b)[0])
-    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-12)
+    plan, _, value = solve_lp(a, x, b, y, cost=cost)
+    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-14)
     assert _crossing_scan(plan.matrix) == (0, None)
 
 
 def test_staircase_basis_does_not_rubber_stamp_a_non_convex_cost():
     """With the concave cost ``-(x - y)^2`` the monotone staircase is a start,
-    not the answer: HiGHS pivots to the cold route's value, well below the
-    staircase's cost, and the plan crosses."""
+    not the answer: HiGHS started from it pivots to the cold value, well
+    below the staircase's cost.  ``solve_lp``, which starts such a cost
+    cold (it is not Monge), gives that value too, and its plan crosses."""
     rng = np.random.default_rng(7)
     a, b = rng.uniform(0.1, 1.0, 12), rng.uniform(0.1, 1.0, 9)
     a, b = a / a.sum(), b / b.sum()
     x, y = np.sort(rng.uniform(0.0, 1.0, 12)), np.sort(rng.uniform(0.0, 1.0, 9))
     cm = -((x[:, None] - y[None, :]) ** 2)
     cells, mass = _staircase(a, b)
-    plan, _, value = solve_lp(a, x, b, y, cost_matrix=cm, basis=cells)
-    assert value == pytest.approx(solve_lp(a, x, b, y, cost_matrix=cm)[2], rel=1e-12)
+    plan, _, value = solve_lp(a, x, b, y, cost_matrix=cm)
+    highs = _load_scipy_extension(_HIGHS)
+    for start in (cells, None):
+        assert _highs_solve(highs, cm, a, b, start)[2] == pytest.approx(value, rel=1e-12)
     assert value < np.dot(mass, cm.ravel()[cells]) - 0.1
     crossings, witness = _crossing_scan(plan.matrix)
     assert crossings > 0 and witness is not None
@@ -275,7 +280,7 @@ def test_staircase_basis_does_not_rubber_stamp_a_non_convex_cost():
 def test_staircase_keeps_tied_breaks_and_zero_weight_atoms():
     """Tied cumulative weights and zero-weight atoms (first, inside, last)
     still give ``n + m - 1`` distinct cells, stepping down first on a tie, and
-    that basis certifies at the monotone plan's cost."""
+    the LP started from them certifies at the monotone plan's cost."""
     a = np.array([0.25, 0.0, 0.25, 0.5, 0.0])
     b = np.array([0.0, 0.5, 0.0, 0.25, 0.25])
     x, y = np.linspace(0.0, 1.0, 5), np.linspace(0.1, 0.9, 5)
@@ -283,8 +288,8 @@ def test_staircase_keeps_tied_breaks_and_zero_weight_atoms():
     assert cells.tolist() == [0, 1, 6, 11, 16, 17, 18, 19, 24]
     assert mass.tolist() == [0.0, 0.25, 0.0, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0]
     cost = CostSpec.quadratic()
-    _, _, value = solve_lp(a, x, b, y, cost=cost, basis=cells)
-    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-12)
+    _, _, value = solve_lp(a, x, b, y, cost=cost)
+    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-14)
     rng = np.random.default_rng(13)
     for _ in range(50):
         n, m = rng.integers(1, 9, size=2)
