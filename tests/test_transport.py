@@ -166,22 +166,44 @@ def test_lp_rejects_non_finite_costs_and_weights():
 
 @pytest.mark.parametrize("name", ["uniform", "congested_gaussian", "cubic_attraction", "figure1"])
 def test_lp_from_the_staircase_basis_matches_the_cold_lp_on_the_shipped_purity_problems(name):
-    """On the purity check's LP for a shipped scenario (both measures
-    coarsened to 64 atoms, as ``purity_check`` does), which starts from the
+    """On the purity check's LP for a shipped scenario, which starts from the
     monotone staircase, the value is the monotone coupling's cost to 1e-14
-    relative and the cold ``linprog(method="highs")`` value to 1e-12
     relative, and the plan has no crossing."""
+    a, x, b, y, cost = _shipped_purity_problem(name)
+    plan, _, value = solve_lp(a, x, b, y, cost=cost)
+    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-14)
+    assert _crossing_scan(plan.matrix) == (0, None)
+
+
+@pytest.mark.parametrize("name", ["uniform", "congested_gaussian", "cubic_attraction", "figure1"])
+def test_lp_matches_linprog_on_the_shipped_purity_problems(name):
+    """On the purity check's LP for a shipped scenario, the value is the cold
+    ``linprog(method="highs")`` value to 1e-12 relative and the plan is
+    linprog's to 1e-14 (the cost is strictly convex in ``x - y``, so the
+    optimal plan is unique); the plan has the atom weights as its marginals,
+    and the potentials are dual feasible."""
+    a, x, b, y, cost = _shipped_purity_problem(name)
+    cm = cost.cost_matrix(x, y)
+    plan, pair, value = solve_lp(a, x, b, y, cost=cost)
+    ref_plan, _, ref_value = _linprog_reference(a, b, cm)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert np.max(np.abs(plan.matrix - ref_plan)) <= 1e-14
+    assert np.max(np.abs(plan.matrix.sum(axis=1) - a)) <= 1e-12
+    assert np.max(np.abs(plan.matrix.sum(axis=0) - b)) <= 1e-12
+    assert np.max(pair.phi[:, None] + pair.phi_c[None, :] - cm) <= 1e-12
+
+
+def _shipped_purity_problem(name):
+    """Weights, positions and cost of the purity check's LP for a shipped
+    scenario: both measures coarsened to 64 atoms, as ``purity_check``
+    does."""
     bundle = _load_bundle(str(ROOT / "scenarios" / f"{name}.json"))
     scenario = bundle.scenario
     nu = minimize_quantile(scenario, bundle.params).nu
     k = min(_PURITY_ATOMS, scenario.n)
     a, x = _coarsen_atoms(scenario.mu, k)
     b, y = _coarsen_atoms(nu, k)
-    plan, _, value = solve_lp(a, x, b, y, cost=scenario.cost)
-    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, scenario.cost), rel=1e-14)
-    assert value == pytest.approx(_linprog_reference(a, b, scenario.cost.cost_matrix(x, y))[2],
-                                  rel=1e-12)
-    assert _crossing_scan(plan.matrix) == (0, None)
+    return a, x, b, y, scenario.cost
 
 
 def _linprog_reference(a, b, cm):
