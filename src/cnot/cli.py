@@ -398,9 +398,13 @@ def _cmd_jko(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     _write_csv(out / "trajectory.csv", "k,J,W2_step",
                (ks, [p.J_value for p in trajectory.points],
                 [p.W2_step for p in trajectory.points]))
+    # _write_csv's bytes, with the node column formatted once into the row format
+    rows = "node,nu\n" + "".join("%.17g,%%.17g\n" % x for x in scenario.grid.nodes.tolist())
+    nu, text = None, ""
     for point in trajectory.points:
-        _write_csv(out / f"density_{point.k:04d}.csv", "node,nu",
-                   (scenario.grid.nodes, point.nu.values))
+        if point.nu is not nu:  # a repeated density is written, not formatted, again
+            nu, text = point.nu, rows % tuple(point.nu.values.tolist())
+        (out / f"density_{point.k:04d}.csv").write_text(text)
     payload.update(trajectory.diagnostics)
     _write_json(out / "diagnostics.json", payload)
     return 0

@@ -10,7 +10,7 @@ noise and break the exact descent property).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -115,6 +115,10 @@ def jko_step(
 def jko_flow(scenario: Scenario, nu0: DiscreteDensity, params: JkoParams) -> Trajectory:
     """Iterate the scheme for ``params.steps`` steps from ``nu0``.
 
+    A step is a deterministic function of its anchor, so once a step returns
+    its anchor bit for bit, the remaining points repeat that step's density
+    and objective with ``W2_step`` 0.0, without solving again.
+
     The diagnostics compare the terminal iterate with a direct minimization
     (same inner parameters) through the quantile distance
     ``sqrt((1/m) sum (G_a - G_b)^2)``.
@@ -131,6 +135,11 @@ def jko_flow(scenario: Scenario, nu0: DiscreteDensity, params: JkoParams) -> Tra
         points.append(
             TrajectoryPoint(k=k, nu=result.nu, J_value=problem.value(G_new), W2_step=w2)
         )
+        if G_new.tobytes() == G.tobytes():
+            # a step is a function of its anchor: every later step repeats this one
+            fixed = points[-1]
+            points += [replace(fixed, k=j) for j in range(k + 1, params.steps + 1)]
+            break
         G = G_new
     direct_G, direct_J, _, direct_converged, _ = _projected_newton(scenario, params.inner)
     terminal_gap = float(np.sqrt(np.sum((direct_G.values - G) ** 2) / scenario.m))

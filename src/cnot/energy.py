@@ -264,6 +264,27 @@ def mccann_check(congestion_or_F) -> bool:
     return convex and nonincreasing
 
 
+def _additive_recurrence(count: int, dim: int) -> np.ndarray:
+    """The first ``count`` points of the ``R_dim`` low-discrepancy sequence in
+    ``[0, 1)^dim``: ``frac(1/2 + k alpha)`` for ``k = 1..count``, with
+    ``alpha_i = g^-i`` and ``g`` the positive root of ``x^(dim+1) = x + 1``."""
+    g = 2.0
+    for _ in range(64):  # a contraction onto the root
+        g = (1.0 + g) ** (1.0 / (dim + 1))
+    alpha = g ** -np.arange(1.0, dim + 1)
+    return (0.5 + np.arange(1, count + 1)[:, None] * alpha) % 1.0
+
+
+# unit-square probes of InteractionKernel.validate_on: pairs (y, z), then
+# segments (y, z) -> (y', z'), each set closed by the square's corners
+_CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+_PROBE_PAIRS = np.vstack([_additive_recurrence(64, 2), _CORNERS[1]])
+_PROBE_SEGMENTS = np.vstack(
+    [_additive_recurrence(64, 4)]
+    + [np.hstack([_CORNERS[i], _CORNERS[j]]) for i in range(4) for j in range(i + 1, 4)]
+)
+
+
 def _dense_rows(fn: Callable, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``sum_k fn(y_i, y_k) weights_k`` for every ``i``, a bounded block of
     rows at a time."""
@@ -283,7 +304,8 @@ class InteractionKernel:
     action interval, and ``EnergyModel`` calls it once, on the grid's
     interval: a kernel that is not finite or not symmetric there is
     rejected, and so is a ``declared_convex`` kernel whose joint midpoint
-    convexity fails on random segments of the interval's square.
+    convexity fails on segments of the interval's square.  The probes are a
+    fixed low-discrepancy sample of the square with its corners.
 
     The family's closed forms live here: the grid ``field``, the quantile
     objective's ``sample_energy``, ``sample_gradient`` and
@@ -298,9 +320,12 @@ class InteractionKernel:
     declared_convex: bool = False
 
     def validate_on(self, interval: Interval) -> None:
-        rng = np.random.default_rng(1234)
-        y = rng.uniform(interval.lo, interval.hi, size=64)
-        z = rng.uniform(interval.lo, interval.hi, size=64)
+        """Probe the kernel on a fixed low-discrepancy sample of the interval's
+        square: symmetry and finiteness on 64 pairs ``(y, z)`` and the corner
+        ``(lo, hi)``; for a ``declared_convex`` kernel, joint midpoint
+        convexity on 64 segments and the six segments joining the corners."""
+        lo, length = interval.lo, interval.length
+        y, z = (lo + length * _PROBE_PAIRS).T
         a = np.asarray(self.phi(y, z), dtype=float)
         b = np.asarray(self.phi(z, y), dtype=float)
         if not np.all(np.isfinite(a)):
@@ -309,8 +334,7 @@ class InteractionKernel:
         if np.max(np.abs(a - b)) > 1e-12 * scale:
             raise ValueError("interaction kernel must be symmetric")
         if self.declared_convex:
-            p = rng.uniform(interval.lo, interval.hi, size=(64, 2))
-            q = rng.uniform(interval.lo, interval.hi, size=(64, 2))
+            p, q = np.hsplit(lo + length * _PROBE_SEGMENTS, 2)
             mid = 0.5 * (p + q)
             lhs = np.asarray(self.phi(mid[:, 0], mid[:, 1]), dtype=float)
             rhs = 0.5 * (
@@ -525,8 +549,9 @@ class PotentialSpec:
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("poly potential needs a non-empty coefficient vector")
-        dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-        d2c = np.polynomial.polynomial.polyder(c, 2)
+        # np.polynomial.polynomial.polyder's arithmetic, j * c[j], without its import
+        dc = c[1:] * np.arange(1, c.size) if c.size > 1 else np.zeros(1)
+        d2c = dc[1:] * np.arange(1, dc.size) if c.size > 2 else c[:1] * 0
         return PotentialSpec(
             v=_horner(c), v_prime=_horner(dc), v_second=_horner(d2c),
             kind="poly", declared_convex=declared_convex,

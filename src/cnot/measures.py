@@ -257,6 +257,22 @@ def density_to_quantile(nu: DiscreteDensity, m: int) -> QuantileFn:
     return QuantileFn(nu.quantile(p), nu.grid.interval)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array, bit for bit, without the
+    ``numpy.ma`` import it costs: its partition (the middle positions and the
+    last, where NaN sorts), then the mean of the middle value of an odd count
+    or of the two middle values ``a, b`` of an even one, summed from the
+    identity as ``np.mean`` sums: ``0.0 + a`` or ``(0.0 + a + b) / 2``.  NaN
+    when any value is NaN."""
+    v = np.asarray(values, dtype=float)
+    h = v.size // 2
+    odd = v.size % 2
+    part = np.partition(v, [h, -1] if odd else [h - 1, h, -1])
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(0.0 + part[h] if odd else (0.0 + part[h - 1] + part[h]) / 2)
+
+
 def _bin_segments(
     left: np.ndarray, right: np.ndarray, mass: np.ndarray, grid: Grid
 ) -> np.ndarray:
@@ -277,29 +293,61 @@ def _bin_segments(
     segment touches is exactly 0.  Runs of monotone knots never overlap, so
     that sum is exact; where runs of a non-monotone map overlap it carries
     the rounding of the heaviest overlapping density.
+
+    Besides its inputs it holds at most about six arrays of ``k`` entries at
+    once: the index and weight arrays that ``bincount`` reads (two entries a
+    segment, written in place in ``np.concatenate``'s order, so that the sums
+    keep their order), the widths and one temporary; with atoms, three more
+    for the copies of the other segments.
     """
     n, edges = grid.n, grid.edges
     atom = right - left <= 1e-15 * max(1.0, grid.interval.length)
-    l, r, w = left[~atom], right[~atom], mass[~atom]
-    width = r - l
+    if atom.any():
+        l, r, w = left[~atom], right[~atom], mass[~atom]
+    else:
+        l, r, w = left, right, mass
+    na, k = int(atom.sum()), l.size
+    # bincount's input in np.concatenate's order: atoms, first cells, last cells
+    index = np.empty(na + 2 * k, dtype=np.intp)
+    index[:na] = grid.cell_index(0.5 * (left[atom] + right[atom]))
+    a, b = index[na : na + k], index[na + k :]
     # first cell: e_a <= l < e_{a+1}; last cell: e_b < r <= e_{b+1}.  The
     # floor estimate is off by at most one; comparing with the edges settles it
-    a = grid.cell_index(l)
+    a[:] = grid.cell_index(l)
     a += (l >= edges[a + 1]).astype(int) - (l < edges[a])
-    b = grid.cell_index(r)
+    b[:] = grid.cell_index(r)
     b += (r > edges[b + 1]).astype(int) - (r <= edges[b])
-    a, b = np.clip(a, 0, n - 1), np.clip(b, 0, n - 1)
+    np.clip(a, 0, n - 1, out=a)
+    np.clip(b, 0, n - 1, out=b)
+    width = r - l
+    del r
+    weight = np.empty(na + 2 * k)
+    weight[:na] = mass[atom]
+    head, tail = weight[na : na + k], weight[na + k :]
     split = a < b
-    # partial cells: the whole segment if it fits in one cell, else its two ends
-    head = np.where(split, w * ((edges[a + 1] - l) / width), w)
-    tail = np.where(split, w * (1.0 - (edges[b] - l) / width), 0.0)
-    out = np.bincount(
-        np.concatenate([grid.cell_index(0.5 * (left[atom] + right[atom])), a, b]),
-        np.concatenate([mass[atom], head, tail]),
-        minlength=n,
-    )
+    # partial cells: the whole segment if it fits in one cell, else its two
+    # ends; edges gathered straight into place (indices are in range)
+    np.take(edges[1:], a, out=head, mode="clip")
+    head -= l
+    head /= width
+    head *= w
+    np.copyto(head, w, where=~split)
+    np.take(edges, b, out=tail, mode="clip")
+    tail -= l
+    del l
+    tail /= width
+    np.subtract(1.0, tail, out=tail)
+    tail *= w
+    tail[~split] = 0.0
+    del split
+    out = np.bincount(index, weight, minlength=n)
+    del weight, head, tail
     run = b - a > 1
-    a, b, density = a[run] + 1, b[run], w[run] / width[run]
+    density = w[run] / width[run]
+    del w, width
+    a, b = a[run], b[run]
+    a += 1
+    del index, run
     # full cells a..b-1 carry density * delta; cells no run covers stay 0
     covered = np.cumsum(np.bincount(a, minlength=n + 1) - np.bincount(b, minlength=n + 1))
     full = np.cumsum(np.bincount(a, density, n + 1) - np.bincount(b, density, n + 1))

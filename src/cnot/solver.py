@@ -31,6 +31,7 @@ from .measures import (
     DiscreteDensity,
     Grid,
     QuantileFn,
+    _median,
     density_to_quantile,
     quantile_to_density,
 )
@@ -143,20 +144,23 @@ def _quantile_values(G) -> np.ndarray:
 
 
 class _Point:
-    """The pieces that the objective, its gradient and its curvature share at
-    one strictly increasing quantile ``G``: the gaps, ``u = 1/((m-1) gaps)``,
-    ``F(u)``, ``z = H - G`` and the kernel's ``sample_sums``.  Built once per
-    priced point."""
+    """What the objective, its gradient and its curvature share at one strictly
+    increasing quantile ``G``: ``u = 1/((m-1) gaps)``, ``F(u)``, the kernel's
+    ``sample_sums`` and the congestion energy ``sum_j gaps_j F(u_j)``.  Built
+    once per priced point, it holds three quantile-sized arrays (``G``, ``u``
+    and ``F(u)``) besides the sums; the gaps are dropped once the energy is
+    taken, and ``z = H - G`` is formed where the cost terms need it."""
 
-    __slots__ = ("G", "gaps", "u", "F_u", "z", "sums")
+    __slots__ = ("G", "u", "F_u", "sums", "congestion")
 
     def __init__(self, problem: "_QuantileProblem", G: np.ndarray, gaps: np.ndarray):
         self.G = G
-        self.gaps = gaps
         with np.errstate(over="ignore", divide="ignore"):
-            self.u = 1.0 / ((problem.m - 1) * gaps)
+            # 1 / ((m-1) gaps), in one buffer
+            self.u = np.multiply(gaps, problem.m - 1)
+            np.divide(1.0, self.u, out=self.u)
             self.F_u = np.asarray(problem.model.congestion.F(self.u), dtype=float)
-        self.z = problem.H - G
+        self.congestion = float((gaps * self.F_u).sum())
         kernel = problem.model.kernel
         self.sums = kernel.sample_sums(G) if kernel is not None else None
 
@@ -200,8 +204,8 @@ class _QuantileProblem:
 
     def value_at(self, p: _Point) -> float:
         m = self.m
-        val = float(self.cost.C(p.z).sum() / m)
-        val += float((p.gaps * p.F_u).sum())
+        val = float(self.cost.C(self.H - p.G).sum() / m)
+        val += p.congestion
         if self.model.potential is not None:
             val += float(self.model.potential.v(p.G).sum() / m)
         if self.model.kernel is not None:
@@ -217,12 +221,15 @@ class _QuantileProblem:
         """Exact gradient of the objective at ``p``; raises when it is not
         finite."""
         m = self.m
-        grad = -np.asarray(self.cost.C_prime(p.z), dtype=float) / m
+        grad = np.negative(np.asarray(self.cost.C_prime(self.H - p.G), dtype=float))
+        grad /= m
         with np.errstate(over="ignore"):
             F_prime = np.asarray(self.model.congestion.f(p.u), dtype=float)
             if self.F_prime_shift:  # F' = f + the convention's constant
                 F_prime = F_prime + self.F_prime_shift
-            psi = p.F_u - p.u * F_prime
+            psi = np.multiply(p.u, F_prime)
+            F_prime = None
+            np.subtract(p.F_u, psi, out=psi)  # F(u) - u F'(u)
         grad[1:] += psi
         grad[:-1] -= psi
         if self.model.potential is not None:
@@ -251,6 +258,14 @@ class _QuantileProblem:
         line search absorbs any remaining model error.
         """
         m, G, u = self.m, p.G, p.u
+        diag = self.C_second(self.H - G)  # a fresh array: _fd_derivative's quotient
+        np.maximum(diag, 0.0, out=diag)
+        diag /= m
+        if self.model.potential is not None:
+            v2 = np.asarray(self.model.potential.v_second(G), dtype=float)
+            diag += np.maximum(v2, 0.0) / m
+        if self.model.kernel is not None:
+            diag += self.model.kernel.sample_curvature(G, p.sums)
         with np.errstate(over="ignore", divide="ignore"):
             psi2 = (m - 1) * u**3 * np.asarray(self.model.congestion.f_prime(u), dtype=float)
         # in place, each bound first: the bytes of np.where(finite, np.clip(...), _CURV_MAX)
@@ -258,18 +273,12 @@ class _QuantileProblem:
         np.minimum(_CURV_MAX, np.maximum(0.0, psi2, out=psi2), out=psi2)
         if not finite.all():
             psi2[~finite] = _CURV_MAX
-        diag = np.maximum(self.C_second(p.z), 0.0) / m
-        if self.model.potential is not None:
-            v2 = np.asarray(self.model.potential.v_second(G), dtype=float)
-            diag += np.maximum(v2, 0.0) / m
-        if self.model.kernel is not None:
-            diag += self.model.kernel.sample_curvature(G, p.sums)
         diag[:-1] += psi2
         diag[1:] += psi2
         if self.prox is not None:
             diag += 1.0 / (self.prox[1] * m)
         np.maximum(_CURV_MIN / m, diag, out=diag)
-        return np.minimum(_CURV_MAX, diag, out=diag), -psi2
+        return np.minimum(_CURV_MAX, diag, out=diag), np.negative(psi2, out=psi2)
 
 
 dptsv = _load_scipy_extension("scipy.linalg._flapack").dptsv
@@ -431,24 +440,33 @@ def _projected_newton(scenario: Scenario, params: SolverParams, G0=None, prox=No
             converged = True
             break
         diag, sub = problem.curvature(point)
+        point = None  # from here on only G and J of the current point are read
         d = _newton_direction(G, grad, diag, sub, scenario)
+        diag = sub = None
         accepted = False
         step = _STEP0
         for _ in range(_MAX_BACKTRACKS):
-            cand_point = problem.point(_trial_point(G - step * d, iv, mode))
+            trial = np.multiply(d, -step)
+            trial += G  # G - step * d: the same bits, in one buffer
+            cand_point = problem.point(_trial_point(trial, iv, mode))
+            trial = None
             if cand_point is not None:
                 direction = cand_point.G - G
                 decrease = float(np.dot(grad, direction))
+                moved = float(np.abs(direction, out=direction).max())
+                direction = None
                 J_cand = problem.value_at(cand_point)
                 if decrease <= 0.0 and J_cand <= J + _SIGMA * decrease:
                     accepted = True
                     break
+                cand_point = None  # released before the next trial is built
             step *= _BETA
-        if not accepted or np.abs(direction).max() <= 1e-16 * (1.0 + np.abs(G).max()):
+        if not accepted or moved <= 1e-16 * (1.0 + np.abs(G).max()):
             stalled = True
             break
-        grad = problem.gradient(cand_point)
         G, J, point = cand_point.G, J_cand, cand_point
+        cand_point = d = grad = None
+        grad = problem.gradient(point)
 
     metadata = {"projected_gradient": pg_norm, "stalled": stalled}
     return QuantileFn(G, iv, support_mode=mode), float(J), iterations, converged, metadata
@@ -470,7 +488,7 @@ def _solve_mass_equation(model: EnergyModel, w: np.ndarray) -> tuple[float, np.n
     def excess(M: float) -> float:
         return float(delta * np.sum(response(M)) - 1.0)
 
-    center = float(np.median(w))
+    center = _median(w)
     radius0 = 1.0 + float(np.max(w) - np.min(w))
     bracket = []
     # expand each side from the same radius until the excess changes sign

@@ -11,6 +11,7 @@ from the monotone coupling when the cost matrix is Monge, cold otherwise.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -50,10 +51,13 @@ def _fd_derivative(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
 
     def deriv(t: np.ndarray, *args) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        h = 1e-6 * (1.0 + np.abs(t))
-        return (
-            np.asarray(fn(t + h, *args), dtype=float) - np.asarray(fn(t - h, *args), dtype=float)
-        ) / (2.0 * h)
+        h = np.abs(t)
+        h += 1.0
+        h *= 1e-6  # 1e-6 (1 + |t|), in one buffer
+        out = np.asarray(fn(t + h, *args), dtype=float) - np.asarray(fn(t - h, *args), dtype=float)
+        h *= 2.0
+        out /= h
+        return out
 
     return deriv
 
@@ -307,7 +311,11 @@ def solve_lp(
     ``x`` and ``y`` give one position per weight either way.  The dual
     potentials come from the LP equality multipliers; ``phi`` is shifted to
     vanish at atom 0, ``phi_c`` is tightened to the exact c-transform, and
-    the duality gap is certified to 1e-9.  HiGHS is called through scipy's
+    the duality gap is certified to 1e-9.  The LP solved and certified is
+    that of the costs scaled by the power of two that brings their largest
+    magnitude into [0.5, 1), so that HiGHS's absolute tolerances and the
+    certificate hold at any cost scale; the value and the potentials are
+    scaled back, which is exact.  HiGHS is called through scipy's
     compiled bindings, loaded by ``_load_scipy_extension`` on the first
     call: from their file, so that no scipy package is imported, or where
     that fails through the import system.  It runs without presolve.  With
@@ -344,18 +352,22 @@ def solve_lp(
     if np.all(cs[:-1, :-1] + cs[1:, 1:] <= cs[:-1, 1:] + cs[1:, :-1]):
         i, j = np.divmod(_staircase(a[xo], b[yo])[0], m)
         start = xo[i] * m + yo[j]
+    # HiGHS's tolerances and the gap certificate are absolute: solve and certify
+    # the LP of cm * 2^-e, max |c| in [0.5, 1), then scale back, exactly
+    e = math.frexp(float(np.max(np.abs(cm))))[1]
+    cm = np.ldexp(cm, -e)
     flat, duals, value = _highs_solve(_load_scipy_extension(_HIGHS), cm, a, b, start)
     plan_matrix = np.clip(flat.reshape(n, m), 0.0, None)
     phi = duals[:n] - duals[0]
     phi_c = np.min(cm - phi[:, None], axis=0)
-    pair = PotentialPair(phi=phi, phi_c=phi_c)
-    gap = abs(value - pair.dual_value(a, b))
+    gap = abs(value - (np.dot(a, phi) + np.dot(b, phi_c)))
     if gap > 1e-9 * (1.0 + abs(value)):
         raise RuntimeError(f"LP duality gap {gap:.3e} exceeds certification threshold")
+    pair = PotentialPair(phi=np.ldexp(phi, e), phi_c=np.ldexp(phi_c, e))
     plan = TransportPlan(
         source_weights=a, source_points=x, target_weights=b, target_points=y, matrix=plan_matrix
     )
-    return plan, pair, value
+    return plan, pair, math.ldexp(value, e)
 
 
 def _range_minima(
@@ -365,21 +377,34 @@ def _range_minima(
     hi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of ``value(rows, col)`` over ``rows = lo..hi`` for each column,
-    and its first (smallest) minimizing row, in one flat pass over all
-    ranges."""
+    and its first (smallest) minimizing row.  Each flat pass takes a run of
+    whole columns with at most ``_RANGE_ENTRIES`` entries in all (one column
+    alone when its range is longer), so the temporaries stay bounded; each
+    column's entries are the same whatever the runs."""
     counts = hi - lo + 1
-    starts = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(cols.size), counts)
-    rows = np.arange(int(counts.sum())) - starts[owner] + lo[owner]
-    vals = value(rows, cols[owner])
-    mins = np.minimum.reduceat(vals, starts)
-    hits = np.flatnonzero(vals == mins[owner])
-    return mins, rows[hits[np.searchsorted(hits, starts)]]
+    ends = np.cumsum(counts)
+    mins, args = np.empty(cols.size), np.empty(cols.size, dtype=np.intp)
+    start = 0
+    while start < cols.size:
+        limit = ends[start] - counts[start] + _RANGE_ENTRIES
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        c = counts[start:stop]
+        starts = np.cumsum(c) - c
+        owner = np.repeat(np.arange(c.size), c)
+        rows = np.arange(int(c.sum())) - starts[owner] + lo[start:stop][owner]
+        vals = value(rows, cols[start:stop][owner])
+        run_mins = np.minimum.reduceat(vals, starts)
+        hits = np.flatnonzero(vals == run_mins[owner])
+        mins[start:stop], args[start:stop] = run_mins, rows[hits[np.searchsorted(hits, starts)]]
+        start = stop
+    return mins, args
 
 
 # below this many entries one dense block beats the divide and conquer
 _DENSE_ENTRIES = 1 << 15
 _MONGE_BLOCK = 8
+# at most this many entries in one flat pass of _range_minima (bounded temporaries)
+_RANGE_ENTRIES = 1 << 13
 
 
 def c_transform(
@@ -397,8 +422,10 @@ def c_transform(
     with a dense minimum over their row range.  That costs
     O((n_x + n_y) log n_y) time and O(n_x + n_y) memory, never an
     ``n_x x n_y`` array (arrays of at most 2^15 entries are minimized in one
-    dense block).  Every entry is evaluated as in the dense formula, so the
-    minima are exact, not interpolated.
+    dense block): about fifteen arrays of ``max(n_x, n_y)`` entries, and the
+    temporaries of one pass of ``_range_minima`` over at most 2^13 entries.
+    Every entry is evaluated as in the dense formula, so the minima are
+    exact, not interpolated.
     """
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .energy import first_variation
-from .measures import DiscreteDensity, density_to_quantile
+from .measures import DiscreteDensity, _median, density_to_quantile
 from .transport import (
     CostSpec,
     _staircase,
@@ -132,7 +132,7 @@ def equilibrium_residual(
     core = support & padded[:-2] & padded[2:]
     if not core.any():
         core = support
-    M = float(np.median(total[core]))
+    M = _median(total[core])
     residual_eq = float(np.max(np.abs(total[core] - M)))
     residual_sup = float(np.max(M - total, initial=0.0))
     return ResidualReport(

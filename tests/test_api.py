@@ -88,6 +88,32 @@ def test_import_leaves_the_lp_solver_unloaded():
     assert out["value"] == 0.0
 
 
+MODULE_PROBE = """
+import json, sys
+import cnot
+from cnot.cli import load_scenario
+
+for name in ("figure1", "cubic_attraction"):
+    scenario = load_scenario(sys.argv[1] + "/" + name + ".json")
+    result = cnot.minimize_quantile(scenario)
+    result.M
+print(json.dumps([m for m in ("numpy.random", "numpy.polynomial", "numpy.ma") if m in sys.modules]))
+"""
+
+
+def test_a_solve_loads_no_unused_numpy_module():
+    """Loading figure1 and cubic_attraction, solving them and reading their
+    certificates loads neither ``numpy.random`` (the kernel probe is a fixed
+    low-discrepancy sample), ``numpy.polynomial`` (the potential's derivative
+    coefficients are ``polyder``'s products, taken in place) nor ``numpy.ma``
+    (the certificate's median partitions directly)."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, str(root / "scenarios")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == []
+
+
 def test_readme_library_quick_start_runs():
     """The README's library quick-start runs as written, with no
     RuntimeWarning, and its solve converges."""

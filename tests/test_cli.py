@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,6 +429,51 @@ def test_jko_writes_trajectory(tmp_path):
     assert diag["terminal_vs_direct_W2"] >= 0.0
     J = [float(line.split(",")[1]) for line in rows[1:]]
     assert all(b <= a + 1e-10 for a, b in zip(J, J[1:]))
+
+
+def test_jko_stops_solving_at_its_fixed_point(tmp_path, monkeypatch):
+    """Once a step returns its anchor bit for bit, the flow repeats that step
+    without solving.  On the shipped uniform scenario (tau 0.1, 20 steps from
+    two bumps) ``cnot jko`` solves fewer than 20 steps, and its trajectory and
+    every density file have the bytes of a flow that solves all 20 steps,
+    written by ``_write_csv``."""
+    import cnot.dynamics as dynamics
+    from cnot import density_to_quantile, two_bumps_density
+    from cnot.cli import _load_bundle
+    from cnot.solver import _QuantileProblem
+
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "uniform.json"
+    solve = dynamics.minimize_quantile
+    calls = []
+    monkeypatch.setattr(dynamics, "minimize_quantile",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    out = tmp_path / "out"
+    assert main(["jko", "--scenario", str(path), "--out", str(out),
+                 "--tau", "0.1", "--steps", "20", "--init", "two_bumps"]) == 0
+    assert len(calls) < 20
+
+    bundle = _load_bundle(str(path))
+    scenario = bundle.scenario
+    problem = _QuantileProblem(scenario)
+    densities = [two_bumps_density(scenario.grid)]
+    G = density_to_quantile(densities[0], scenario.m).values
+    rows = [(0, problem.value(G), 0.0)]
+    for k in range(1, 21):
+        result = solve(scenario, bundle.params, G0=G, prox=(G, 0.1))
+        assert result.converged
+        G_new = result.G.values
+        rows.append((k, problem.value(G_new), float(np.sqrt(np.sum((G_new - G) ** 2) / scenario.m))))
+        densities.append(result.nu)
+        G = G_new
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _write_csv(ref / "trajectory.csv", "k,J,W2_step", list(zip(*rows)))
+    names = ["trajectory.csv"]
+    for k, nu in enumerate(densities):
+        names.append(f"density_{k:04d}.csv")
+        _write_csv(ref / names[-1], "node,nu", (scenario.grid.nodes, nu.values))
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_jko_init_file_requires_path(tmp_path, capsys):

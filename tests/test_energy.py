@@ -136,6 +136,52 @@ def test_kernel_convexity_declaration():
         ).validate_on(Interval(0.0, 1.0))
 
 
+def _unit_square_kernel(f, interval):
+    """``phi(y, z) = f(s, t)`` with ``(s, t)`` the points mapped onto [0, 1]."""
+    lo, length = interval.lo, interval.length
+    return lambda y, z: f((np.asarray(y, dtype=float) - lo) / length,
+                          (np.asarray(z, dtype=float) - lo) / length)
+
+
+def test_kernel_probe_finds_defects_near_a_corner_or_an_edge():
+    """The kernel probe is a fixed low-discrepancy sample of the interval's
+    square with its corners, not a random draw: a kernel asymmetric only in
+    a corner box of side 0.15 (on the diagonal) or 0.1 (off it), or in an
+    edge strip of width 0.1, is refused as not symmetric; a symmetric kernel
+    declared convex but concave only there fails the midpoint probe.  The
+    defects are placed in the unit square mapped onto [2, 5]."""
+    interval = Interval(2.0, 5.0)
+    pos = lambda t: np.maximum(t, 0.0)
+    asymmetric = [
+        lambda s, t: (s - t) ** 2 + pos(s - 0.85) * pos(t - 0.85) ** 2,
+        lambda s, t: (s - t) ** 2 + pos(0.15 - s) * pos(0.15 - t) ** 2,
+        lambda s, t: (s - t) ** 2 + pos(s - 0.9) * pos(0.1 - t),
+        lambda s, t: (s - t) ** 2 + pos(s - 0.9) * t,
+        lambda s, t: (s - t) ** 2 + pos(0.1 - t) * s,
+    ]
+    for f in asymmetric:
+        kernel = InteractionKernel.custom(_unit_square_kernel(f, interval))
+        with pytest.raises(ValueError, match="symmetric"):
+            kernel.validate_on(interval)
+    nonconvex = [
+        lambda s, t: (s - t) ** 2 - 1e4 * (pos(s - 0.9) * pos(t - 0.9)) ** 2,
+        lambda s, t: (s - t) ** 2 - 1e4 * (pos(0.1 - s) * pos(0.1 - t)) ** 2,
+        lambda s, t: (s - t) ** 2
+        - 1e4 * ((pos(0.1 - s) * pos(t - 0.9)) ** 2 + (pos(0.1 - t) * pos(s - 0.9)) ** 2),
+        lambda s, t: (s - t) ** 2 - 200.0 * (pos(s - 0.9) ** 3 + pos(t - 0.9) ** 3),
+        lambda s, t: (s - t) ** 2 - 200.0 * (pos(0.1 - s) ** 3 + pos(0.1 - t) ** 3),
+    ]
+    for f in nonconvex:
+        kernel = InteractionKernel.custom(_unit_square_kernel(f, interval), declared_convex=True)
+        with pytest.raises(ValueError, match="midpoint probe"):
+            kernel.validate_on(interval)
+        InteractionKernel.custom(_unit_square_kernel(f, interval)).validate_on(interval)
+    convex = InteractionKernel.custom(
+        _unit_square_kernel(lambda s, t: (s - t) ** 2, interval), declared_convex=True
+    )
+    convex.validate_on(interval)
+
+
 def test_potential_poly_matches_polyval():
     """Poly potentials agree with numpy polynomial evaluation and derivative."""
     coeffs = [1.0, -2.0, 0.5, 3.0]

@@ -224,7 +224,7 @@ def _curvature_differencing_v_prime(problem, p):
     with np.errstate(over="ignore", divide="ignore"):
         psi2 = (m - 1) * u**3 * np.asarray(problem.model.congestion.f_prime(u), dtype=float)
     psi2 = np.where(np.isfinite(psi2), np.minimum(_CURV_MAX, np.maximum(0.0, psi2)), _CURV_MAX)
-    z = p.z
+    z = problem.H - p.G
     h = 1e-6 * (1.0 + np.abs(z))
     c2 = (
         np.asarray(problem.cost.C_prime(z + h), dtype=float)
@@ -765,3 +765,29 @@ def test_best_response_matches_variational_solution():
         scenario, uniform_density(scenario.grid), damping=0.5, steps=60
     )
     assert np.max(np.abs(iterated.values - direct.nu.values)) < 1e-3
+
+
+def _solve_peaks():
+    """``tools/solve_peaks.py``, the traced-peak probe CI runs at n = 65536."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "solve_peaks.py"
+    spec = importlib.util.spec_from_file_location("solve_peaks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_figure1_solve_holds_a_bounded_number_of_quantile_arrays():
+    """At n = 8192 (m = 32768) the figure-1 solve never holds more than about
+    a dozen arrays of m floats at once, as traced by ``tracemalloc``: the
+    Newton loop and the whole solve with its binning at most 12 (21.0 before
+    the loop kept only G, u and F(u) of a point and dropped the old point, the
+    curvature and each rejected trial as soon as they were used), the
+    certificate at most 10 (13.8 before its range minima ran in bounded
+    column runs)."""
+    probe = _solve_peaks()
+    peaks = probe.traced_peaks(8192)
+    assert peaks["converged"]
+    for stage, bound in probe.BOUNDS.items():
+        assert peaks[stage] <= bound, (stage, peaks[stage])

@@ -313,6 +313,28 @@ def test_lp_certifies_cold_solves_at_the_tolerances_it_checks(seed):
     assert abs(value - _linprog_reference(a, b, cm)[2]) <= 1e-9 * (1.0 + abs(value))
 
 
+def test_lp_value_scales_with_small_costs():
+    """``solve_lp`` solves and certifies the LP of its costs scaled by a power
+    of two into [0.5, 1), so small costs are no longer certified far from
+    their optimum: on 40 seeded 64 x 64 unstructured LPs (the recipe of
+    ``test_lp_certifies_cold_solves_at_the_tolerances_it_checks``, seeds
+    2000-2039) with the costs multiplied by 1e-6 or 1e-4, the value divided
+    back matches the unscaled LP's to 1e-12 relative (2.1e-4 and 8.6e-8 at
+    absolute tolerances), none is refused, and the potentials stay dual
+    feasible at the small scale."""
+    for seed in range(2000, 2040):
+        rng = np.random.default_rng(seed)
+        x, y = np.sort(rng.uniform(0.0, 1.0, 64)), np.sort(rng.uniform(0.0, 1.0, 64))
+        a, b = rng.uniform(0.1, 1.0, 64), rng.uniform(0.1, 1.0, 64)
+        a, b = a / a.sum(), b / b.sum()
+        cm = rng.uniform(0.0, 1.0, (64, 64))
+        reference = solve_lp(a, x, b, y, cost_matrix=cm)[2]
+        for scale in (1e-6, 1e-4):
+            _, pair, value = solve_lp(a, x, b, y, cost_matrix=cm * scale)
+            assert abs(value / scale - reference) <= 1e-12 * abs(reference)
+            assert np.max(pair.phi[:, None] + pair.phi_c[None, :] - cm * scale) <= 1e-12 * scale
+
+
 LP_ROUTE_PROBE = """
 import importlib.util, json, sys
 import numpy as np
