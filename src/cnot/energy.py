@@ -275,10 +275,14 @@ def _additive_recurrence(count: int, dim: int) -> np.ndarray:
     return (0.5 + np.arange(1, count + 1)[:, None] * alpha) % 1.0
 
 
-# unit-square probes of InteractionKernel.validate_on: pairs (y, z), then
-# segments (y, z) -> (y', z'), each set closed by the square's corners
+# unit-square probes of InteractionKernel.validate_on: pairs (y, z), with 16
+# more in each diagonal corner box of side 0.1, then segments (y, z) -> (y', z'),
+# each set closed by the square's corners
 _CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-_PROBE_PAIRS = np.vstack([_additive_recurrence(64, 2), _CORNERS[1]])
+_PROBE_PAIRS = np.vstack(
+    [_additive_recurrence(64, 2), 0.1 * _additive_recurrence(16, 2),
+     0.9 + 0.1 * _additive_recurrence(16, 2), _CORNERS[1]]
+)
 _PROBE_SEGMENTS = np.vstack(
     [_additive_recurrence(64, 4)]
     + [np.hstack([_CORNERS[i], _CORNERS[j]]) for i in range(4) for j in range(i + 1, 4)]
@@ -321,9 +325,11 @@ class InteractionKernel:
 
     def validate_on(self, interval: Interval) -> None:
         """Probe the kernel on a fixed low-discrepancy sample of the interval's
-        square: symmetry and finiteness on 64 pairs ``(y, z)`` and the corner
-        ``(lo, hi)``; for a ``declared_convex`` kernel, joint midpoint
-        convexity on 64 segments and the six segments joining the corners."""
+        square: symmetry and finiteness on 64 pairs ``(y, z)``, 16 more in
+        each diagonal corner box of side ``0.1 L`` (``[lo, lo + 0.1 L]^2`` and
+        ``[hi - 0.1 L, hi]^2``) and the corner ``(lo, hi)``; for a
+        ``declared_convex`` kernel, joint midpoint convexity on 64 segments
+        and the six segments joining the corners."""
         lo, length = interval.lo, interval.length
         y, z = (lo + length * _PROBE_PAIRS).T
         a = np.asarray(self.phi(y, z), dtype=float)
@@ -388,12 +394,16 @@ class InteractionKernel:
         """
         if self.kind != "cubic_distance":
             return None
-        Gc = G - G.mean()
-        powers = np.array((Gc, Gc * Gc, Gc * Gc * Gc))
-        # one sequential cumsum for the three rows: the bits of three 1-D ones
-        sums = np.zeros_like(powers)
-        np.cumsum(powers[:, :-1], axis=1, out=sums[:, 1:])
-        return (Gc, *sums)
+        # Gc and its three prefix sums, the rows of one array
+        out = np.empty((4, G.size))
+        Gc = np.subtract(G, G.mean(), out=out[0])
+        out[1:, 0] = 0.0
+        np.cumsum(Gc[:-1], out=out[1, 1:])
+        power = Gc * Gc
+        np.cumsum(power[:-1], out=out[2, 1:])
+        power *= Gc
+        np.cumsum(power[:-1], out=out[3, 1:])
+        return tuple(out)
 
     def sample_energy(self, G: np.ndarray, sums: Optional[tuple]) -> float:
         """``(1/(2 m^2)) sum_jk phi(G_j, G_k)`` on sorted samples ``G``
@@ -420,13 +430,34 @@ class InteractionKernel:
         if self.kind == "product":
             return np.full(m, self.kappa * G.sum() / (m * m))
         if self.kind == "cubic_distance":
+            # 3 kappa (left - right) / m^2 with left = j Gc Gc - 2 Gc q1 + q2,
+            # right = (m-1-j) Gc Gc - 2 Gc r1 + r2 and the sums to the right
+            # r1 = sum Gc - q1 - Gc, r2 = sum Gc^2 - q2 - Gc^2: the operations of
+            # that expression in its order, so its bits, in four buffers
             Gc, q1, q2, _ = sums
-            r1 = Gc.sum() - q1 - Gc
-            r2 = np.dot(Gc, Gc) - q2 - Gc * Gc
             j = np.arange(m)
-            left = j * Gc * Gc - 2.0 * Gc * q1 + q2
-            right = (m - 1 - j) * Gc * Gc - 2.0 * Gc * r1 + r2
-            return 3.0 * self.kappa * (left - right) / (m * m)
+            left = np.multiply(j, Gc)
+            left *= Gc
+            t = np.multiply(2.0, Gc)
+            t *= q1
+            left -= t
+            left += q2
+            np.subtract(m - 1, j, out=j)
+            right = np.multiply(j, Gc)
+            right *= Gc
+            j = None
+            np.subtract(Gc.sum(), q1, out=t)
+            t -= Gc  # r1
+            u = np.multiply(2.0, Gc)
+            u *= t
+            right -= u
+            np.subtract(np.dot(Gc, Gc), q2, out=t)
+            t -= np.multiply(Gc, Gc, out=u)  # r2
+            right += t
+            left -= right
+            left *= 3.0 * self.kappa
+            left /= m * m
+            return left
         return _dense_rows(self.dphi_dy, G, np.ones(m)) / (m * m)
 
     def sample_curvature(self, G: np.ndarray, sums: Optional[tuple]) -> np.ndarray:
@@ -442,11 +473,22 @@ class InteractionKernel:
             if self.kind == "product":
                 return np.full(m, self.kappa / (m * m))
             if self.kind == "cubic_distance":
+                # 6 kappa max((2j - m + 1) Gc - q1 + r1, 0) / m^2 with
+                # r1 = sum Gc - q1 - Gc, in its order and two buffers
                 Gc, q1, _, _ = sums
-                r1 = Gc.sum() - q1 - Gc
-                j = np.arange(m)
-                absdist = (2.0 * j - m + 1.0) * Gc - q1 + r1
-                return 6.0 * self.kappa * np.clip(absdist, 0.0, None) / (m * m)
+                r1 = np.subtract(Gc.sum(), q1)
+                r1 -= Gc
+                absdist = np.arange(m, dtype=float)
+                absdist *= 2.0
+                absdist -= m
+                absdist += 1.0
+                absdist *= Gc
+                absdist -= q1
+                absdist += r1
+                np.maximum(absdist, 0.0, out=absdist)
+                absdist *= 6.0 * self.kappa
+                absdist /= m * m
+                return absdist
         return np.zeros(m)
 
     def scaled(self, c: float) -> "InteractionKernel":

@@ -3,10 +3,11 @@
 Two independent routes to the transport cost are kept side by side on
 purpose: the quantile (monotone rearrangement) route used by the solver, and
 an exact linear-programming oracle on atomized measures used to cross-check
-it.  The LP returns dual potentials with a certified duality gap.  It calls
+it.  The LP returns dual potentials with a certified duality gap.  When the
+position-sorted cost matrix is Monge, the monotone (staircase) coupling is
+its answer, with potentials read off the staircase; any other cost goes to
 HiGHS, without presolve, through scipy's compiled ``_highspy/_core``
-extension (loaded on first use by ``_load_scipy_extension``), and starts it
-from the monotone coupling when the cost matrix is Monge, cold otherwise.
+extension (loaded on first use by ``_load_scipy_extension``).
 """
 from __future__ import annotations
 
@@ -245,15 +246,13 @@ def _staircase(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _highs_solve(
-    highs: ModuleType, cm: np.ndarray, a: np.ndarray, b: np.ndarray, start: Optional[np.ndarray]
+    highs: ModuleType, cm: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The transport LP ``min <cm, P>`` over plans ``P >= 0`` with row sums
-    ``a`` and column sums ``b``, by HiGHS's dual simplex with no output or
+    ``a`` and column sums ``b``, by HiGHS's cold dual simplex with no output or
     presolve.  Its feasibility tolerances are the ones ``solve_lp`` checks,
     primal 1e-10 (plan marginals) and dual 1e-9 (the gap certificate): at
     HiGHS's default 1e-7 a cold solve without presolve can fail both.
-    It starts from the basis of the ``start`` cells ``i * m + j`` and the
-    last row, the rest at their lower bounds, or cold if ``start`` is None.
     The matrix goes to HiGHS in CSC form as lists, which pybind converts
     faster than arrays.  Returns the flat plan, row duals and value."""
     n, m = a.size, b.size
@@ -280,14 +279,6 @@ def _highs_solve(
     solver = highs._Highs()
     solver.passOptions(options)
     solver.passModel(lp)
-    if start is not None:
-        lower, basic = highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic
-        basis, cols = highs.HighsBasis(), [lower] * (n * m)
-        for k in start.tolist():
-            cols[k] = basic
-        basis.col_status, basis.row_status = cols, [lower] * (n + m - 1) + [basic]
-        if solver.setBasis(basis) != highs.HighsStatus.kOk:
-            raise RuntimeError("transport LP refused its starting basis")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
@@ -308,23 +299,23 @@ def solve_lp(
 
     Either a ``CostSpec`` or an explicit cost matrix must be given (the
     matrix form admits non-interval atom sets, e.g. product couplings);
-    ``x`` and ``y`` give one position per weight either way.  The dual
-    potentials come from the LP equality multipliers; ``phi`` is shifted to
-    vanish at atom 0, ``phi_c`` is tightened to the exact c-transform, and
-    the duality gap is certified to 1e-9.  The LP solved and certified is
-    that of the costs scaled by the power of two that brings their largest
-    magnitude into [0.5, 1), so that HiGHS's absolute tolerances and the
-    certificate hold at any cost scale; the value and the potentials are
-    scaled back, which is exact.  HiGHS is called through scipy's
-    compiled bindings, loaded by ``_load_scipy_extension`` on the first
-    call: from their file, so that no scipy package is imported, or where
-    that fails through the import system.  It runs without presolve.  With
-    the atoms sorted by position, a Monge cost matrix
+    ``x`` and ``y`` give one position per weight either way.  With the atoms
+    sorted by position, a Monge cost matrix
     (``c[i, j] + c[i+1, j+1] <= c[i, j+1] + c[i+1, j]``, as for any cost
-    convex in ``x - y``) makes the monotone coupling optimal, and HiGHS
-    starts from its ``_staircase`` cells; any other starts cold.  The start
-    decides speed only: HiGHS's pricing and the gap certificate decide
-    optimality.
+    convex in ``x - y``) makes the monotone coupling optimal: the plan is
+    the ``_staircase``, and its potentials ``u_i + v_j = c[i, j]`` on those
+    cells are a cumulative sum over the steps down.  No solver is loaded.
+    Any other cost goes to HiGHS, cold (``_highs_solve``), through scipy's
+    compiled bindings, loaded by ``_load_scipy_extension`` on first use:
+    from their file, so that no scipy package is imported, or where that
+    fails through the import system; its equality multipliers give ``u``.
+    Either way ``phi = u - u[0]`` vanishes at atom 0, ``phi_c`` is its exact
+    c-transform, so the pair is dual feasible, and the duality gap is
+    certified to 1e-9, which by weak duality proves the plan optimal.  The
+    LP solved and certified is that of the costs scaled by the power of two
+    that brings their largest magnitude into [0.5, 1), so that the absolute
+    tolerances and the certificate hold at any cost scale; the value and
+    the potentials are scaled back, which is exact.
     """
     a, b, x, y = (np.asarray(v, dtype=float) for v in (a, b, x, y))
     n, m = a.size, b.size
@@ -347,18 +338,25 @@ def solve_lp(
     if not np.all(np.isfinite(cm)):
         raise ValueError("cost matrix must be finite")
 
-    xo, yo = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
-    cs, start = cm[np.ix_(xo, yo)], None
-    if np.all(cs[:-1, :-1] + cs[1:, 1:] <= cs[:-1, 1:] + cs[1:, :-1]):
-        i, j = np.divmod(_staircase(a[xo], b[yo])[0], m)
-        start = xo[i] * m + yo[j]
-    # HiGHS's tolerances and the gap certificate are absolute: solve and certify
+    # the tolerances and the gap certificate are absolute: solve and certify
     # the LP of cm * 2^-e, max |c| in [0.5, 1), then scale back, exactly
     e = math.frexp(float(np.max(np.abs(cm))))[1]
     cm = np.ldexp(cm, -e)
-    flat, duals, value = _highs_solve(_load_scipy_extension(_HIGHS), cm, a, b, start)
-    plan_matrix = np.clip(flat.reshape(n, m), 0.0, None)
-    phi = duals[:n] - duals[0]
+    xo, yo = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+    cs = cm[np.ix_(xo, yo)]
+    if np.all(cs[:-1, :-1] + cs[1:, 1:] <= cs[:-1, 1:] + cs[1:, :-1]):
+        cells, mass = _staircase(a[xo], b[yo])
+        i, j = np.divmod(cells, m)
+        plan_matrix, cell_cost = np.zeros((n, m)), cs[i, j]
+        plan_matrix[xo[i], yo[j]] = mass
+        value = float(np.dot(mass, cell_cost))
+        # a step down from (i, j) sets u[i + 1] = u[i] + c[i + 1, j] - c[i, j]
+        u = np.empty(n)
+        u[xo] = np.concatenate([[0.0], np.cumsum(np.diff(cell_cost)[np.diff(i) == 1])])
+    else:
+        flat, duals, value = _highs_solve(_load_scipy_extension(_HIGHS), cm, a, b)
+        plan_matrix, u = np.clip(flat.reshape(n, m), 0.0, None), duals[:n]
+    phi = u - u[0]
     phi_c = np.min(cm - phi[:, None], axis=0)
     gap = abs(value - (np.dot(a, phi) + np.dot(b, phi_c)))
     if gap > 1e-9 * (1.0 + abs(value)):

@@ -54,7 +54,8 @@ result = cnot.minimize_quantile(cnot.Scenario(
     model=cnot.EnergyModel(grid=grid, congestion=cnot.CongestionSpec.entropy()), m=32))
 solved, linalg_solved = result.converged, "scipy.linalg" in sys.modules
 x = np.array([0.0, 1.0])
-plan, _, value = cnot.solve_lp(np.array([0.5, 0.5]), x, np.array([0.5, 0.5]), x,
+# the target atoms sit in reverse order, so the sorted cost is not Monge: HiGHS solves it
+plan, _, value = cnot.solve_lp(np.array([0.5, 0.5]), x, np.array([0.5, 0.5]), x[::-1],
                                cost_matrix=(x[:, None] - x[None, :]) ** 2)
 after = loaded()
 import scipy.linalg.lapack
@@ -69,8 +70,9 @@ def test_import_leaves_the_lp_solver_unloaded():
     """A fresh ``import cnot, cnot.cli`` loads neither ``scipy.optimize`` nor
     ``scipy.sparse``, and not the ``scipy.linalg`` package either: the solver
     takes LAPACK ``dptsv`` from scipy's extension file, and a solve loads no
-    more.  The first ``solve_lp`` call loads only scipy's HiGHS bindings
-    (``scipy.optimize._highspy._core``) from their file, still no
+    more.  The first ``solve_lp`` call that reaches HiGHS (a cost that is
+    not Monge in the atoms' position order) loads only scipy's HiGHS
+    bindings (``scipy.optimize._highspy._core``) from their file, still no
     ``scipy.optimize`` or ``scipy.sparse`` package, and returns the exact
     plan.  A later ``import scipy.linalg`` reuses the LAPACK extension, so
     ``scipy.linalg.lapack.dptsv`` is the solver's routine."""

@@ -146,8 +146,8 @@ def _unit_square_kernel(f, interval):
 def test_kernel_probe_finds_defects_near_a_corner_or_an_edge():
     """The kernel probe is a fixed low-discrepancy sample of the interval's
     square with its corners, not a random draw: a kernel asymmetric only in
-    a corner box of side 0.15 (on the diagonal) or 0.1 (off it), or in an
-    edge strip of width 0.1, is refused as not symmetric; a symmetric kernel
+    a corner box of side 0.1, on the diagonal or off it, or in an edge strip
+    of width 0.1, is refused as not symmetric; a symmetric kernel
     declared convex but concave only there fails the midpoint probe.  The
     defects are placed in the unit square mapped onto [2, 5]."""
     interval = Interval(2.0, 5.0)
@@ -155,6 +155,8 @@ def test_kernel_probe_finds_defects_near_a_corner_or_an_edge():
     asymmetric = [
         lambda s, t: (s - t) ** 2 + pos(s - 0.85) * pos(t - 0.85) ** 2,
         lambda s, t: (s - t) ** 2 + pos(0.15 - s) * pos(0.15 - t) ** 2,
+        lambda s, t: (s - t) ** 2 + pos(s - 0.9) * pos(t - 0.9) ** 2,
+        lambda s, t: (s - t) ** 2 + pos(0.1 - s) * pos(0.1 - t) ** 2,
         lambda s, t: (s - t) ** 2 + pos(s - 0.9) * pos(0.1 - t),
         lambda s, t: (s - t) ** 2 + pos(s - 0.9) * t,
         lambda s, t: (s - t) ** 2 + pos(0.1 - t) * s,

@@ -166,8 +166,8 @@ def test_lp_rejects_non_finite_costs_and_weights():
 
 @pytest.mark.parametrize("name", ["uniform", "congested_gaussian", "cubic_attraction", "figure1"])
 def test_lp_from_the_staircase_basis_matches_the_cold_lp_on_the_shipped_purity_problems(name):
-    """On the purity check's LP for a shipped scenario, which starts from the
-    monotone staircase, the value is the monotone coupling's cost to 1e-14
+    """On the purity check's LP for a shipped scenario, which the monotone
+    staircase answers, the value is the monotone coupling's cost to 1e-14
     relative, and the plan has no crossing."""
     a, x, b, y, cost = _shipped_purity_problem(name)
     plan, _, value = solve_lp(a, x, b, y, cost=cost)
@@ -254,31 +254,62 @@ def test_lp_reaches_the_monotone_cost_for_convex_costs(layout):
             assert _crossing_scan(plan.matrix[np.ix_(np.argsort(px), np.argsort(py))]) == (0, None)
 
 
-def test_lp_starts_from_the_staircase_exactly_when_the_sorted_cost_is_monge(monkeypatch):
-    """``solve_lp`` hands HiGHS the monotone coupling's cells, in the caller's
-    atom order, for a cost convex in ``x - y`` on shuffled atoms with zero
-    weights, and no start for a concave or an unstructured cost.  The start
-    decides speed only, so no value shows it."""
-    starts = []
+def test_lp_calls_highs_exactly_when_the_sorted_cost_is_not_monge(monkeypatch):
+    """For a cost convex in ``x - y`` on shuffled atoms with zero weights,
+    ``solve_lp`` never calls HiGHS: its plan holds the monotone coupling's
+    masses at the staircase cells, in the caller's atom order, and nothing
+    else.  A concave and an unstructured cost each call HiGHS once."""
+    calls = []
     solve = transport._highs_solve
     monkeypatch.setattr(transport, "_highs_solve",
-                        lambda *args: starts.append(args[-1]) or solve(*args))
+                        lambda *args: calls.append(args[1].shape) or solve(*args))
     rng = np.random.default_rng(17)
     a, b = rng.uniform(0.0, 1.0, 9) * (rng.uniform(size=9) < 0.7), rng.uniform(0.1, 1.0, 7)
     a[0], x, y = 1.0, np.sort(rng.uniform(0.0, 1.0, 9)), np.sort(rng.uniform(0.0, 1.0, 7))
     a, b = a / a.sum(), b / b.sum()
     px, py = rng.permutation(9), rng.permutation(7)
-    solve_lp(a[px], x[px], b[py], y[py], cost=CostSpec.power(3.0))
-    i, j = np.divmod(_staircase(a, b)[0], 7)
-    assert sorted(starts[-1]) == sorted(np.argsort(px)[i] * 7 + np.argsort(py)[j])
+    plan = solve_lp(a[px], x[px], b[py], y[py], cost=CostSpec.power(3.0))[0]
+    assert calls == []
+    cells, mass = _staircase(a, b)
+    i, j = np.divmod(cells, 7)
+    expected = np.zeros((9, 7))
+    expected[np.argsort(px)[i], np.argsort(py)[j]] = mass
+    assert np.array_equal(plan.matrix, expected)
     for cm in (-np.subtract.outer(x, y) ** 2, rng.uniform(0.0, 1.0, (9, 7))):
         solve_lp(a, x, b, y, cost_matrix=cm)
-        assert starts[-1] is None
+    assert calls == [(9, 7), (9, 7)]
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_staircase_route_matches_a_cold_highs_solve_on_convex_costs(shuffled):
+    """On the seeded 64 x 64 LPs of
+    ``test_lp_reaches_the_monotone_cost_for_convex_costs`` (positive weights,
+    so the optimal plan and potentials are unique), the plan, ``phi`` and
+    value that ``solve_lp`` reads off the staircase match those of HiGHS
+    solving the same scaled LP cold: the value within the certificate
+    ``1e-9 (1 + |v|)``, the plan and ``phi`` to 1e-12."""
+    highs = transport._load_scipy_extension(transport._HIGHS)
+    for seed in range(4):
+        for cost in (CostSpec.quadratic(), CostSpec.power(3.0), CostSpec.power(1.5)):
+            rng = np.random.default_rng(seed)
+            x, y = np.sort(rng.uniform(0.0, 1.0, 64)), np.sort(rng.uniform(0.0, 1.0, 64))
+            a, b = rng.uniform(0.1, 1.0, 64), rng.uniform(0.1, 1.0, 64)
+            a, b = a / a.sum(), b / b.sum()
+            px, py = (rng.permutation(64), rng.permutation(64)) if shuffled else (
+                np.arange(64), np.arange(64))
+            a, x, b, y = a[px], x[px], b[py], y[py]
+            plan, pair, value = solve_lp(a, x, b, y, cost=cost)
+            cm = cost.cost_matrix(x, y)
+            e = np.frexp(np.max(np.abs(cm)))[1]
+            flat, duals, cold = transport._highs_solve(highs, np.ldexp(cm, -e), a, b)
+            assert abs(value - np.ldexp(cold, e)) <= 1e-9 * (1.0 + abs(value))
+            assert np.max(np.abs(plan.matrix - np.clip(flat.reshape(64, 64), 0.0, None))) <= 1e-12
+            assert np.max(np.abs(pair.phi - np.ldexp(duals[:64] - duals[0], e))) <= 1e-12
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (8, 8), (5, 13), (40, 17), (64, 64)])
 def test_lp_matches_linprog_within_the_certificate(n, m):
-    """For a concave cost ``-(x - y)^2`` (not Monge, so HiGHS starts cold) and
+    """For a concave cost ``-(x - y)^2`` (not Monge, so HiGHS solves it) and
     for unstructured costs, the value is ``linprog(method="highs")``'s within
     the LP's certificate ``1e-9 (1 + |v|)``; the plan has the atom weights as
     its marginals, and the potentials are dual feasible."""
@@ -350,7 +381,8 @@ for n, m in ((6, 6), (9, 4)):
     a, b = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m)
     a, b = a / a.sum(), b / b.sum()
     x, y = np.sort(rng.uniform(0.0, 1.0, n)), np.sort(rng.uniform(0.0, 1.0, m))
-    plan, pair, value = solve_lp(a, x, b, y, cost=CostSpec.quadratic())
+    # a concave cost is not Monge, so it reaches HiGHS
+    plan, pair, value = solve_lp(a, x, b, y, cost_matrix=-np.subtract.outer(x, y) ** 2)
     results.append([plan.matrix.tobytes().hex(), pair.phi.tobytes().hex(),
                     pair.phi_c.tobytes().hex(), value.hex()])
 packages = [name for name in sys.modules
@@ -372,10 +404,10 @@ def _lp_route_probe(route: str) -> dict:
 
 
 def test_lp_loads_highs_from_its_file_or_through_the_import_system():
-    """In a fresh process ``solve_lp`` reaches HiGHS without importing the
-    ``scipy.optimize`` or ``scipy.sparse`` packages, and a later
-    ``from scipy.optimize import linprog`` works and reuses the loaded
-    bindings.  With scipy's location broken (``find_spec`` answers None) the
+    """In a fresh process ``solve_lp`` on a concave cost (not Monge) reaches
+    HiGHS without importing the ``scipy.optimize`` or ``scipy.sparse``
+    packages, and a later ``from scipy.optimize import linprog`` works and
+    reuses the loaded bindings.  With scipy's location broken (``find_spec`` answers None) the
     bindings come through the import system instead, which loads
     ``scipy.optimize``; the LP gives the same bits, and ``linprog`` uses the
     same bindings."""

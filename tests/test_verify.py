@@ -247,9 +247,9 @@ def _seeded_quadratic_lp(seed, equal_weights=False):
                                                 (1050, True)])
 def test_staircase_basis_certifies_the_lps_whose_cold_solve_misses_the_gap(seed, equal_weights):
     """On these seeded 64 x 64 quadratic LPs a cold HiGHS solve ends with a
-    duality gap above 1e-9, which ``solve_lp`` refused when it started
-    cold; started from the monotone staircase, as ``solve_lp`` does for a
-    Monge cost, it certifies at the monotone plan's cost to 1e-14 relative."""
+    duality gap above 1e-9, which ``solve_lp`` refused when it solved them
+    cold; the monotone staircase, which ``solve_lp`` takes for a Monge cost,
+    certifies at the monotone plan's cost to 1e-14 relative."""
     a, x, b, y = _seeded_quadratic_lp(seed, equal_weights)
     cost = CostSpec.quadratic()
     plan, _, value = solve_lp(a, x, b, y, cost=cost)
@@ -258,10 +258,10 @@ def test_staircase_basis_certifies_the_lps_whose_cold_solve_misses_the_gap(seed,
 
 
 def test_staircase_basis_does_not_rubber_stamp_a_non_convex_cost():
-    """With the concave cost ``-(x - y)^2`` the monotone staircase is a start,
-    not the answer: HiGHS started from it pivots to the cold value, well
-    below the staircase's cost.  ``solve_lp``, which starts such a cost
-    cold (it is not Monge), gives that value too, and its plan crosses."""
+    """With the concave cost ``-(x - y)^2`` the monotone staircase is not the
+    answer: ``solve_lp``, which sends such a cost to HiGHS (it is not
+    Monge), gives HiGHS's cold value, well below the staircase's cost, and
+    its plan crosses."""
     rng = np.random.default_rng(7)
     a, b = rng.uniform(0.1, 1.0, 12), rng.uniform(0.1, 1.0, 9)
     a, b = a / a.sum(), b / b.sum()
@@ -270,8 +270,7 @@ def test_staircase_basis_does_not_rubber_stamp_a_non_convex_cost():
     cells, mass = _staircase(a, b)
     plan, _, value = solve_lp(a, x, b, y, cost_matrix=cm)
     highs = _load_scipy_extension(_HIGHS)
-    for start in (cells, None):
-        assert _highs_solve(highs, cm, a, b, start)[2] == pytest.approx(value, rel=1e-12)
+    assert _highs_solve(highs, cm, a, b)[2] == pytest.approx(value, rel=1e-12)
     assert value < np.dot(mass, cm.ravel()[cells]) - 0.1
     crossings, witness = _crossing_scan(plan.matrix)
     assert crossings > 0 and witness is not None
@@ -280,7 +279,7 @@ def test_staircase_basis_does_not_rubber_stamp_a_non_convex_cost():
 def test_staircase_keeps_tied_breaks_and_zero_weight_atoms():
     """Tied cumulative weights and zero-weight atoms (first, inside, last)
     still give ``n + m - 1`` distinct cells, stepping down first on a tie, and
-    the LP started from them certifies at the monotone plan's cost."""
+    the LP read off them certifies at the monotone plan's cost."""
     a = np.array([0.25, 0.0, 0.25, 0.5, 0.0])
     b = np.array([0.0, 0.5, 0.0, 0.25, 0.25])
     x, y = np.linspace(0.0, 1.0, 5), np.linspace(0.1, 0.9, 5)
