@@ -18,9 +18,14 @@ first-order condition ``f(nu) = M - phi^c - interaction - v`` pointwise.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from types import ModuleType
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -35,7 +40,7 @@ from .measures import (
     density_to_quantile,
     quantile_to_density,
 )
-from .transport import CostSpec, _fd_derivative, _load_scipy_extension, kantorovich_potential_1d
+from .transport import CostSpec, _fd_derivative, kantorovich_potential_1d
 
 if TYPE_CHECKING:
     from .verify import ResidualReport
@@ -281,6 +286,37 @@ class _QuantileProblem:
         return np.minimum(_CURV_MAX, diag, out=diag), np.negative(psi2, out=psi2)
 
 
+def _load_scipy_extension(name: str) -> ModuleType:
+    """scipy's compiled module ``name`` (``scipy.linalg._flapack``, say), loaded
+    from its file without importing the scipy packages above it.
+
+    Importing a whole scipy package to reach one extension costs tens of
+    megabytes and hundreds of modules.  The file sits under the directory of
+    scipy's ``__init__`` (``find_spec`` locates it without importing scipy),
+    at the path of the dotted name, with one of ``EXTENSION_SUFFIXES``.  The
+    module is registered under ``name``, the name scipy imports it under, so
+    a later import of its package reuses it: an extension module must not be
+    loaded twice.  A module already loaded under ``name`` is returned as it
+    is.  Where any step of the file route fails (a build that keeps the
+    extension elsewhere or cannot load it this way), the same module comes
+    from ``importlib.import_module(name)``, which imports its packages too.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    try:
+        root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+        stem = os.path.join(root, *name.split(".")[1:])
+        path = next(stem + sx for sx in EXTENSION_SUFFIXES if os.path.isfile(stem + sx))
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:  # whatever breaks the file route, the import system is the reference
+        return importlib.import_module(name)
+    sys.modules[name] = module
+    return module
+
+
 dptsv = _load_scipy_extension("scipy.linalg._flapack").dptsv
 
 
@@ -289,7 +325,7 @@ def solveh_banded(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> Optiona
     LAPACK ``dptsv``, as ``scipy.linalg.solveh_banded`` does for a two-row band but
     without its validation layers; None when the matrix is not positive definite.
     ``dptsv`` comes from scipy's LAPACK extension ``scipy.linalg._flapack``, loaded by
-    ``transport._load_scipy_extension``: from its file without importing the
+    ``_load_scipy_extension``: from its file without importing the
     ``scipy.linalg`` package, or where that fails through the import system.  A later
     ``import scipy.linalg`` reuses the module, so its ``lapack.dptsv`` is this routine."""
     _, _, x, info = dptsv(diag, sub, rhs, overwrite_e=True)

@@ -3,21 +3,15 @@
 Two independent routes to the transport cost are kept side by side on
 purpose: the quantile (monotone rearrangement) route used by the solver, and
 an exact linear-programming oracle on atomized measures used to cross-check
-it.  The LP returns dual potentials with a certified duality gap.  When the
-position-sorted cost matrix is Monge, the monotone (staircase) coupling is
-its answer, with potentials read off the staircase; any other cost goes to
-HiGHS, without presolve, through scipy's compiled ``_highspy/_core``
-extension (loaded on first use by ``_load_scipy_extension``).
+it.  The LP's answer is the monotone (north-west-corner staircase) coupling
+of the position-sorted atoms, with potentials read off the staircase and a
+certified duality gap; a cost for which that coupling is not optimal is
+refused.
 """
 from __future__ import annotations
 
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES
-from types import ModuleType
 from typing import Callable, Optional
 
 import numpy as np
@@ -198,40 +192,6 @@ def wasserstein_cost_1d(
     return float(np.sum(cost.C(H - G)) / m)
 
 
-def _load_scipy_extension(name: str) -> ModuleType:
-    """scipy's compiled module ``name`` (``scipy.linalg._flapack``, say), loaded
-    from its file without importing the scipy packages above it.
-
-    Importing a whole scipy package to reach one extension costs tens of
-    megabytes and hundreds of modules.  The file sits under the directory of
-    scipy's ``__init__`` (``find_spec`` locates it without importing scipy),
-    at the path of the dotted name, with one of ``EXTENSION_SUFFIXES``.  The
-    module is registered under ``name``, the name scipy imports it under, so
-    a later import of its package reuses it: an extension module must not be
-    loaded twice.  A module already loaded under ``name`` is returned as it
-    is.  Where any step of the file route fails (a build that keeps the
-    extension elsewhere or cannot load it this way), the same module comes
-    from ``importlib.import_module(name)``, which imports its packages too.
-    """
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
-    try:
-        root = os.path.dirname(importlib.util.find_spec("scipy").origin)
-        stem = os.path.join(root, *name.split(".")[1:])
-        path = next(stem + sx for sx in EXTENSION_SUFFIXES if os.path.isfile(stem + sx))
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except Exception:  # whatever breaks the file route, the import system is the reference
-        return importlib.import_module(name)
-    sys.modules[name] = module
-    return module
-
-
-_HIGHS = "scipy.optimize._highspy._core"
-
-
 def _staircase(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``n + m - 1`` cells ``i * m + j`` of the north-west-corner (monotone)
     coupling in walk order, and their masses.  On a tie of cumulative weights
@@ -243,48 +203,6 @@ def _staircase(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i = np.concatenate([[0], np.cumsum(order < a.size - 1)])
     mass = np.diff(ends[order], prepend=0.0, append=max(A[-1], B[-1]))
     return i * b.size + np.arange(i.size) - i, mass
-
-
-def _highs_solve(
-    highs: ModuleType, cm: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The transport LP ``min <cm, P>`` over plans ``P >= 0`` with row sums
-    ``a`` and column sums ``b``, by HiGHS's cold dual simplex with no output or
-    presolve.  Its feasibility tolerances are the ones ``solve_lp`` checks,
-    primal 1e-10 (plan marginals) and dual 1e-9 (the gap certificate): at
-    HiGHS's default 1e-7 a cold solve without presolve can fail both.
-    The matrix goes to HiGHS in CSC form as lists, which pybind converts
-    faster than arrays.  Returns the flat plan, row duals and value."""
-    n, m = a.size, b.size
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n * m
-    lp.num_row_ = lp.a_matrix_.num_row_ = n + m
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.col_cost_ = cm.ravel()
-    lp.col_lower_ = np.zeros(n * m)
-    lp.col_upper_ = np.full(n * m, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b])
-    # column i * m + j (plan entry (i, j)) holds rows i and n + j
-    indices = np.empty(2 * n * m, dtype=np.int32)
-    indices[0::2] = np.repeat(np.arange(n, dtype=np.int32), m)
-    indices[1::2] = np.tile(np.arange(n, n + m, dtype=np.int32), n)
-    lp.a_matrix_.start_ = list(range(0, 2 * n * m + 1, 2))
-    lp.a_matrix_.index_ = indices.tolist()
-    lp.a_matrix_.value_ = [1.0] * (2 * n * m)
-    options = highs.HighsOptions()
-    options.presolve = "off"
-    options.primal_feasibility_tolerance, options.dual_feasibility_tolerance = 1e-10, 1e-9
-    options.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    options.output_flag = options.log_to_console = False
-    solver = highs._Highs()
-    solver.passOptions(options)
-    solver.passModel(lp)
-    solver.run()
-    status = solver.getModelStatus()
-    if status != highs.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"transport LP failed: {solver.modelStatusToString(status)}")
-    solution, value = solver.getSolution(), float(solver.getInfo().objective_function_value)
-    return np.array(solution.col_value), np.array(solution.row_dual), value
 
 
 def solve_lp(
@@ -299,23 +217,20 @@ def solve_lp(
 
     Either a ``CostSpec`` or an explicit cost matrix must be given (the
     matrix form admits non-interval atom sets, e.g. product couplings);
-    ``x`` and ``y`` give one position per weight either way.  With the atoms
-    sorted by position, a Monge cost matrix
-    (``c[i, j] + c[i+1, j+1] <= c[i, j+1] + c[i+1, j]``, as for any cost
-    convex in ``x - y``) makes the monotone coupling optimal: the plan is
-    the ``_staircase``, and its potentials ``u_i + v_j = c[i, j]`` on those
-    cells are a cumulative sum over the steps down.  No solver is loaded.
-    Any other cost goes to HiGHS, cold (``_highs_solve``), through scipy's
-    compiled bindings, loaded by ``_load_scipy_extension`` on first use:
-    from their file, so that no scipy package is imported, or where that
-    fails through the import system; its equality multipliers give ``u``.
-    Either way ``phi = u - u[0]`` vanishes at atom 0, ``phi_c`` is its exact
-    c-transform, so the pair is dual feasible, and the duality gap is
-    certified to 1e-9, which by weak duality proves the plan optimal.  The
-    LP solved and certified is that of the costs scaled by the power of two
-    that brings their largest magnitude into [0.5, 1), so that the absolute
-    tolerances and the certificate hold at any cost scale; the value and
-    the potentials are scaled back, which is exact.
+    ``x`` and ``y`` give one position per weight either way.  The plan is
+    the monotone coupling: the ``_staircase`` of the atoms sorted by
+    position, mapped back to the caller's order.  Its potentials solve
+    ``u_i + v_j = c[i, j]`` on the staircase cells, a cumulative sum over
+    the steps down; ``phi = u - u[0]`` vanishes at atom 0 and ``phi_c`` is
+    its exact c-transform, so the pair is dual feasible.  A duality gap
+    within 1e-9 (1 + |value|) then proves the plan optimal by weak duality,
+    whatever the cost: so it is for any cost convex in ``x - y``, whose
+    sorted matrix is Monge (Aggarwal et al. 1987).  A larger gap means the
+    monotone coupling is not optimal for this cost (a concave or
+    unstructured one, say), and ``solve_lp`` raises ``ValueError``.  The
+    certificate is that of the costs scaled by the power of two that brings
+    their largest magnitude into [0.5, 1), so that it holds at any cost
+    scale; the value and the potentials are scaled back, which is exact.
     """
     a, b, x, y = (np.asarray(v, dtype=float) for v in (a, b, x, y))
     n, m = a.size, b.size
@@ -338,29 +253,29 @@ def solve_lp(
     if not np.all(np.isfinite(cm)):
         raise ValueError("cost matrix must be finite")
 
-    # the tolerances and the gap certificate are absolute: solve and certify
-    # the LP of cm * 2^-e, max |c| in [0.5, 1), then scale back, exactly
+    # the gap certificate is absolute: certify the LP of cm * 2^-e, max |c| in
+    # [0.5, 1), then scale back, exactly
     e = math.frexp(float(np.max(np.abs(cm))))[1]
     cm = np.ldexp(cm, -e)
     xo, yo = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
-    cs = cm[np.ix_(xo, yo)]
-    if np.all(cs[:-1, :-1] + cs[1:, 1:] <= cs[:-1, 1:] + cs[1:, :-1]):
-        cells, mass = _staircase(a[xo], b[yo])
-        i, j = np.divmod(cells, m)
-        plan_matrix, cell_cost = np.zeros((n, m)), cs[i, j]
-        plan_matrix[xo[i], yo[j]] = mass
-        value = float(np.dot(mass, cell_cost))
-        # a step down from (i, j) sets u[i + 1] = u[i] + c[i + 1, j] - c[i, j]
-        u = np.empty(n)
-        u[xo] = np.concatenate([[0.0], np.cumsum(np.diff(cell_cost)[np.diff(i) == 1])])
-    else:
-        flat, duals, value = _highs_solve(_load_scipy_extension(_HIGHS), cm, a, b)
-        plan_matrix, u = np.clip(flat.reshape(n, m), 0.0, None), duals[:n]
+    cells, mass = _staircase(a[xo], b[yo])
+    i, j = np.divmod(cells, m)
+    down = np.diff(i) == 1
+    i, j = xo[i], yo[j]
+    plan_matrix, cell_cost = np.zeros((n, m)), cm[i, j]
+    plan_matrix[i, j] = mass
+    value = float(np.dot(mass, cell_cost))
+    # a step down from (i, j) sets u[i + 1] = u[i] + c[i + 1, j] - c[i, j]
+    u = np.empty(n)
+    u[xo] = np.concatenate([[0.0], np.cumsum(np.diff(cell_cost)[down])])
     phi = u - u[0]
     phi_c = np.min(cm - phi[:, None], axis=0)
     gap = abs(value - (np.dot(a, phi) + np.dot(b, phi_c)))
     if gap > 1e-9 * (1.0 + abs(value)):
-        raise RuntimeError(f"LP duality gap {gap:.3e} exceeds certification threshold")
+        raise ValueError(
+            f"the monotone coupling is not optimal for this cost: its duality gap "
+            f"{gap:.3e} (costs scaled into [0.5, 1)) exceeds the 1e-9 certificate"
+        )
     pair = PotentialPair(phi=np.ldexp(phi, e), phi_c=np.ldexp(phi_c, e))
     plan = TransportPlan(
         source_weights=a, source_points=x, target_weights=b, target_points=y, matrix=plan_matrix

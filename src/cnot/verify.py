@@ -191,10 +191,10 @@ def purity_check(scenario: "Scenario", nu: DiscreteDensity) -> PurityReport:
     blocks, solves the exact LP, and checks (a) the monotone coupling
     achieves the LP value within 1e-8 and (b) the LP plan's support has no
     crossings (each source's targets lie weakly to the right of every
-    earlier source's targets).  For the strictly convex cost ``solve_lp``
-    finds the sorted cost matrix Monge and answers with the monotone
-    staircase, certified by its own potentials and the duality gap,
-    without loading a solver; (a) and (b) then confirm that answer.
+    earlier source's targets).  ``solve_lp`` answers with the monotone
+    staircase, certified by its own potentials and the duality gap, which
+    the strictly convex cost guarantees; (a) and (b) then confirm that
+    answer.
     """
     scenario.cost.require_strictly_convex(scenario.interval.length)
     k = min(_PURITY_ATOMS, scenario.n)

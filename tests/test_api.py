@@ -54,15 +54,19 @@ result = cnot.minimize_quantile(cnot.Scenario(
     model=cnot.EnergyModel(grid=grid, congestion=cnot.CongestionSpec.entropy()), m=32))
 solved, linalg_solved = result.converged, "scipy.linalg" in sys.modules
 x = np.array([0.0, 1.0])
-# the target atoms sit in reverse order, so the sorted cost is not Monge: HiGHS solves it
-plan, _, value = cnot.solve_lp(np.array([0.5, 0.5]), x, np.array([0.5, 0.5]), x[::-1],
-                               cost_matrix=(x[:, None] - x[None, :]) ** 2)
+# the target atoms sit in reverse order, so the monotone coupling is not optimal
+try:
+    cnot.solve_lp(np.array([0.5, 0.5]), x, np.array([0.5, 0.5]), x[::-1],
+                  cost_matrix=(x[:, None] - x[None, :]) ** 2)
+    refused = None
+except ValueError as exc:
+    refused = str(exc)
 after = loaded()
 import scipy.linalg.lapack
 print(json.dumps({"before": before, "linalg": linalg, "solved": solved,
                   "linalg_solved": linalg_solved, "after": after,
                   "same_dptsv": scipy.linalg.lapack.dptsv is cnot.solver.dptsv,
-                  "plan": plan.matrix.tolist(), "value": value}))
+                  "refused": refused}))
 """
 
 
@@ -70,11 +74,10 @@ def test_import_leaves_the_lp_solver_unloaded():
     """A fresh ``import cnot, cnot.cli`` loads neither ``scipy.optimize`` nor
     ``scipy.sparse``, and not the ``scipy.linalg`` package either: the solver
     takes LAPACK ``dptsv`` from scipy's extension file, and a solve loads no
-    more.  The first ``solve_lp`` call that reaches HiGHS (a cost that is
-    not Monge in the atoms' position order) loads only scipy's HiGHS
-    bindings (``scipy.optimize._highspy._core``) from their file, still no
-    ``scipy.optimize`` or ``scipy.sparse`` package, and returns the exact
-    plan.  A later ``import scipy.linalg`` reuses the LAPACK extension, so
+    more.  ``solve_lp`` loads nothing either, even on a cost matrix for which
+    the monotone coupling is not optimal (the quadratic cost with the target
+    atoms in reverse order), which it refuses.  A later ``import
+    scipy.linalg`` reuses the LAPACK extension, so
     ``scipy.linalg.lapack.dptsv`` is the solver's routine."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -84,10 +87,9 @@ def test_import_leaves_the_lp_solver_unloaded():
     assert out["before"] == []
     assert not out["linalg"]
     assert out["solved"] and not out["linalg_solved"]
-    assert out["after"] and all(m.startswith("scipy.optimize._highspy._core") for m in out["after"])
+    assert out["after"] == []
     assert out["same_dptsv"]
-    assert out["plan"] == [[0.5, 0.0], [0.0, 0.5]]
-    assert out["value"] == 0.0
+    assert out["refused"].startswith("the monotone coupling is not optimal for this cost")
 
 
 MODULE_PROBE = """

@@ -26,7 +26,7 @@ from cnot import (
     two_bumps_density,
     uniform_density,
 )
-from cnot.transport import _HIGHS, _highs_solve, _load_scipy_extension, _staircase
+from cnot.transport import _staircase
 from cnot.verify import _coarsen_atoms, _crossing_scan, _monotone_plan_cost
 
 
@@ -248,8 +248,8 @@ def _seeded_quadratic_lp(seed, equal_weights=False):
 def test_staircase_basis_certifies_the_lps_whose_cold_solve_misses_the_gap(seed, equal_weights):
     """On these seeded 64 x 64 quadratic LPs a cold HiGHS solve ends with a
     duality gap above 1e-9, which ``solve_lp`` refused when it solved them
-    cold; the monotone staircase, which ``solve_lp`` takes for a Monge cost,
-    certifies at the monotone plan's cost to 1e-14 relative."""
+    cold; the monotone staircase, which ``solve_lp`` returns, certifies at
+    the monotone plan's cost to 1e-14 relative."""
     a, x, b, y = _seeded_quadratic_lp(seed, equal_weights)
     cost = CostSpec.quadratic()
     plan, _, value = solve_lp(a, x, b, y, cost=cost)
@@ -259,21 +259,20 @@ def test_staircase_basis_certifies_the_lps_whose_cold_solve_misses_the_gap(seed,
 
 def test_staircase_basis_does_not_rubber_stamp_a_non_convex_cost():
     """With the concave cost ``-(x - y)^2`` the monotone staircase is not the
-    answer: ``solve_lp``, which sends such a cost to HiGHS (it is not
-    Monge), gives HiGHS's cold value, well below the staircase's cost, and
-    its plan crosses."""
+    answer: the antitone coupling (the staircase of the targets in reverse
+    order) costs well below it, and ``solve_lp``, whose only plan is the
+    staircase, refuses the LP."""
     rng = np.random.default_rng(7)
     a, b = rng.uniform(0.1, 1.0, 12), rng.uniform(0.1, 1.0, 9)
     a, b = a / a.sum(), b / b.sum()
     x, y = np.sort(rng.uniform(0.0, 1.0, 12)), np.sort(rng.uniform(0.0, 1.0, 9))
     cm = -((x[:, None] - y[None, :]) ** 2)
     cells, mass = _staircase(a, b)
-    plan, _, value = solve_lp(a, x, b, y, cost_matrix=cm)
-    highs = _load_scipy_extension(_HIGHS)
-    assert _highs_solve(highs, cm, a, b)[2] == pytest.approx(value, rel=1e-12)
-    assert value < np.dot(mass, cm.ravel()[cells]) - 0.1
-    crossings, witness = _crossing_scan(plan.matrix)
-    assert crossings > 0 and witness is not None
+    antitone_cells, antitone_mass = _staircase(a, b[::-1])
+    antitone = np.dot(antitone_mass, cm[:, ::-1].ravel()[antitone_cells])
+    assert antitone < np.dot(mass, cm.ravel()[cells]) - 0.1
+    with pytest.raises(ValueError, match="monotone coupling is not optimal for this cost"):
+        solve_lp(a, x, b, y, cost_matrix=cm)
 
 
 def test_staircase_keeps_tied_breaks_and_zero_weight_atoms():
