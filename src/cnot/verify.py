@@ -18,7 +18,6 @@ from .energy import first_variation
 from .measures import DiscreteDensity, _median, density_to_quantile
 from .transport import (
     CostSpec,
-    _staircase,
     kantorovich_potential_1d,
     monotone_map_1d,
     solve_lp,
@@ -67,15 +66,13 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class PurityReport:
-    """LP evidence that the optimal coupling is a monotone graph."""
+    """The certified value of the purity check's LP on ``atoms`` atoms a side:
+    ``purity_check`` returns a report only once ``solve_lp`` has proved the
+    monotone coupling optimal, so ``pure`` is always True."""
 
     pure: bool
     lp_value: float
-    monotone_value: float
-    cost_gap: float
-    crossings: int
     atoms: int
-    witness: Optional[tuple] = None
 
     def __bool__(self) -> bool:
         return self.pure
@@ -157,63 +154,22 @@ def _coarsen_atoms(nu: DiscreteDensity, k: int) -> tuple[np.ndarray, np.ndarray]
     return weights / weights.sum(), points
 
 
-def _monotone_plan_cost(
-    a: np.ndarray, x: np.ndarray, b: np.ndarray, y: np.ndarray, cost: CostSpec
-) -> float:
-    """North-west-corner (monotone) coupling cost for sorted atom lists: the
-    ``_staircase`` masses priced at their cells."""
-    cells, mass = _staircase(a, b)
-    i, j = np.divmod(cells, b.size)
-    return float(np.dot(mass, cost.C(x[i] - y[j])))
-
-
-def _crossing_scan(plan: np.ndarray) -> tuple[int, Optional[tuple]]:
-    """Used rows of ``plan`` whose first used column lies left of the rightmost
-    used column of the used rows above: their count, and the first of them as
-    ``(row, first column, rightmost column above)``.  An entry is used above
-    ``1e-10 max(1, max(plan))``."""
-    used = plan > 1e-10 * max(1.0, float(np.max(plan)))
-    rows = np.flatnonzero(used.any(axis=1))
-    first = used[rows].argmax(axis=1)
-    last = used.shape[1] - 1 - used[rows, ::-1].argmax(axis=1)
-    prev_max = np.maximum.accumulate(np.concatenate([[-1], last]))[:-1]
-    crossed = np.flatnonzero(first < prev_max)
-    if not crossed.size:
-        return 0, None
-    c = crossed[0]
-    return int(crossed.size), (int(rows[c]), int(first[c]), int(prev_max[c]))
-
-
 def purity_check(scenario: "Scenario", nu: DiscreteDensity) -> PurityReport:
     """Confirm the optimal coupling is a monotone graph (pure strategies).
 
-    Coarsens both measures to at most ``_PURITY_ATOMS`` (64) consecutive
-    blocks, solves the exact LP, and checks (a) the monotone coupling
-    achieves the LP value within 1e-8 and (b) the LP plan's support has no
-    crossings (each source's targets lie weakly to the right of every
-    earlier source's targets).  ``solve_lp`` answers with the monotone
-    staircase, certified by its own potentials and the duality gap, which
-    the strictly convex cost guarantees; (a) and (b) then confirm that
-    answer.
+    Probes the cost for strict convexity in ``x - y``, coarsens both
+    measures to at most ``_PURITY_ATOMS`` (64) consecutive blocks, and
+    solves the exact LP.  ``solve_lp`` returns the monotone staircase only
+    once its own potentials close the duality gap, and raises ``ValueError``
+    otherwise; a cost convex in ``x - y`` makes the sorted cost matrix
+    Monge, so the certificate holds on every cost the probe admits.
     """
     scenario.cost.require_strictly_convex(scenario.interval.length)
     k = min(_PURITY_ATOMS, scenario.n)
     a, x = _coarsen_atoms(scenario.mu, k)
     b, y = _coarsen_atoms(nu, k)
-    plan, _, lp_value = solve_lp(a, x, b, y, cost=scenario.cost)
-    monotone_value = _monotone_plan_cost(a, x, b, y, scenario.cost)
-    cost_gap = abs(monotone_value - lp_value)
-    crossings, witness = _crossing_scan(plan.matrix)
-    pure = bool(crossings == 0 and cost_gap <= 1e-8 * (1.0 + abs(lp_value)))
-    return PurityReport(
-        pure=pure,
-        lp_value=lp_value,
-        monotone_value=monotone_value,
-        cost_gap=cost_gap,
-        crossings=crossings,
-        atoms=k,
-        witness=witness,
-    )
+    lp_value = solve_lp(a, x, b, y, cost=scenario.cost)[2]
+    return PurityReport(pure=True, lp_value=lp_value, atoms=k)
 
 
 def monge_ampere_residual_1d(scenario: "Scenario", nu: DiscreteDensity) -> float:
@@ -240,6 +196,8 @@ def monge_ampere_residual_1d(scenario: "Scenario", nu: DiscreteDensity) -> float
         raise ValueError("residual requires a strictly positive density")
     if nu.grid != scenario.grid:
         raise ValueError("nu must live on the scenario grid")
+    if scenario.n < 3:
+        raise ValueError("residual requires at least three grid cells (an interior node)")
 
     grid = scenario.grid
     nodes = grid.nodes

@@ -300,7 +300,7 @@ print(json.dumps({"codes": codes,
 """
 
 
-def test_verify_loads_highs_only_for_a_cost_that_is_not_monge(tmp_path):
+def test_verify_purity_loads_no_lp_solver(tmp_path):
     """In a fresh process, ``verify --checks eq,purity`` on the four shipped
     scenarios exits 0 and loads no ``scipy.optimize`` module: the purity
     LPs are answered by the certified monotone staircase, with no LP
@@ -312,6 +312,21 @@ def test_verify_loads_highs_only_for_a_cost_that_is_not_monge(tmp_path):
                           capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out == {"codes": [0, 0, 0, 0], "optimize": []}
+
+
+def test_verify_purity_writes_the_keys_the_benchmark_and_ci_read(tmp_path):
+    """``verify --checks purity`` on a shipped scenario writes exactly
+    ``pure``, ``lp_value``, ``monotone_value`` and ``atoms``, with
+    ``monotone_value`` equal to ``lp_value``: ``perfbench/workloads.py`` and
+    the purity steps of ``.github/workflows/ci.yml`` read those keys."""
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "congested_gaussian.json"
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", str(scenario), "--out", str(out),
+                 "--checks", "purity"]) == 0
+    purity = json.loads((out / "verify.json").read_text())["results"]["purity"]
+    assert set(purity) == {"pure", "lp_value", "monotone_value", "atoms"}
+    assert purity["monotone_value"] == purity["lp_value"]
+    assert purity["pure"] is True
 
 
 def test_verify_numerical_failure_exits_2_with_verify_json(tmp_path, monkeypatch, capsys):

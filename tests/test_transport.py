@@ -24,9 +24,26 @@ from cnot import (
 )
 from cnot.cli import _load_bundle
 from cnot.transport import _staircase
-from cnot.verify import _PURITY_ATOMS, _coarsen_atoms, _crossing_scan, _monotone_plan_cost
+from cnot.verify import _PURITY_ATOMS, _coarsen_atoms
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _staircase_plan(a, b):
+    """The monotone plan of sorted atom lists: the ``_staircase`` masses at
+    their cells of a dense ``(len(a), len(b))`` matrix."""
+    cells, mass = _staircase(a, b)
+    plan = np.zeros((a.size, b.size))
+    plan[np.divmod(cells, b.size)] = mass
+    return plan
+
+
+def _staircase_cost(a, x, b, y, cost):
+    """The monotone plan's cost for sorted atom lists: the ``_staircase``
+    masses priced at their cells."""
+    cells, mass = _staircase(a, b)
+    i, j = np.divmod(cells, b.size)
+    return float(np.dot(mass, cost.C(x[i] - y[j])))
 
 
 def _block(grid, center, halfwidth):
@@ -160,14 +177,13 @@ def test_lp_rejects_non_finite_costs_and_weights():
 
 
 @pytest.mark.parametrize("name", ["uniform", "congested_gaussian", "cubic_attraction", "figure1"])
-def test_lp_from_the_staircase_basis_matches_the_cold_lp_on_the_shipped_purity_problems(name):
-    """On the purity check's LP for a shipped scenario, which the monotone
-    staircase answers, the value is the monotone coupling's cost to 1e-14
-    relative, and the plan has no crossing."""
+def test_lp_is_the_staircase_on_the_shipped_purity_problems(name):
+    """On the purity check's LP for a shipped scenario the plan is exactly
+    the monotone staircase, and the value is its cost to 1e-14 relative."""
     a, x, b, y, cost = _shipped_purity_problem(name)
     plan, _, value = solve_lp(a, x, b, y, cost=cost)
-    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-14)
-    assert _crossing_scan(plan.matrix) == (0, None)
+    assert value == pytest.approx(_staircase_cost(a, x, b, y, cost), rel=1e-14)
+    assert np.array_equal(plan.matrix, _staircase_plan(a, b))
 
 
 @pytest.mark.parametrize("name", ["uniform", "congested_gaussian", "cubic_attraction", "figure1"])
@@ -227,9 +243,9 @@ def test_lp_reaches_the_monotone_cost_for_convex_costs(layout):
     ``|t|^1.001 / 1.001``) on seeded 64 x 64 problems (atoms uniform on
     [0, 1], weights uniform on [0.1, 1]), the value is the monotone
     coupling's cost on the position-sorted atoms to 1e-14 relative, and the
-    plan mapped back to that order is exactly the staircase plan, with no
-    crossing: with sorted atoms, with both lists shuffled, with about a
-    fifth of the weights zero, with equal weights, and with atoms in pairs
+    plan mapped back to that order is exactly the staircase plan: with
+    sorted atoms, with both lists shuffled, with about a fifth of the
+    weights zero, with equal weights, and with atoms in pairs
     1e-12 apart (every other sorted atom, and each shifted by 1e-12), on
     which rounding makes a floating-point Monge comparison of the sorted
     costs fail.  The gap certificate alone admits 1e-9 absolute, and the
@@ -247,21 +263,17 @@ def test_lp_reaches_the_monotone_cost_for_convex_costs(layout):
             if layout == "equal_weights":  # every break of the staircase is tied
                 a, b = np.ones(64), np.ones(64)
             a, b = a / a.sum(), b / b.sum()
-            exact = _monotone_plan_cost(a, x, b, y, cost)
-            cells, mass = _staircase(a, b)
-            staircase = np.zeros((64, 64))
-            staircase[np.divmod(cells, 64)] = mass
+            exact = _staircase_cost(a, x, b, y, cost)
             px, py = rng.permutation(64), rng.permutation(64)
             if layout != "shuffled":
                 px, py = np.arange(64), np.arange(64)
             plan, _, value = solve_lp(a[px], x[px], b[py], y[py], cost=cost)
             assert value == pytest.approx(exact, rel=1e-14)
             sorted_plan = plan.matrix[np.ix_(np.argsort(px), np.argsort(py))]
-            assert np.array_equal(sorted_plan, staircase)
-            assert _crossing_scan(sorted_plan) == (0, None)
+            assert np.array_equal(sorted_plan, _staircase_plan(a, b))
 
 
-def test_lp_calls_highs_exactly_when_the_sorted_cost_is_not_monge():
+def test_lp_is_the_staircase_for_a_convex_cost_and_refuses_others():
     """For a cost convex in ``x - y`` on shuffled atoms with zero weights, the
     plan holds the monotone coupling's masses at the staircase cells, in the
     caller's atom order, and nothing else.  A concave and an unstructured
@@ -273,18 +285,14 @@ def test_lp_calls_highs_exactly_when_the_sorted_cost_is_not_monge():
     a, b = a / a.sum(), b / b.sum()
     px, py = rng.permutation(9), rng.permutation(7)
     plan = solve_lp(a[px], x[px], b[py], y[py], cost=CostSpec.power(3.0))[0]
-    cells, mass = _staircase(a, b)
-    i, j = np.divmod(cells, 7)
-    expected = np.zeros((9, 7))
-    expected[np.argsort(px)[i], np.argsort(py)[j]] = mass
-    assert np.array_equal(plan.matrix, expected)
+    assert np.array_equal(plan.matrix, _staircase_plan(a, b)[np.ix_(px, py)])
     for cm in (-np.subtract.outer(x, y) ** 2, rng.uniform(0.0, 1.0, (9, 7))):
         with pytest.raises(ValueError, match="monotone coupling is not optimal for this cost"):
             solve_lp(a, x, b, y, cost_matrix=cm)
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
-def test_staircase_route_matches_a_cold_highs_solve_on_convex_costs(shuffled):
+def test_lp_matches_linprog_within_the_certificate_on_convex_costs(shuffled):
     """On the seeded 64 x 64 LPs of
     ``test_lp_reaches_the_monotone_cost_for_convex_costs`` (positive
     weights), the value that ``solve_lp`` reads off the staircase is
@@ -309,7 +317,7 @@ def test_lp_value_scales_with_small_costs():
     """``solve_lp`` certifies the LP of its costs scaled by a power of two
     into [0.5, 1), so small costs are neither certified far from their
     optimum nor waved through: on 40 seeded 64 x 64 LPs (sorted atoms and
-    weights as in ``test_staircase_route_matches_a_cold_highs_solve_on_convex_costs``,
+    weights as in ``test_lp_matches_linprog_within_the_certificate_on_convex_costs``,
     seeds 2000-2039, the quadratic, ``|t|^3 / 3`` and ``|t|^1.5 / 1.5``
     costs in turn) with the costs multiplied by 1e-6 or 1e-4, the value
     divided back matches the unscaled LP's to 1e-12 relative, none is

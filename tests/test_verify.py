@@ -1,5 +1,7 @@
 """Tests for the independent verification checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from cnot import (
     uniform_density,
 )
 from cnot.transport import _staircase
-from cnot.verify import _coarsen_atoms, _crossing_scan, _monotone_plan_cost
+from cnot.verify import _PURITY_ATOMS, _coarsen_atoms
 
 
 def _uniform_scenario(n=64, m=256):
@@ -100,16 +102,18 @@ def test_equilibrium_residual_erodes_support_edges():
 
 
 def test_purity_of_computed_equilibrium():
-    """The equilibrium coupling is a crossing-free monotone graph."""
+    """The equilibrium coupling is the monotone graph: the certified LP value
+    on the coarsened atoms is the north-west-corner walk's cost."""
     scenario = _congested()
     result = minimize_quantile(scenario, SolverParams(grad_tol=1e-9))
     report = purity_check(scenario, result.nu)
     assert report.pure
     assert bool(report)
-    assert report.crossings == 0
-    assert report.witness is None
-    assert report.atoms <= 64
-    assert report.cost_gap <= 1e-8 * (1.0 + abs(report.lp_value))
+    assert report.atoms == min(_PURITY_ATOMS, scenario.n) == 64
+    a, x = _coarsen_atoms(scenario.mu, report.atoms)
+    b, y = _coarsen_atoms(result.nu, report.atoms)
+    assert report.lp_value == pytest.approx(
+        _monotone_plan_cost_loop(a, x, b, y, scenario.cost), rel=1e-12, abs=1e-15)
 
 
 def _coarsen_atoms_loop(nu, k):
@@ -125,8 +129,8 @@ def _coarsen_atoms_loop(nu, k):
 
 
 def _monotone_plan_cost_loop(a, x, b, y, cost):
-    """North-west-corner walk over the two atom lists, the reference for
-    ``_monotone_plan_cost``."""
+    """North-west-corner walk over the two atom lists: the monotone plan's
+    cost, priced without ``_staircase``."""
     total, i, j, ai, bj = 0.0, 0, 0, a[0], b[0]
     while True:
         move = min(ai, bj)
@@ -146,8 +150,19 @@ def _monotone_plan_cost_loop(a, x, b, y, cost):
             bj = b[j]
 
 
+def _staircase_cost(a, x, b, y, cost):
+    """The monotone plan's cost for sorted atom lists: the ``_staircase``
+    masses priced at their cells."""
+    cells, mass = _staircase(a, b)
+    i, j = np.divmod(cells, b.size)
+    return float(np.dot(mass, cost.C(x[i] - y[j])))
+
+
 def _crossing_scan_loop(plan):
-    """Row-by-row reference for ``_crossing_scan``."""
+    """Used rows of ``plan`` whose first used column lies left of the
+    rightmost used column of the used rows above: their count, and the
+    first as ``(row, first column, rightmost column above)``.  An entry is
+    used above ``1e-10 max(1, max(plan))``."""
     tol = 1e-10 * max(1.0, float(np.max(plan)))
     crossings, witness, prev_max = 0, None, -1
     for i in range(plan.shape[0]):
@@ -182,7 +197,8 @@ def test_coarsen_atoms_matches_the_block_loop_and_places_empty_blocks_at_their_m
 
 def test_monotone_plan_cost_matches_the_north_west_corner_walk():
     """On atom lists with tied cumulative breaks, zero weights (first, inside
-    and last) and random weights, the cost equals the walk's."""
+    and last) and random weights, the value of ``solve_lp`` equals the
+    walk's cost."""
     cost = CostSpec.quadratic()
     x, y = np.linspace(0.0, 1.0, 4), np.array([0.1, 0.2, 0.6, 0.9])
     cases = [
@@ -196,40 +212,12 @@ def test_monotone_plan_cost_matches_the_north_west_corner_walk():
         a[rng.integers(4)] = 0.0
         cases.append((a / a.sum(), b / b.sum()))
     for a, b in cases:
-        assert _monotone_plan_cost(a, x, b, y, cost) == pytest.approx(
+        assert solve_lp(a, x, b, y, cost=cost)[2] == pytest.approx(
             _monotone_plan_cost_loop(a, x, b, y, cost), rel=1e-12, abs=1e-15)
     dyadic = cases[1]  # every break is exact: four pieces of mass 1/4
-    assert _monotone_plan_cost(dyadic[0], x, dyadic[1], y, cost) == pytest.approx(0.5 * (
+    assert solve_lp(dyadic[0], x, dyadic[1], y, cost=cost)[2] == pytest.approx(0.5 * (
         0.25 * 0.1**2 + 0.25 * (1 / 3 - 0.1) ** 2 + 0.25 * (2 / 3 - 0.6) ** 2 + 0.25 * (2 / 3 - 0.9) ** 2),
         rel=1e-15)
-
-
-def test_crossing_scan_matches_the_row_loop_on_random_sparse_plans():
-    """On random sparse plans, with and without crossings and with empty
-    rows, the scan gives the loop's count and witness; the witness names a
-    used entry left of a used entry in a row above."""
-    rng = np.random.default_rng(3)
-    crossed = 0
-    for _ in range(400):
-        n, m = rng.integers(1, 12, size=2)
-        plan = rng.uniform(0.0, 1.0, (n, m)) * (rng.uniform(size=(n, m)) < rng.uniform(0.05, 0.5))
-        if not plan.any():
-            plan[rng.integers(n), rng.integers(m)] = 1.0
-        plan[rng.uniform(size=(n, m)) < 0.05] = 1e-14  # below the usage threshold
-        count, witness = _crossing_scan(plan)
-        assert (count, witness) == _crossing_scan_loop(plan)
-        if count:
-            crossed += 1
-            row, col, right = witness
-            assert col < right and plan[row, col] > 1e-9
-            assert np.any(plan[:row, right] > 1e-9)
-        else:
-            assert witness is None
-    assert crossed > 100
-    monotone = np.diag(np.full(5, 0.2))
-    assert _crossing_scan(monotone) == (0, None)
-    monotone[[1, 3]] = monotone[[3, 1]]
-    assert _crossing_scan(monotone) == (2, (2, 2, 3))  # rows 2 and 3 start left of column 3
 
 
 def _seeded_quadratic_lp(seed, equal_weights=False):
@@ -245,19 +233,22 @@ def _seeded_quadratic_lp(seed, equal_weights=False):
 
 @pytest.mark.parametrize("seed,equal_weights", [(1021, False), (1039, False), (1051, False),
                                                 (1050, True)])
-def test_staircase_basis_certifies_the_lps_whose_cold_solve_misses_the_gap(seed, equal_weights):
-    """On these seeded 64 x 64 quadratic LPs a cold HiGHS solve ends with a
-    duality gap above 1e-9, which ``solve_lp`` refused when it solved them
-    cold; the monotone staircase, which ``solve_lp`` returns, certifies at
-    the monotone plan's cost to 1e-14 relative."""
+def test_lp_certifies_the_seeded_lps_at_the_monotone_cost(seed, equal_weights):
+    """On these seeded 64 x 64 quadratic LPs a cold simplex solve ends with a
+    duality gap above 1e-9, and ``solve_lp`` once refused them; the plan it
+    returns is exactly the monotone staircase, certified at the staircase's
+    cost to 1e-14 relative."""
     a, x, b, y = _seeded_quadratic_lp(seed, equal_weights)
     cost = CostSpec.quadratic()
     plan, _, value = solve_lp(a, x, b, y, cost=cost)
-    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-14)
-    assert _crossing_scan(plan.matrix) == (0, None)
+    assert value == pytest.approx(_staircase_cost(a, x, b, y, cost), rel=1e-14)
+    cells, mass = _staircase(a, b)
+    staircase = np.zeros((64, 64))
+    staircase[np.divmod(cells, 64)] = mass
+    assert np.array_equal(plan.matrix, staircase)
 
 
-def test_staircase_basis_does_not_rubber_stamp_a_non_convex_cost():
+def test_staircase_does_not_rubber_stamp_a_non_convex_cost():
     """With the concave cost ``-(x - y)^2`` the monotone staircase is not the
     answer: the antitone coupling (the staircase of the targets in reverse
     order) costs well below it, and ``solve_lp``, whose only plan is the
@@ -277,8 +268,10 @@ def test_staircase_basis_does_not_rubber_stamp_a_non_convex_cost():
 
 def test_staircase_keeps_tied_breaks_and_zero_weight_atoms():
     """Tied cumulative weights and zero-weight atoms (first, inside, last)
-    still give ``n + m - 1`` distinct cells, stepping down first on a tie, and
-    the LP read off them certifies at the monotone plan's cost."""
+    still give ``n + m - 1`` distinct cells, stepping down first on a tie;
+    the row loop finds no crossing in their plan (and finds the two of a
+    diagonal plan with two rows swapped), and the LP read off them
+    certifies at the monotone plan's cost."""
     a = np.array([0.25, 0.0, 0.25, 0.5, 0.0])
     b = np.array([0.0, 0.5, 0.0, 0.25, 0.25])
     x, y = np.linspace(0.0, 1.0, 5), np.linspace(0.1, 0.9, 5)
@@ -287,7 +280,10 @@ def test_staircase_keeps_tied_breaks_and_zero_weight_atoms():
     assert mass.tolist() == [0.0, 0.25, 0.0, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0]
     cost = CostSpec.quadratic()
     _, _, value = solve_lp(a, x, b, y, cost=cost)
-    assert value == pytest.approx(_monotone_plan_cost(a, x, b, y, cost), rel=1e-14)
+    assert value == pytest.approx(_staircase_cost(a, x, b, y, cost), rel=1e-14)
+    swapped = np.diag(np.full(5, 0.2))
+    swapped[[1, 3]] = swapped[[3, 1]]
+    assert _crossing_scan_loop(swapped) == (2, (2, 2, 3))  # rows 2 and 3 start left of column 3
     rng = np.random.default_rng(13)
     for _ in range(50):
         n, m = rng.integers(1, 9, size=2)
@@ -299,6 +295,9 @@ def test_staircase_keeps_tied_breaks_and_zero_weight_atoms():
         i, j = np.divmod(cells, m)
         assert np.unique(cells).size == n + m - 1 and np.all(mass >= 0.0)
         assert np.all(np.diff(i) + np.diff(j) == 1) and (i[-1], j[-1]) == (n - 1, m - 1)
+        plan = np.zeros((n, m))
+        plan[i, j] = mass
+        assert _crossing_scan_loop(plan) == (0, None)
 
 
 def test_purity_requires_strictly_convex_cost():
@@ -340,6 +339,17 @@ def test_monge_ampere_preconditions():
         monge_ampere_residual_1d(
             Scenario(mu=mu, cost=CostSpec.quadratic(), model=entropy_model), sparse
         )
+
+
+def test_monge_ampere_refuses_a_grid_without_an_interior_node():
+    """On two cells no node is interior: the residual refuses with a
+    ``ValueError`` before any arithmetic warns; three cells are enough."""
+    two, three = _uniform_scenario(n=2, m=16), _uniform_scenario(n=3, m=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least three grid cells"):
+            monge_ampere_residual_1d(two, uniform_density(two.grid))
+        assert monge_ampere_residual_1d(three, uniform_density(three.grid)) <= 1e-10
 
 
 def test_monge_ampere_uniform_exact():
