@@ -45,7 +45,7 @@ from .verify import (
     purity_check,
     transport_derivative_check,
 )
-from .welfare import cost_of_anarchy
+from .welfare import _uniqueness_flags, cost_of_anarchy
 
 __all__ = ["ScenarioError", "load_scenario", "run", "main"]
 
@@ -311,6 +311,22 @@ def _write_csv(path: Path, header: str, columns) -> None:
     path.write_text(header + "\n" + ("".join([line] * rows) % tuple(flat)))
 
 
+def _key_template(header: str, keys) -> str:
+    """The text of a ``key,value`` CSV with only the key column formatted:
+    ``template % tuple(values)`` gives the bytes ``_write_csv`` writes for
+    the two float columns, so one template serves every value column on the
+    same keys."""
+    keys = np.asarray(keys).tolist()
+    return header + "\n" + ("%.17g,%%.17g\n" * len(keys)) % tuple(keys)
+
+
+def _solution_templates(scenario: Scenario) -> tuple[str, str]:
+    """The ``_key_template`` of ``equilibrium.csv`` (the grid nodes) and of
+    ``quantile.csv`` (the ``m`` probabilities ``j/(m-1)``)."""
+    return (_key_template("node,nu", scenario.grid.nodes),
+            _key_template("p,G", np.linspace(0.0, 1.0, scenario.m)))
+
+
 def _write_json(path: Path, payload: dict) -> None:
     """Numpy arrays and scalars are written as the Python values ``tolist`` gives."""
     path.write_text(json.dumps(payload, sort_keys=True, indent=2,
@@ -348,21 +364,22 @@ def _guarded(report: Path, payload: dict, step) -> int:
         return 2
 
 
-def _solve_into(out: Path, scenario: Scenario, params: SolverParams,
-                diagnostics: dict) -> int:
-    """Solve and write ``equilibrium.csv``, ``quantile.csv`` and
-    ``diagnostics.json`` (``diagnostics`` completed with the result)."""
-    result = minimize_quantile(scenario, params)
+def _solve_into(out: Path, scenario: Scenario, params: SolverParams, diagnostics: dict,
+                G0: Optional[np.ndarray] = None, templates: Optional[tuple[str, str]] = None):
+    """Solve from ``G0`` (the source quantile when None) and write
+    ``equilibrium.csv`` and ``quantile.csv`` through the scenario's
+    ``_solution_templates`` (built after the solve when not given) and
+    ``diagnostics.json`` (``diagnostics`` completed with the result);
+    returns the result."""
+    result = minimize_quantile(scenario, params, G0=G0)
     diagnostics.update(_result_payload(result))  # reads the certificate, which may raise
-    _write_csv(out / "equilibrium.csv", "node,nu",
-               (scenario.grid.nodes, result.nu.values))
-    _write_csv(out / "quantile.csv", "p,G",
-               (result.G.probabilities, result.G.values))
+    nu_rows, G_rows = templates or _solution_templates(scenario)
+    (out / "equilibrium.csv").write_text(nu_rows % tuple(result.nu.values.tolist()))
+    (out / "quantile.csv").write_text(G_rows % tuple(result.G.values.tolist()))
     _write_json(out / "diagnostics.json", diagnostics)
     if not result.converged:
         print("solver did not converge; diagnostics written", file=sys.stderr)
-        return 2
-    return 0
+    return result
 
 
 def _cmd_solve(bundle: _Bundle, args, out: Path, payload: dict) -> int:
@@ -373,7 +390,8 @@ def _cmd_solve(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     if edits:
         bundle = _bundle_from_raw(_edited_document(bundle, edits), bundle.base_dir)
         payload.update(bundle.metadata())
-    return _solve_into(out, bundle.scenario, bundle.params, payload)
+    result = _solve_into(out, bundle.scenario, bundle.params, payload)
+    return 0 if result.converged else 2
 
 
 def _initial_density(args, scenario: Scenario) -> DiscreteDensity:
@@ -398,8 +416,7 @@ def _cmd_jko(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     _write_csv(out / "trajectory.csv", "k,J,W2_step",
                (ks, [p.J_value for p in trajectory.points],
                 [p.W2_step for p in trajectory.points]))
-    # _write_csv's bytes, with the node column formatted once into the row format
-    rows = "node,nu\n" + "".join("%.17g,%%.17g\n" % x for x in scenario.grid.nodes.tolist())
+    rows = _key_template("node,nu", scenario.grid.nodes)
     nu, text = None, ""
     for point in trajectory.points:
         if point.nu is not nu:  # a repeated density is written, not formatted, again
@@ -526,12 +543,25 @@ def _edited_document(bundle: _Bundle, edits: dict) -> dict:
     return raw
 
 
+def _continues(previous: Scenario, scenario: Scenario) -> bool:
+    """Whether a solve of ``scenario`` may start from the converged quantile
+    of ``previous``: both share the grid, ``m`` and the support mode, and
+    ``scenario`` is inside the uniqueness regime (``_uniqueness_flags`` is
+    empty), where every start reaches the one equilibrium."""
+    return (previous.grid == scenario.grid and previous.m == scenario.m
+            and previous.support_mode == scenario.support_mode
+            and not _uniqueness_flags(scenario))
+
+
 def _cmd_sweep(bundle: _Bundle, args, out: Path, payload: dict) -> int:
-    """Solve each value in turn, as ``solve`` would, one run directory each;
-    a run's numerical failure is recorded in that run's diagnostics.  Each
-    run's ``scenario.json`` stands alone: a ``mu`` table path is written
-    absolute, and the run's bundle is the one ``solve`` loads from that file.
-    Values are parsed as the schema type of the field they set: integers for
+    """Solve each value in turn, one run directory each; a run's numerical
+    failure is recorded in that run's diagnostics.  A run starts from the
+    previous run's converged quantile when ``_continues`` allows it, and
+    from the source quantile, as ``solve`` would, otherwise; its
+    ``diagnostics.json`` records which under ``warm_start``.  Each run's
+    ``scenario.json`` stands alone: a ``mu`` table path is written absolute,
+    and the run's bundle is the one ``solve`` loads from that file.  Values
+    are parsed as the schema type of the field they set: integers for
     ``_INTEGER_FIELDS``, floats otherwise."""
     integer = args.param in _INTEGER_FIELDS
     try:
@@ -555,10 +585,25 @@ def _cmd_sweep(bundle: _Bundle, args, out: Path, payload: dict) -> int:
 
     lines = ["value,directory,exit_code,J,M,residual_sup,residual_eq,converged"]
     worst = 0
+    previous = None  # the last run's result, kept only when that run exited 0
+    templates = {}  # the CSV templates of the last run's grid and m
     for value, run_dir, run in runs:
-        diag = {"command": "solve", **run.metadata()}
-        code = _guarded(run_dir / "diagnostics.json", diag,
-                        partial(_solve_into, run_dir, run.scenario, run.params, diag))
+        scenario = run.scenario
+        resolution = (scenario.grid, scenario.m)
+        if resolution not in templates:
+            templates = {resolution: _solution_templates(scenario)}
+        warm = previous is not None and _continues(previous.scenario, scenario)
+        G0 = previous.G.values if warm else None
+        diag = {"command": "solve", **run.metadata(), "warm_start": warm}
+        solved = []
+
+        def solve_run() -> int:  # called at once, inside this iteration
+            solved.append(_solve_into(run_dir, scenario, run.params, diag, G0,
+                                      templates[resolution]))
+            return 0 if solved[0].converged else 2
+
+        code = _guarded(run_dir / "diagnostics.json", diag, solve_run)
+        previous = solved[0] if code == 0 else None
         worst = max(worst, code)
         lines.append(",".join([
             _fmt(value), run_dir.name, str(code),

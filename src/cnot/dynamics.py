@@ -2,10 +2,11 @@
 
 Each step solves ``argmin_nu  W2^2(nu_k, nu) / (2 tau) + J(nu)``.  In quantile
 coordinates the proximal term is exactly ``(1/(2 tau m)) sum (G - G_k)^2`` —
-no inner transport solve is needed — so a step is one call to
-``minimize_quantile`` with a proximal anchor.  The flow carries quantile
-values between steps (round-tripping through densities would inject O(1/m)
-noise and break the exact descent property).
+no inner transport solve is needed — so a step is one quantile solve with a
+proximal anchor.  Only the anchor changes from one step to the next, so a
+flow builds the objective once and anchors a copy of it per step.  The flow
+carries quantile values between steps (round-tripping through densities
+would inject O(1/m) noise and break the exact descent property).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import DiscreteDensity, density_to_quantile
-from .solver import Scenario, SolverParams, _projected_newton, _QuantileProblem, minimize_quantile
+from .solver import Scenario, SolverParams, _binned, _projected_newton, _QuantileProblem
 
 __all__ = ["JkoParams", "TrajectoryPoint", "Trajectory", "jko_step", "jko_flow"]
 
@@ -79,13 +80,17 @@ class Trajectory:
 
 
 def _step_from_quantile(
-    scenario: Scenario,
+    problem: _QuantileProblem,
     G_anchor: np.ndarray,
     tau: float,
     inner: SolverParams,
     step_label: str,
 ):
-    result = minimize_quantile(scenario, inner, G0=G_anchor, prox=(G_anchor, float(tau)))
+    """The step of ``problem`` (no proximal term) anchored at ``G_anchor``,
+    started there, with its density binned; raises when it does not
+    converge."""
+    newton = _projected_newton(problem.anchored(G_anchor, tau), inner, G0=G_anchor)
+    result = _binned(problem.scenario, *newton)
     if not result.converged:
         raise RuntimeError(
             f"inner minimization did not converge at {step_label}: "
@@ -107,7 +112,7 @@ def jko_step(
         raise ValueError("nu_k must live on the scenario grid")
     G_anchor = density_to_quantile(nu_k, scenario.m).values
     result = _step_from_quantile(
-        scenario, G_anchor, tau, inner or SolverParams(), "a single step"
+        _QuantileProblem(scenario), G_anchor, tau, inner or SolverParams(), "a single step"
     )
     return result.nu
 
@@ -121,7 +126,10 @@ def jko_flow(scenario: Scenario, nu0: DiscreteDensity, params: JkoParams) -> Tra
 
     The diagnostics compare the terminal iterate with a direct minimization
     (same inner parameters) through the quantile distance
-    ``sqrt((1/m) sum (G_a - G_b)^2)``.
+    ``sqrt((1/m) sum (G_a - G_b)^2)``.  The objective, with the source
+    quantile ``density_to_quantile(scenario.mu, m)``, is built once: it
+    prices the points, each step solves a copy anchored at the previous
+    iterate, and the direct minimization solves it as it is.
     """
     if nu0.grid != scenario.grid:
         raise ValueError("nu0 must live on the scenario grid")
@@ -129,7 +137,7 @@ def jko_flow(scenario: Scenario, nu0: DiscreteDensity, params: JkoParams) -> Tra
     G = density_to_quantile(nu0, scenario.m).values
     points = [TrajectoryPoint(k=0, nu=nu0, J_value=problem.value(G), W2_step=0.0)]
     for k in range(1, params.steps + 1):
-        result = _step_from_quantile(scenario, G, params.tau, params.inner, f"step {k}")
+        result = _step_from_quantile(problem, G, params.tau, params.inner, f"step {k}")
         G_new = result.G.values
         w2 = float(np.sqrt(np.sum((G_new - G) ** 2) / scenario.m))
         points.append(
@@ -141,7 +149,7 @@ def jko_flow(scenario: Scenario, nu0: DiscreteDensity, params: JkoParams) -> Tra
             points += [replace(fixed, k=j) for j in range(k + 1, params.steps + 1)]
             break
         G = G_new
-    direct_G, direct_J, _, direct_converged, _ = _projected_newton(scenario, params.inner)
+    direct_G, direct_J, _, direct_converged, _ = _projected_newton(problem, params.inner)
     terminal_gap = float(np.sqrt(np.sum((direct_G.values - G) ** 2) / scenario.m))
     diagnostics = {
         "tau": params.tau,

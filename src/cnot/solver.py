@@ -18,6 +18,7 @@ first-order condition ``f(nu) = M - phi^c - interaction - v`` pointwise.
 """
 from __future__ import annotations
 
+import copy
 import importlib.util
 import math
 import os
@@ -171,10 +172,11 @@ class _Point:
 
 
 class _QuantileProblem:
-    """Cached pieces of the objective for one scenario (plus optional proximal
-    anchor ``(values, tau)`` contributing ``(1/(2 tau m)) sum (G - anchor)^2``)."""
+    """Cached pieces of the objective for one scenario, the source quantile
+    ``H`` first; ``anchored`` adds a proximal anchor ``(values, tau)``
+    contributing ``(1/(2 tau m)) sum (G - anchor)^2``."""
 
-    def __init__(self, scenario: Scenario, prox: Optional[tuple[np.ndarray, float]] = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.m = scenario.m
         self.H = density_to_quantile(scenario.mu, scenario.m).values
@@ -182,13 +184,16 @@ class _QuantileProblem:
         self.C_second = _fd_derivative(scenario.cost.C_prime)
         self.model = scenario.model
         self.F_prime_shift = scenario.model.congestion.F_prime_shift
-        if prox is not None:
-            anchor, tau = prox
-            anchor = np.ascontiguousarray(anchor, dtype=float)
-            if anchor.shape != (self.m,) or not 0.0 < tau < math.inf:
-                raise ValueError("proximal anchor must have length m and a finite tau > 0")
-            prox = (anchor, float(tau))
-        self.prox = prox
+        self.prox: Optional[tuple[np.ndarray, float]] = None
+
+    def anchored(self, anchor: np.ndarray, tau: float) -> "_QuantileProblem":
+        """A copy with the proximal anchor set, sharing ``H`` and ``C_second``."""
+        anchor = np.ascontiguousarray(anchor, dtype=float)
+        if anchor.shape != (self.m,) or not 0.0 < tau < math.inf:
+            raise ValueError("proximal anchor must have length m and a finite tau > 0")
+        problem = copy.copy(self)
+        problem.prox = (anchor, float(tau))
+        return problem
 
     def point(self, G: np.ndarray) -> Optional[_Point]:
         """The shared pieces at ``G``, or None when a gap is ``<= 0`` (there
@@ -436,7 +441,7 @@ def minimize_quantile(
     (Bertsekas 1982): the start point is the box map of the start values,
     and the solve stops when the projected-gradient sup-norm
     ``max|G - box(G - grad)|`` falls below ``grad_tol``.  ``prox`` adds a
-    proximal anchor (see ``_QuantileProblem``) for minimizing-movement use.
+    proximal anchor (see ``_QuantileProblem.anchored``) for minimizing-movement use.
 
     Non-convergence is reported through ``converged=False``, not an error;
     ``metadata["stalled"]`` marks a solve stopped because no backtracked
@@ -444,16 +449,25 @@ def minimize_quantile(
     fields of the result are computed on first read (see
     ``EquilibriumResult``).
     """
-    params = params or SolverParams()
-    G, J, iterations, converged, metadata = _projected_newton(scenario, params, G0, prox)
+    problem = _QuantileProblem(scenario)
+    if prox is not None:
+        problem = problem.anchored(*prox)
+    newton = _projected_newton(problem, params or SolverParams(), G0)
+    del problem  # the objective's arrays are released before the density is binned
+    return _binned(scenario, *newton)
+
+
+def _binned(scenario: Scenario, G, J, iterations, converged, metadata) -> EquilibriumResult:
+    """The result of a ``_projected_newton`` run on ``scenario``, with the
+    density of its quantile binned."""
     nu = quantile_to_density(G, scenario.grid)
     return EquilibriumResult(nu, G, J, iterations, converged, scenario, metadata)
 
 
-def _projected_newton(scenario: Scenario, params: SolverParams, G0=None, prox=None) -> tuple:
-    """The Newton loop of ``minimize_quantile``, which bins no density:
-    ``(G, J, iterations, converged, metadata)``."""
-    problem = _QuantileProblem(scenario, prox=prox)
+def _projected_newton(problem: _QuantileProblem, params: SolverParams, G0=None) -> tuple:
+    """The Newton loop of ``minimize_quantile`` on ``problem``, which bins no
+    density: ``(G, J, iterations, converged, metadata)``."""
+    scenario = problem.scenario
     iv, mode = scenario.interval, scenario.support_mode
     # copies: the box map writes in place, and G0 may be the proximal anchor
     G = np.array(problem.H if G0 is None else _quantile_values(G0))

@@ -477,22 +477,22 @@ def test_jko_stops_solving_at_its_fixed_point(tmp_path, monkeypatch):
     """Once a step returns its anchor bit for bit, the flow repeats that step
     without solving.  On the shipped uniform scenario (tau 0.1, 20 steps from
     two bumps) ``cnot jko`` solves fewer than 20 steps, and its trajectory and
-    every density file have the bytes of a flow that solves all 20 steps,
-    written by ``_write_csv``."""
+    every density file have the bytes of a flow that solves all 20 steps by
+    ``minimize_quantile``, written by ``_write_csv``."""
     import cnot.dynamics as dynamics
     from cnot import density_to_quantile, two_bumps_density
     from cnot.cli import _load_bundle
     from cnot.solver import _QuantileProblem
 
     path = Path(__file__).resolve().parents[1] / "scenarios" / "uniform.json"
-    solve = dynamics.minimize_quantile
+    binned = dynamics._binned  # once per step solved
     calls = []
-    monkeypatch.setattr(dynamics, "minimize_quantile",
-                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    monkeypatch.setattr(dynamics, "_binned",
+                        lambda *args, **kwargs: calls.append(1) or binned(*args, **kwargs))
     out = tmp_path / "out"
     assert main(["jko", "--scenario", str(path), "--out", str(out),
                  "--tau", "0.1", "--steps", "20", "--init", "two_bumps"]) == 0
-    assert len(calls) < 20
+    assert 0 < len(calls) < 20
 
     bundle = _load_bundle(str(path))
     scenario = bundle.scenario
@@ -501,7 +501,7 @@ def test_jko_stops_solving_at_its_fixed_point(tmp_path, monkeypatch):
     G = density_to_quantile(densities[0], scenario.m).values
     rows = [(0, problem.value(G), 0.0)]
     for k in range(1, 21):
-        result = solve(scenario, bundle.params, G0=G, prox=(G, 0.1))
+        result = minimize_quantile(scenario, bundle.params, G0=G, prox=(G, 0.1))
         assert result.converged
         G_new = result.G.values
         rows.append((k, problem.value(G_new), float(np.sqrt(np.sum((G_new - G) ** 2) / scenario.m))))
@@ -580,10 +580,12 @@ def test_sweep_solves_each_value(tmp_path):
 
 def test_sweep_resolves_table_path_from_scenario_dir(tmp_path):
     """A relative ``mu.table`` path resolves against the swept scenario's
-    directory, not the run directory; each run's J is the one ``solve``
-    gives for that value, its scenario hash is that of the
-    ``scenario.json`` written for it, and that file re-solves on its own
-    to the same J."""
+    directory, not the run directory; each run's scenario hash is that of
+    the ``scenario.json`` written for it.  The first run's J is the one
+    ``solve`` gives for that value, and that file re-solves on its own to
+    the same J.  The second run starts from the first run's quantile
+    (``warm_start``): its J is the one ``minimize_quantile`` gives for its
+    ``scenario.json`` from the G of the first run's ``quantile.csv``."""
     nodes = (np.arange(48) + 0.5) / 48.0
     (tmp_path / "mu.csv").write_text(
         "node,value\n" + "\n".join(f"{x},{1.0 + 0.5 * np.cos(2.0 * np.pi * x)}"
@@ -594,35 +596,43 @@ def test_sweep_resolves_table_path_from_scenario_dir(tmp_path):
     assert main(["sweep", "--scenario", str(scn), "--out", str(out),
                  "--param", "kernel.kappa", "--values", "0.5,2"]) == 0
     rows = [r.split(",") for r in (out / "summary.csv").read_text().split()[1:]]
-    for row, kappa in zip(rows, (0.5, 2.0)):
-        single = _write_scenario(tmp_path / f"k{kappa}.json", mu=mu,
-                                 kernel={"kind": "quadratic_distance", "kappa": kappa})
-        solo = tmp_path / f"solve_{kappa}"
-        assert main(["solve", "--scenario", str(single), "--out", str(solo)]) == 0
+    G_first = np.loadtxt(out / rows[0][1] / "quantile.csv", delimiter=",", skiprows=1)[:, 1]
+    for i, (row, kappa) in enumerate(zip(rows, (0.5, 2.0))):
         assert row[2] == "0"
-        assert float(row[3]) == json.loads((solo / "diagnostics.json").read_text())["J"]
         run_dir = out / row[1]
         canonical = json.dumps(json.loads((run_dir / "scenario.json").read_text()),
                                sort_keys=True, separators=(",", ":"))
         diag = json.loads((run_dir / "diagnostics.json").read_text())
         assert diag["scenario_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
-        again = tmp_path / f"again_{kappa}"
-        assert main(["solve", "--scenario", str(run_dir / "scenario.json"),
-                     "--out", str(again)]) == 0
-        assert json.loads((again / "diagnostics.json").read_text())["J"] == float(row[3])
+        assert diag["warm_start"] is (i == 1)
+        if i == 0:
+            single = _write_scenario(tmp_path / f"k{kappa}.json", mu=mu,
+                                     kernel={"kind": "quadratic_distance", "kappa": kappa})
+            solo = tmp_path / f"solve_{kappa}"
+            assert main(["solve", "--scenario", str(single), "--out", str(solo)]) == 0
+            assert float(row[3]) == json.loads((solo / "diagnostics.json").read_text())["J"]
+            again = tmp_path / f"again_{kappa}"
+            assert main(["solve", "--scenario", str(run_dir / "scenario.json"),
+                         "--out", str(again)]) == 0
+            assert json.loads((again / "diagnostics.json").read_text())["J"] == float(row[3])
+        else:
+            warm = minimize_quantile(load_scenario(str(run_dir / "scenario.json")),
+                                     SolverParams(grad_tol=1e-8), G0=G_first)
+            assert warm.J_value == float(row[3])
 
 
 def test_sweep_records_a_run_failure_and_goes_on(tmp_path, monkeypatch, capsys):
     """A numerical failure in one run is written to that run's diagnostics
-    and summary row (exit code 2); the other runs still solve."""
+    and summary row (exit code 2); the other runs still solve, the one after
+    the failure from the source quantile (``warm_start`` false)."""
     import cnot.cli
 
     solve = cnot.cli.minimize_quantile
 
-    def failing_at_kappa_one(scenario, params):
+    def failing_at_kappa_one(scenario, params, G0=None):
         if scenario.model.kernel.kappa == 1.0:
             raise RuntimeError("line search failed")
-        return solve(scenario, params)
+        return solve(scenario, params, G0=G0)
 
     monkeypatch.setattr(cnot.cli, "minimize_quantile", failing_at_kappa_one)
     scn = _write_scenario(tmp_path / "s.json")
@@ -636,7 +646,94 @@ def test_sweep_records_a_run_failure_and_goes_on(tmp_path, monkeypatch, capsys):
     assert diag["error"] == "line search failed" and diag["command"] == "solve"
     assert not (out / "run_001_kappa_1" / "equilibrium.csv").exists()
     assert (out / "run_002_kappa_2" / "equilibrium.csv").exists()
+    assert json.loads((out / "run_002_kappa_2" / "diagnostics.json").read_text())[
+        "warm_start"] is False
     assert "numerical failure: line search failed" in capsys.readouterr().err
+
+
+def _solo_rows(tmp_path, name, **overrides):
+    """``solve`` on ``_write_scenario`` with ``overrides``, in ``solo_<name>``:
+    its exit code as text, its J as ``summary.csv`` writes it (``nan`` when
+    it has none) and its output directory."""
+    solo = tmp_path / f"solo_{name}"
+    code = main(["solve", "--scenario", str(_write_scenario(tmp_path / f"{solo.name}.json",
+                                                               **overrides)),
+                 "--out", str(solo)])
+    J = json.loads((solo / "diagnostics.json").read_text()).get("J", float("nan"))
+    return str(code), "%.17g" % J, solo
+
+
+def test_sweep_outside_the_uniqueness_regime_solves_each_value_cold(tmp_path):
+    """A quadratic kernel with kappa < 0 is not declared convex, so no run
+    starts from its neighbour's quantile: every run has ``warm_start``
+    false and the bytes ``solve`` writes for its value."""
+    scn = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(scn), "--out", str(out),
+                 "--param", "kernel.kappa", "--values=-0.5,-0.25,-0.1"]) == 0
+    rows = [r.split(",") for r in (out / "summary.csv").read_text().split()[1:]]
+    assert len(rows) == 3
+    for row, kappa in zip(rows, (-0.5, -0.25, -0.1)):
+        code, J, solo = _solo_rows(tmp_path, f"{kappa}", kernel={"kind": "quadratic_distance",
+                                                                  "kappa": kappa})
+        assert (row[2], row[3]) == (code, J)
+        run_dir = out / row[1]
+        assert json.loads((run_dir / "diagnostics.json").read_text())["warm_start"] is False
+        for name in ("equilibrium.csv", "quantile.csv"):
+            assert (run_dir / name).read_bytes() == (solo / name).read_bytes()
+
+
+@pytest.mark.parametrize("param, values", [("quantile_m", (96, 192, 384)),
+                                           ("interval.hi", (1.0, 0.9, 1.1))])
+def test_sweep_over_the_grid_or_m_starts_each_run_cold(tmp_path, param, values):
+    """A run whose grid or ``m`` differs from the previous run's starts from
+    its own source quantile (a previous quantile clipped to a new interval
+    could have zero gaps): every run has ``warm_start`` false, the exit code
+    and J that ``solve`` gives for its value, and the sweep exits with the
+    worst of those codes."""
+    scn = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    code = main(["sweep", "--scenario", str(scn), "--out", str(out),
+                 "--param", param, "--values", ",".join(map(str, values))])
+    rows = [r.split(",") for r in (out / "summary.csv").read_text().split()[1:]]
+    solos = []
+    for value in values:
+        overrides = ({"quantile_m": value} if param == "quantile_m"
+                     else {"interval": {"lo": 0.0, "hi": value}})
+        solos.append(_solo_rows(tmp_path, f"{value}", **overrides)[:2])
+    assert [(r[2], r[3]) for r in rows] == solos
+    assert code == max(int(c) for c, _ in solos)
+    for row in rows:
+        assert json.loads((out / row[1] / "diagnostics.json").read_text())["warm_start"] is False
+
+
+def test_figure1_sweep_over_kappa_converges_from_each_previous_run(tmp_path):
+    """On the figure-1 physics kappa = 0.5, 1, 2, 4 are all inside the
+    uniqueness regime, so runs 1-3 start from the previous run's quantile
+    and every run converges (solved cold, kappa = 2 stalls at a projected
+    gradient of about 2e-7 and the sweep exits 2)."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "figure1.json"
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out),
+                 "--param", "kernel.kappa", "--values", "0.5,1,2,4"]) == 0
+    rows = [r.split(",") for r in (out / "summary.csv").read_text().split()[1:]]
+    assert [(r[2], r[7]) for r in rows] == [("0", "True")] * 4
+    warm = [json.loads((out / r[1] / "diagnostics.json").read_text())["warm_start"]
+            for r in rows]
+    assert warm == [False, True, True, True]
+
+
+def test_solve_writes_the_bytes_of_write_csv(tmp_path):
+    """``solve`` fills key-column templates, and its ``equilibrium.csv`` and
+    ``quantile.csv`` have the bytes ``_write_csv`` gives for the two columns."""
+    scn = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["solve", "--scenario", str(scn), "--out", str(out)]) == 0
+    result = minimize_quantile(load_scenario(str(scn)), SolverParams(grad_tol=1e-8))
+    _write_csv(tmp_path / "nu.csv", "node,nu", (result.nu.grid.nodes, result.nu.values))
+    _write_csv(tmp_path / "G.csv", "p,G", (result.G.probabilities, result.G.values))
+    assert (out / "equilibrium.csv").read_bytes() == (tmp_path / "nu.csv").read_bytes()
+    assert (out / "quantile.csv").read_bytes() == (tmp_path / "G.csv").read_bytes()
 
 
 def test_sweep_rejects_bad_values(tmp_path, capsys):

@@ -15,6 +15,7 @@ from cnot import (
     SolverParams,
     Trajectory,
     TrajectoryPoint,
+    density_to_quantile,
     gaussian_truncated_density,
     jko_flow,
     jko_step,
@@ -157,3 +158,31 @@ def test_jko_flow_bins_one_density_per_step(monkeypatch):
     direct = minimize_quantile(scenario, params.inner)
     assert traj.diagnostics["direct_J"] == direct.J_value
     assert traj.diagnostics["direct_converged"] is direct.converged
+
+
+def test_jko_flow_builds_the_source_quantile_once(monkeypatch):
+    """Every step of a flow and its closing direct solve share one
+    objective: ``density_to_quantile(scenario.mu, m)`` runs once per flow,
+    and the trajectory is the one independent ``minimize_quantile`` steps
+    give."""
+    import cnot.dynamics
+    import cnot.solver
+
+    scenario = _scenario(n=32, m=96)
+    params = JkoParams(tau=0.1, steps=3)
+    nu0 = two_bumps_density(scenario.grid)
+    calls = []
+    for module in (cnot.solver, cnot.dynamics):
+        def spy(density, m, _real=module.density_to_quantile):
+            calls.append(density is scenario.mu)
+            return _real(density, m)
+
+        monkeypatch.setattr(module, "density_to_quantile", spy)
+    traj = jko_flow(scenario, nu0, params)
+    assert sum(calls) == 1
+    monkeypatch.undo()
+    G = density_to_quantile(nu0, scenario.m).values
+    for point in traj.points[1:]:
+        result = minimize_quantile(scenario, params.inner, G0=G, prox=(G, params.tau))
+        assert np.array_equal(point.nu.values, result.nu.values)
+        G = result.G.values

@@ -800,11 +800,12 @@ def test_cubic_kernel_newton_loop_holds_a_bounded_number_of_quantile_arrays():
     ``sample_gradient`` and ``sample_curvature`` wrote into a few buffers in
     place)."""
     from cnot.cli import _bundle_from_raw
-    from cnot.solver import _projected_newton
+    from cnot.solver import _QuantileProblem, _projected_newton
 
     probe = _solve_peaks()
     raw = json.loads((probe.ROOT / "scenarios" / "cubic_attraction.json").read_text())
     bundle = _bundle_from_raw(dict(raw, grid_n=8192, quantile_m=4 * 8192), probe.ROOT / "scenarios")
-    out, peak = probe._traced(lambda: _projected_newton(bundle.scenario, bundle.params))
+    out, peak = probe._traced(
+        lambda: _projected_newton(_QuantileProblem(bundle.scenario), bundle.params))
     assert out[3]
     assert peak / (8.0 * bundle.scenario.m) <= 14.5

@@ -28,7 +28,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import cnot  # noqa: E402
 from cnot.cli import _bundle_from_raw  # noqa: E402
-from cnot.solver import _projected_newton  # noqa: E402
+from cnot.solver import _QuantileProblem, _projected_newton  # noqa: E402
 
 # the most quantile-sized arrays each stage may hold at once
 BOUNDS = {"newton": 12.0, "solve": 12.0, "certificate": 10.0}
@@ -56,7 +56,7 @@ def traced_peaks(n: int) -> dict:
     result = cnot.minimize_quantile(scenario, params)
     seconds = time.perf_counter() - start
     array = 8.0 * scenario.m
-    newton = _traced(lambda: _projected_newton(scenario, params))[1]
+    newton = _traced(lambda: _projected_newton(_QuantileProblem(scenario), params))[1]
     solved, solve = _traced(lambda: cnot.minimize_quantile(scenario, params))
     certificate = _traced(lambda: cnot.equilibrium_residual(scenario, solved.nu))[1]
     return {
