@@ -299,25 +299,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    """One row per line: integer columns as ``%d``, the rest as ``%.17g``,
-    written with one format over the flattened rows."""
-    arrays = [np.asarray(c) for c in columns]
-    k, rows = len(arrays), len(arrays[0])
-    line = ",".join("%d" if a.dtype.kind in "iu" else "%.17g" for a in arrays) + "\n"
-    flat = [None] * (k * rows)
-    for j, a in enumerate(arrays):
-        flat[j::k] = a.tolist()
-    path.write_text(header + "\n" + ("".join([line] * rows) % tuple(flat)))
-
-
-def _key_template(header: str, keys) -> str:
-    """The text of a ``key,value`` CSV with only the key column formatted:
-    ``template % tuple(values)`` gives the bytes ``_write_csv`` writes for
-    the two float columns, so one template serves every value column on the
-    same keys."""
+def _key_template(header: str, keys, values: int = 1) -> str:
+    """The text of a CSV with one row per key and only the key column
+    formatted (as ``%.17g``, which writes an integer key's digits):
+    ``template % tuple(row_major_values)`` fills the ``values`` columns as
+    ``%.17g``, so one template serves every set of values on the same keys.
+    Every CSV is written through it."""
     keys = np.asarray(keys).tolist()
-    return header + "\n" + ("%.17g,%%.17g\n" * len(keys)) % tuple(keys)
+    return header + "\n" + (("%.17g" + ",%%.17g" * values + "\n") * len(keys)) % tuple(keys)
 
 
 def _solution_templates(scenario: Scenario) -> tuple[str, str]:
@@ -412,13 +401,13 @@ def _cmd_jko(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     payload.update(tau=args.tau, steps=args.steps, init=args.init)
     params = JkoParams(tau=args.tau, steps=args.steps, inner=bundle.params)
     trajectory = jko_flow(scenario, nu0, params)
-    ks = [p.k for p in trajectory.points]
-    _write_csv(out / "trajectory.csv", "k,J,W2_step",
-               (ks, [p.J_value for p in trajectory.points],
-                [p.W2_step for p in trajectory.points]))
+    points = trajectory.points
+    (out / "trajectory.csv").write_text(
+        _key_template("k,J,W2_step", [p.k for p in points], values=2)
+        % tuple(v for p in points for v in (p.J_value, p.W2_step)))
     rows = _key_template("node,nu", scenario.grid.nodes)
     nu, text = None, ""
-    for point in trajectory.points:
+    for point in points:
         if point.nu is not nu:  # a repeated density is written, not formatted, again
             nu, text = point.nu, rows % tuple(point.nu.values.tolist())
         (out / f"density_{point.k:04d}.csv").write_text(text)
@@ -429,19 +418,12 @@ def _cmd_jko(bundle: _Bundle, args, out: Path, payload: dict) -> int:
 
 def _cmd_welfare(bundle: _Bundle, args, out: Path, payload: dict) -> int:
     report = cost_of_anarchy(bundle.scenario, bundle.params)
-    payload.update({
-        "sc_equilibrium": report.sc_equilibrium,
-        "sc_optimum": report.sc_optimum,
-        "cost_of_anarchy": report.cost_of_anarchy,
-        "stationarity_residual_paper": report.stationarity_residual_paper,
-        "stationarity_residual_marginal": report.stationarity_residual_marginal,
-        "converged_equilibrium": report.converged_equilibrium,
-        "converged_optimum": report.converged_optimum,
-        "warnings": list(report.warnings),
-    })
+    payload.update({key: value for key, value in vars(report).items()
+                    if key not in ("tax_paper", "tax_marginal")})  # those go to taxes.csv
     _write_json(out / "welfare.json", payload)
-    _write_csv(out / "taxes.csv", "node,tax_paper,tax_marginal",
-               (bundle.scenario.grid.nodes, report.tax_paper, report.tax_marginal))
+    (out / "taxes.csv").write_text(
+        _key_template("node,tax_paper,tax_marginal", bundle.scenario.grid.nodes, values=2)
+        % tuple(np.column_stack((report.tax_paper, report.tax_marginal)).ravel().tolist()))
     if not (report.converged_equilibrium and report.converged_optimum):
         print("a welfare solve did not converge; report written", file=sys.stderr)
         return 2
@@ -459,8 +441,7 @@ def _run_check(name: str, bundle: _Bundle, nu: DiscreteDensity,
         rep = purity_check(scenario, nu)
         # "monotone_value" repeats lp_value: perfbench/workloads.py and CI's purity
         # steps read it, so it goes only with ROADMAP direction 10's benchmark change.
-        return {"pure": rep.pure, "lp_value": rep.lp_value,
-                "monotone_value": rep.lp_value, "atoms": rep.atoms}
+        return {**vars(rep), "monotone_value": rep.lp_value}
     if name == "ma":
         return {"residual": monge_ampere_residual_1d(scenario, nu)}
     rng = np.random.default_rng(bundle.seed)
@@ -472,10 +453,8 @@ def _run_check(name: str, bundle: _Bundle, nu: DiscreteDensity,
                 "midpoint_margin": rep.midpoint_margin,
                 "J_a": rep.J_a, "J_b": rep.J_b}
     rho = density_from_values(scenario.grid, rng.uniform(0.2, 1.8, scenario.n))
-    rep = transport_derivative_check(scenario.mu, nu, rho, scenario.cost,
-                                     m=scenario.m)
-    return {"eps": list(rep.eps), "quotients": list(rep.quotients),
-            "predicted": rep.predicted, "errors": list(rep.errors)}
+    return vars(transport_derivative_check(scenario.mu, nu, rho, scenario.cost,
+                                           m=scenario.m))
 
 
 def _cmd_verify(bundle: _Bundle, args, out: Path, payload: dict) -> int:

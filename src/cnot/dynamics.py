@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import DiscreteDensity, density_to_quantile
+from .measures import DiscreteDensity, _is_integer, density_to_quantile
 from .solver import Scenario, SolverParams, _binned, _projected_newton, _QuantileProblem
 
 __all__ = ["JkoParams", "TrajectoryPoint", "Trajectory", "jko_step", "jko_flow"]
@@ -35,8 +35,8 @@ class JkoParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < math.inf:
             raise ValueError("tau must be a finite number > 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not _is_integer(self.steps) or self.steps < 1:
+            raise ValueError("steps must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ The energy of a density ``nu`` is
 
     E[nu] = integral F(nu) + integral v dnu + 1/2 double-integral phi dnu dnu
 
-with ``F' = f + c``, where ``c`` (``CongestionSpec.F_prime_shift``) is 1 for the
+with ``F' = f + c`` (``CongestionSpec.F_prime``), where ``c`` is 1 for the
 plain-entropy bookkeeping convention and 0 otherwise: it adds ``c`` to ``E`` and
 changes nothing at first order against mass-preserving perturbations.  Its
 first variation is
@@ -78,12 +78,11 @@ def _fd_positive(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray
 class CongestionSpec:
     """Congestion cost ``f`` with antiderivative ``F`` and inverse.
 
-    ``F' = f + F_prime_shift``, a constant the ``convention`` fixes: 1 for
-    plain entropy, 0 for every other spec.  The constructor probes that
-    ``f`` is increasing, that ``F' - f`` equals this constant (by central
-    differences) and that ``f_inv`` inverts ``f``.  The family's closed
-    forms live here: ``marginal_externality`` and the social counterpart
-    ``social``.
+    ``F_prime`` is ``F'``: ``1 + log`` for plain entropy and ``f`` for every
+    other spec.  The constructor probes that ``f`` is increasing, that ``F``
+    is an antiderivative of ``F_prime`` (by central differences) and that
+    ``f_inv`` inverts ``f``.  The family's closed forms live here:
+    ``marginal_externality`` and the social counterpart ``social``.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -101,10 +100,10 @@ class CongestionSpec:
             raise ValueError("congestion f must be finite on (0, inf)")
         if np.any(np.diff(fv) <= 0.0):
             raise ValueError("congestion f must be strictly increasing")
-        # F' = f + F_prime_shift, by central differences
-        dev = _fd_positive(self.F)(_PROBE_S) - fv - self.F_prime_shift
+        # F' = F_prime, by central differences
+        dev = _fd_positive(self.F)(_PROBE_S) - self.F_prime(_PROBE_S)
         if np.max(np.abs(dev)) > 1e-6 * (1.0 + np.max(np.abs(fv))):
-            raise ValueError(f"congestion F' - f must equal {self.F_prime_shift:g}")
+            raise ValueError("congestion F' must equal F_prime")
         # round-trip of the inverse on the probe range
         rt = np.asarray(self.f_inv(fv), dtype=float)
         if np.max(np.abs(rt - _PROBE_S) / _PROBE_S) > 1e-8:
@@ -112,9 +111,9 @@ class CongestionSpec:
         object.__setattr__(self, "satisfies_mccann", mccann_check(self))
 
     @property
-    def F_prime_shift(self) -> float:
-        """The constant ``F' - f``: 1.0 for plain entropy, 0.0 otherwise."""
-        return 1.0 if self.convention == "plain" else 0.0
+    def F_prime(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``F'``: ``1 + log`` for plain entropy, ``f`` for every other spec."""
+        return _log1 if self.convention == "plain" else self.f
 
     @staticmethod
     def entropy(convention: str = "shifted") -> "CongestionSpec":

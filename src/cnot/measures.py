@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -44,6 +45,16 @@ __all__ = [
 SUPPORT_MODES = ("free", "fixed_endpoints")
 
 _MASS_TOL = 1e-12
+
+
+def _is_integer(value) -> bool:
+    """Whether ``operator.index`` takes ``value``: Python and numpy integers
+    pass, floats (even whole ones) do not."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -76,8 +87,8 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("grid needs at least n >= 2 cells")
+        if not _is_integer(self.n) or self.n < 2:
+            raise ValueError("grid needs an integer n >= 2 cells")
 
     @property
     def delta(self) -> float:

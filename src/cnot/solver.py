@@ -37,6 +37,7 @@ from .measures import (
     DiscreteDensity,
     Grid,
     QuantileFn,
+    _is_integer,
     _median,
     density_to_quantile,
     quantile_to_density,
@@ -68,8 +69,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.mu.grid != self.model.grid:
             raise ValueError("scenario source measure and energy model must share a grid")
-        if self.m < 2:
-            raise ValueError("quantile resolution m must be >= 2")
+        if not _is_integer(self.m) or self.m < 2:
+            raise ValueError("quantile resolution m must be an integer >= 2")
         if self.support_mode not in SUPPORT_MODES:
             raise ValueError(f"unknown support_mode {self.support_mode!r}")
         if np.any(self.mu.values <= 0.0):
@@ -98,8 +99,10 @@ class SolverParams:
     grad_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or not 0.0 < self.grad_tol < math.inf:
-            raise ValueError("solver parameters must be positive and finite")
+        if (not _is_integer(self.max_iters) or self.max_iters < 1
+                or not 0.0 < self.grad_tol < math.inf):
+            raise ValueError("solver parameters need an integer max_iters >= 1 "
+                             "and a finite grad_tol > 0")
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,6 @@ class _QuantileProblem:
         self.cost = scenario.cost
         self.C_second = _fd_derivative(scenario.cost.C_prime)
         self.model = scenario.model
-        self.F_prime_shift = scenario.model.congestion.F_prime_shift
         self.prox: Optional[tuple[np.ndarray, float]] = None
 
     def anchored(self, anchor: np.ndarray, tau: float) -> "_QuantileProblem":
@@ -234,9 +236,7 @@ class _QuantileProblem:
         grad = np.negative(np.asarray(self.cost.C_prime(self.H - p.G), dtype=float))
         grad /= m
         with np.errstate(over="ignore"):
-            F_prime = np.asarray(self.model.congestion.f(p.u), dtype=float)
-            if self.F_prime_shift:  # F' = f + the convention's constant
-                F_prime = F_prime + self.F_prime_shift
+            F_prime = np.asarray(self.model.congestion.F_prime(p.u), dtype=float)
             psi = np.multiply(p.u, F_prime)
             F_prime = None
             np.subtract(p.F_u, psi, out=psi)  # F(u) - u F'(u)
@@ -572,8 +572,8 @@ def best_response_iterate(
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not _is_integer(steps) or steps < 1:
+        raise ValueError("steps must be an integer >= 1")
     if nu0.grid != scenario.grid:
         raise ValueError("initial measure must live on the scenario grid")
     model = scenario.model

@@ -12,7 +12,18 @@ import numpy as np
 import pytest
 
 from cnot import SolverParams, minimize_quantile
-from cnot.cli import _write_csv, load_scenario, main
+from cnot.cli import _key_template, load_scenario, main
+
+
+def _csv_text(header, columns):
+    """The text of a CSV formatted one value at a time: ``str`` for
+    integers, ``%.17g`` for the rest (nan and inf included)."""
+    lines = [header] + [
+        ",".join(str(c) if isinstance(c, (int, np.integer)) else "%.17g" % float(c)
+                 for c in row)
+        for row in zip(*columns)
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _write_scenario(path, **overrides):
@@ -163,25 +174,24 @@ def test_solve_certificate_error_is_a_numerical_failure(tmp_path, capsys, monkey
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_write_csv_matches_per_value_formatting(tmp_path):
-    """The one-format CSV writer gives the bytes of the per-value writer:
-    ``%.17g`` for floats (nan and inf included), ``str`` for integers."""
+def test_key_template_matches_per_value_formatting():
+    """A ``_key_template`` filled with row-major values gives the text of
+    the per-value formatter, for one and two value columns: ``%.17g`` for
+    floats (nan, +-inf and +-1e+-300 included), ``str`` for integer keys."""
     rng = np.random.default_rng(2)
     floats = rng.normal(0.0, 1.0, 40) * 10.0 ** rng.uniform(-300.0, 300.0, 40)
-    floats[[3, 7, 11]] = [np.nan, np.inf, -np.inf]
-    ints = list(range(-5, 35))
-    columns = (ints, floats, np.arange(40, dtype=np.int64), floats[::-1].copy())
-    lines = ["k,a,i,b"] + [
-        ",".join(str(c) if isinstance(c, (int, np.integer)) else "%.17g" % float(c)
-                 for c in row)
-        for row in zip(*columns)
-    ]
-    path = tmp_path / "t.csv"
-    _write_csv(path, "k,a,i,b", columns)
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-    _write_csv(path, "node,nu", (np.linspace(0.0, 1.0, 7), np.full(7, 1.0 / 3.0)))
-    assert path.read_text().splitlines()[1:3] == ["0,0.33333333333333331",
-                                                   "0.16666666666666666,0.33333333333333331"]
+    floats[[3, 7, 11, 13, 17, 19, 23]] = [np.nan, np.inf, -np.inf,
+                                          1e300, -1e300, 1e-300, -1e-300]
+    other = floats[::-1].copy()
+    row_major = np.column_stack((floats, other)).ravel().tolist()
+    for keys in (floats, list(range(-5, 35)), np.arange(40, dtype=np.int64)):
+        assert (_key_template("k,a", keys) % tuple(other.tolist())
+                == _csv_text("k,a", (keys, other)))
+        assert (_key_template("k,a,b", keys, values=2) % tuple(row_major)
+                == _csv_text("k,a,b", (keys, floats, other)))
+    text = _key_template("node,nu", np.linspace(0.0, 1.0, 7)) % ((1.0 / 3.0,) * 7)
+    assert text.splitlines()[1:3] == ["0,0.33333333333333331",
+                                      "0.16666666666666666,0.33333333333333331"]
 
 
 def test_solve_support_override(tmp_path):
@@ -478,7 +488,7 @@ def test_jko_stops_solving_at_its_fixed_point(tmp_path, monkeypatch):
     without solving.  On the shipped uniform scenario (tau 0.1, 20 steps from
     two bumps) ``cnot jko`` solves fewer than 20 steps, and its trajectory and
     every density file have the bytes of a flow that solves all 20 steps by
-    ``minimize_quantile``, written by ``_write_csv``."""
+    ``minimize_quantile``, formatted one value at a time."""
     import cnot.dynamics as dynamics
     from cnot import density_to_quantile, two_bumps_density
     from cnot.cli import _load_bundle
@@ -507,15 +517,11 @@ def test_jko_stops_solving_at_its_fixed_point(tmp_path, monkeypatch):
         rows.append((k, problem.value(G_new), float(np.sqrt(np.sum((G_new - G) ** 2) / scenario.m))))
         densities.append(result.nu)
         G = G_new
-    ref = tmp_path / "ref"
-    ref.mkdir()
-    _write_csv(ref / "trajectory.csv", "k,J,W2_step", list(zip(*rows)))
-    names = ["trajectory.csv"]
+    expected = {"trajectory.csv": _csv_text("k,J,W2_step", list(zip(*rows)))}
     for k, nu in enumerate(densities):
-        names.append(f"density_{k:04d}.csv")
-        _write_csv(ref / names[-1], "node,nu", (scenario.grid.nodes, nu.values))
-    for name in names:
-        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        expected[f"density_{k:04d}.csv"] = _csv_text("node,nu", (scenario.grid.nodes, nu.values))
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode(), name
 
 
 def test_jko_init_file_requires_path(tmp_path, capsys):
@@ -548,6 +554,28 @@ def test_welfare_writes_report_and_taxes(tmp_path):
     taxes = (out / "taxes.csv").read_text().strip().splitlines()
     assert taxes[0] == "node,tax_paper,tax_marginal"
     assert len(taxes) == 49
+
+
+def test_welfare_json_holds_the_report_but_its_taxes(tmp_path):
+    """``welfare.json`` holds the run metadata and every ``WelfareReport``
+    field but the two tax vectors, which ``taxes.csv`` holds: the grid nodes
+    and both taxes of ``cost_of_anarchy``, formatted one value at a time."""
+    from dataclasses import fields
+
+    from cnot.cli import _load_bundle
+    from cnot.welfare import WelfareReport, cost_of_anarchy
+
+    scn = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["welfare", "--scenario", str(scn), "--out", str(out)]) == 0
+    bundle = _load_bundle(str(scn))
+    report_keys = {f.name for f in fields(WelfareReport)} - {"tax_paper", "tax_marginal"}
+    payload = json.loads((out / "welfare.json").read_text())
+    assert set(payload) == report_keys | {"command", *bundle.metadata()}
+    report = cost_of_anarchy(bundle.scenario, bundle.params)
+    assert (out / "taxes.csv").read_bytes() == _csv_text(
+        "node,tax_paper,tax_marginal",
+        (bundle.scenario.grid.nodes, report.tax_paper, report.tax_marginal)).encode()
 
 
 def test_welfare_on_unconverged_solves_exits_2(tmp_path, capsys):
@@ -723,17 +751,18 @@ def test_figure1_sweep_over_kappa_converges_from_each_previous_run(tmp_path):
     assert warm == [False, True, True, True]
 
 
-def test_solve_writes_the_bytes_of_write_csv(tmp_path):
+def test_solve_writes_the_bytes_of_per_value_formatting(tmp_path):
     """``solve`` fills key-column templates, and its ``equilibrium.csv`` and
-    ``quantile.csv`` have the bytes ``_write_csv`` gives for the two columns."""
+    ``quantile.csv`` have the bytes of the two columns formatted one value
+    at a time."""
     scn = _write_scenario(tmp_path / "s.json")
     out = tmp_path / "out"
     assert main(["solve", "--scenario", str(scn), "--out", str(out)]) == 0
     result = minimize_quantile(load_scenario(str(scn)), SolverParams(grad_tol=1e-8))
-    _write_csv(tmp_path / "nu.csv", "node,nu", (result.nu.grid.nodes, result.nu.values))
-    _write_csv(tmp_path / "G.csv", "p,G", (result.G.probabilities, result.G.values))
-    assert (out / "equilibrium.csv").read_bytes() == (tmp_path / "nu.csv").read_bytes()
-    assert (out / "quantile.csv").read_bytes() == (tmp_path / "G.csv").read_bytes()
+    assert (out / "equilibrium.csv").read_bytes() == _csv_text(
+        "node,nu", (result.nu.grid.nodes, result.nu.values)).encode()
+    assert (out / "quantile.csv").read_bytes() == _csv_text(
+        "p,G", (result.G.probabilities, result.G.values)).encode()
 
 
 def test_sweep_rejects_bad_values(tmp_path, capsys):

@@ -41,13 +41,16 @@ def _scenario(n=64, m=256, kappa=2.0):
 
 
 def test_jko_params_validation():
-    """Step size and horizon must be positive, and the step finite (as the
-    CLI's ``--tau`` check asks)."""
+    """Step size and horizon must be positive, the step finite (as the
+    CLI's ``--tau`` check asks) and the horizon an integer."""
     for tau in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau must be a finite number > 0"):
             JkoParams(tau=tau, steps=5)
     with pytest.raises(ValueError, match="steps"):
         JkoParams(tau=0.1, steps=0)
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        JkoParams(0.1, 2.5)
+    assert JkoParams(0.1, np.int64(2)).steps == 2
 
 
 def test_jko_step_validation():

@@ -58,8 +58,8 @@ def test_congestion_probe_rejects_decreasing_f():
 
 
 def test_congestion_probe_rejects_wrong_antiderivative():
-    """F' must equal f plus the convention's constant, ``F_prime_shift``: 1
-    for plain entropy, 0 for every other spec.  A custom ``F = s log s`` has
+    """F' must equal ``F_prime``: ``1 + log`` for plain entropy, ``f`` for
+    every other spec.  A custom ``F = s log s`` has
     ``F' = log + 1``, plain entropy's bookkeeping, which only that
     convention declares; accepted, it would price a gradient off by the
     constant and stop at the first iterate."""
@@ -67,9 +67,13 @@ def test_congestion_probe_rejects_wrong_antiderivative():
         CongestionSpec.custom(f=np.log, F=lambda s: s * s, f_inv=np.exp)
     with pytest.raises(ValueError, match="F'"):
         CongestionSpec.custom(f=np.log, F=lambda s: s * np.log(s), f_inv=np.exp)
-    assert CongestionSpec.entropy("plain").F_prime_shift == 1.0
-    assert CongestionSpec.entropy("shifted").F_prime_shift == 0.0
-    assert CongestionSpec.entropy("plain").social().F_prime_shift == 0.0
+    s = np.logspace(-3.0, 3.0, 61)
+    plain = CongestionSpec.entropy("plain")
+    assert np.array_equal(plain.F_prime(s), 1.0 + np.log(s))
+    shifted = CongestionSpec.entropy("shifted")
+    assert shifted.F_prime is shifted.f
+    social = plain.social()
+    assert social.F_prime is social.f
 
 
 def test_congestion_probe_rejects_wrong_inverse():

@@ -32,7 +32,8 @@ def test_interval_validation():
 
 
 def test_grid_geometry():
-    """Nodes are cell midpoints and edges partition the interval."""
+    """Nodes are cell midpoints and edges partition the interval; the cell
+    count is an integer >= 2 (a numpy integer passes, a float does not)."""
     grid = Grid(Interval(1.0, 3.0), 4)
     assert grid.delta == 0.5
     assert np.allclose(grid.nodes, [1.25, 1.75, 2.25, 2.75])
@@ -40,6 +41,10 @@ def test_grid_geometry():
     assert list(grid.cell_index(np.array([1.0, 1.49, 2.5, 3.0]))) == [0, 0, 3, 3]
     with pytest.raises(ValueError):
         Grid(Interval(0.0, 1.0), 1)
+    for n in (2.5, 4.0):
+        with pytest.raises(ValueError, match="integer"):
+            Grid(Interval(0.0, 1.0), n)
+    assert Grid(Interval(0.0, 1.0), np.int64(4)).nodes.size == 4
 
 
 def test_density_validation():

@@ -68,7 +68,8 @@ def _congested_scenario(n=64, m=256):
 
 
 def test_scenario_validation():
-    """Mismatched grids, tiny m, flat source, and bad support modes are rejected."""
+    """Mismatched grids, tiny or non-integer m, flat source, and bad support
+    modes are rejected; a numpy integer m passes."""
     grid = Grid(Interval(0.0, 1.0), 16)
     other = Grid(Interval(0.0, 1.0), 32)
     model = EnergyModel(grid=grid, congestion=CongestionSpec.entropy())
@@ -77,6 +78,9 @@ def test_scenario_validation():
         Scenario(mu=uniform_density(other), cost=CostSpec.quadratic(), model=model)
     with pytest.raises(ValueError, match="m must be"):
         Scenario(mu=mu, cost=CostSpec.quadratic(), model=model, m=1)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        Scenario(mu=mu, cost=CostSpec.quadratic(), model=model, m=32.5)
+    assert Scenario(mu=mu, cost=CostSpec.quadratic(), model=model, m=np.int64(32)).m == 32
     with pytest.raises(ValueError, match="support_mode"):
         Scenario(mu=mu, cost=CostSpec.quadratic(), model=model, support_mode="clamped")
     thin = np.ones(16)
@@ -91,9 +95,13 @@ def test_scenario_validation():
 def test_solver_params_validation():
     """The iteration cap and the tolerance must be positive (NaN is not),
     and the tolerance finite: an infinite one would pass the stop test at
-    the start point and report an unsolved problem as converged."""
+    the start point and report an unsolved problem as converged.  The cap
+    is an integer: a float one would fail later, inside ``range``."""
     with pytest.raises(ValueError):
         SolverParams(max_iters=0)
+    with pytest.raises(ValueError, match="integer max_iters"):
+        SolverParams(max_iters=1.5)
+    assert SolverParams(max_iters=np.int64(3)).max_iters == 3
     with pytest.raises(ValueError):
         SolverParams(grad_tol=0.0)
     with pytest.raises(ValueError):
@@ -737,13 +745,16 @@ def test_proximal_anchor_pins_solution():
 
 
 def test_best_response_validation():
-    """Damping range, step count, and grid compatibility are enforced."""
+    """Damping range, an integer step count >= 1, and grid compatibility
+    are enforced."""
     scenario = _uniform_scenario()
     nu0 = uniform_density(scenario.grid)
     with pytest.raises(ValueError, match="damping"):
         best_response_iterate(scenario, nu0, damping=0.0)
     with pytest.raises(ValueError, match="steps"):
         best_response_iterate(scenario, nu0, steps=0)
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        best_response_iterate(scenario, nu0, steps=2.5)
     other = uniform_density(Grid(Interval(0.0, 1.0), 48))
     with pytest.raises(ValueError, match="grid"):
         best_response_iterate(scenario, other)

@@ -11,6 +11,7 @@ from cnot import (
     Interval,
     c_transform,
     density_from_values,
+    density_to_quantile,
     gaussian_truncated_density,
     kantorovich_potential_1d,
     minimize_quantile,
@@ -52,7 +53,8 @@ def _block(grid, center, halfwidth):
 
 
 def test_cost_conventions():
-    """Quadratic cost is |t|^2/2 and the power cost is |t|^p."""
+    """Quadratic cost is |t|^2/2 and the power cost is |t|^p, for a finite
+    p > 1 only (NaN and infinity are refused when the cost is built)."""
     t = np.array([-2.0, 0.5, 3.0])
     q = CostSpec.quadratic()
     assert np.allclose(q.C(t), 0.5 * t * t)
@@ -60,8 +62,9 @@ def test_cost_conventions():
     p3 = CostSpec.power(3.0)
     assert np.allclose(p3.C(t), np.abs(t) ** 3 / 3.0)
     assert np.allclose(p3.C_prime(t), np.sign(t) * t * t)
-    with pytest.raises(ValueError):
-        CostSpec.power(1.0)
+    for p in (1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite p > 1"):
+            CostSpec.power(p)
 
 
 def test_strict_convexity_probe():
@@ -92,6 +95,25 @@ def test_w2_translation_identity():
     assert w2_squared_1d(a, b) == pytest.approx(4.0, abs=2e-3)
     assert wasserstein_cost_1d(a, b, CostSpec.quadratic()) == pytest.approx(2.0, abs=1e-3)
     assert w2_squared_1d(a, a) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_w2_squared_is_twice_the_quadratic_transport_cost():
+    """``w2_squared_1d`` is ``2 * wasserstein_cost_1d`` under the quadratic
+    cost and keeps the written-out ``sum (G - H)^2 / m``, both by ``==``,
+    with ``m`` given and defaulted, on seeded pairs of random densities."""
+    rng = np.random.default_rng(11)
+    quadratic = CostSpec.quadratic()
+    for _ in range(40):
+        lo = rng.uniform(-2.0, 2.0)
+        hi = lo + rng.uniform(0.5, 4.0)
+        a, b = (density_from_values(Grid(Interval(lo, hi), int(n)), rng.uniform(0.05, 2.0, n))
+                for n in rng.integers(4, 64, 2))
+        for m in (None, int(rng.integers(2, 400))):
+            value = w2_squared_1d(a, b, m)
+            assert value == 2.0 * wasserstein_cost_1d(a, b, quadratic, m)
+            k = m or quantile_resolution(max(a.grid.n, b.grid.n))
+            H, G = density_to_quantile(a, k).values, density_to_quantile(b, k).values
+            assert value == float(np.sum((G - H) ** 2) / k)
 
 
 def test_w2_matches_gaussian_shift():
