@@ -262,8 +262,8 @@ def two_bumps_density(grid: Grid) -> DiscreteDensity:
 
 def density_to_quantile(nu: DiscreteDensity, m: int) -> QuantileFn:
     """Sample the generalized inverse CDF of ``nu`` at ``j/(m-1)``."""
-    if m < 2:
-        raise ValueError("quantile resolution m must be >= 2")
+    if not _is_integer(m) or m < 2:
+        raise ValueError("quantile resolution m must be an integer >= 2")
     p = np.linspace(0.0, 1.0, m)
     return QuantileFn(nu.quantile(p), nu.grid.interval)
 

@@ -158,17 +158,16 @@ class _Point:
     ``sample_sums`` and the congestion energy ``sum_j gaps_j F(u_j)``.  Built
     once per priced point, it holds three quantile-sized arrays (``G``, ``u``
     and ``F(u)``) besides the sums; the gaps are dropped once the energy is
-    taken, and ``z = H - G`` is formed where the cost terms need it."""
+    taken, and ``z = H - G`` is formed where the cost terms need it.  Built
+    in the solve's error state (``_projected_newton``), it sets none."""
 
     __slots__ = ("G", "u", "F_u", "sums", "congestion")
 
     def __init__(self, problem: "_QuantileProblem", G: np.ndarray, gaps: np.ndarray):
         self.G = G
-        with np.errstate(over="ignore", divide="ignore"):
-            # 1 / ((m-1) gaps), in one buffer
-            self.u = np.multiply(gaps, problem.m - 1)
-            np.divide(1.0, self.u, out=self.u)
-            self.F_u = np.asarray(problem.model.congestion.F(self.u), dtype=float)
+        self.u = np.multiply(gaps, problem.m - 1)  # 1 / ((m-1) gaps), in one buffer
+        np.divide(1.0, self.u, out=self.u)
+        self.F_u = np.asarray(problem.model.congestion.F(self.u), dtype=float)
         self.congestion = float((gaps * self.F_u).sum())
         kernel = problem.model.kernel
         self.sums = kernel.sample_sums(G) if kernel is not None else None
@@ -205,8 +204,10 @@ class _QuantileProblem:
             return None
         return _Point(self, G, gaps)
 
+    @np.errstate(over="ignore", divide="ignore")
     def value(self, G: np.ndarray) -> float:
-        """Objective at a non-decreasing ``G`` (+inf at a zero gap)."""
+        """Objective at a non-decreasing ``G`` (+inf at a zero gap), in the
+        solve's error state (``_projected_newton``)."""
         p = self.point(G)
         if p is None:
             if np.any(np.diff(G) < 0.0):
@@ -230,16 +231,15 @@ class _QuantileProblem:
         return val
 
     def gradient(self, p: _Point) -> np.ndarray:
-        """Exact gradient of the objective at ``p``; raises when it is not
-        finite."""
+        """Exact gradient of the objective at ``p``, in the solve's error
+        state (``_projected_newton``); raises when it is not finite."""
         m = self.m
         grad = np.negative(np.asarray(self.cost.C_prime(self.H - p.G), dtype=float))
         grad /= m
-        with np.errstate(over="ignore"):
-            F_prime = np.asarray(self.model.congestion.F_prime(p.u), dtype=float)
-            psi = np.multiply(p.u, F_prime)
-            F_prime = None
-            np.subtract(p.F_u, psi, out=psi)  # F(u) - u F'(u)
+        F_prime = np.asarray(self.model.congestion.F_prime(p.u), dtype=float)
+        psi = np.multiply(p.u, F_prime)
+        F_prime = None
+        np.subtract(p.F_u, psi, out=psi)  # F(u) - u F'(u)
         grad[1:] += psi
         grad[:-1] -= psi
         if self.model.potential is not None:
@@ -265,7 +265,8 @@ class _QuantileProblem:
         (``transport._fd_derivative``).  Interaction kernels
         keep only their diagonal part.  Entries are clipped to a positive
         range that keeps the tridiagonal Cholesky factorization finite — the
-        line search absorbs any remaining model error.
+        line search absorbs any remaining model error.  It runs in the
+        solve's error state (``_projected_newton``), where ``psi2`` may read inf.
         """
         m, G, u = self.m, p.G, p.u
         diag = self.C_second(self.H - G)  # a fresh array: _fd_derivative's quotient
@@ -276,8 +277,7 @@ class _QuantileProblem:
             diag += np.maximum(v2, 0.0) / m
         if self.model.kernel is not None:
             diag += self.model.kernel.sample_curvature(G, p.sums)
-        with np.errstate(over="ignore", divide="ignore"):
-            psi2 = (m - 1) * u**3 * np.asarray(self.model.congestion.f_prime(u), dtype=float)
+        psi2 = (m - 1) * u**3 * np.asarray(self.model.congestion.f_prime(u), dtype=float)
         # in place, each bound first: the bytes of np.where(finite, np.clip(...), _CURV_MAX)
         finite = np.isfinite(psi2)
         np.minimum(_CURV_MAX, np.maximum(0.0, psi2, out=psi2), out=psi2)
@@ -464,9 +464,12 @@ def _binned(scenario: Scenario, G, J, iterations, converged, metadata) -> Equili
     return EquilibriumResult(nu, G, J, iterations, converged, scenario, metadata)
 
 
+@np.errstate(over="ignore", divide="ignore")
 def _projected_newton(problem: _QuantileProblem, params: SolverParams, G0=None) -> tuple:
     """The Newton loop of ``minimize_quantile`` on ``problem``, which bins no
-    density: ``(G, J, iterations, converged, metadata)``."""
+    density: ``(G, J, iterations, converged, metadata)``.  The solve's error
+    state ignores overflow and division by zero, so a trial whose tiny gap
+    overflows ``F(u)`` is priced +inf and rejected without a warning."""
     scenario = problem.scenario
     iv, mode = scenario.interval, scenario.support_mode
     # copies: the box map writes in place, and G0 may be the proximal anchor

@@ -312,7 +312,6 @@ def _range_minima(
 
 # below this many entries one dense block beats the divide and conquer
 _DENSE_ENTRIES = 1 << 15
-_MONGE_BLOCK = 8
 # at most this many entries in one flat pass of _range_minima (bounded temporaries)
 _RANGE_ENTRIES = 1 << 13
 
@@ -328,14 +327,14 @@ def c_transform(
     and the first minimizing row is non-decreasing in ``j`` (Aggarwal et
     al. 1987).  Divide and conquer over the columns, one vectorised level at
     a time, finds the minimizing row of each block's middle column and
-    splits the block's row range there; blocks of at most 8 columns finish
-    with a dense minimum over their row range.  That costs
-    O((n_x + n_y) log n_y) time and O(n_x + n_y) memory, never an
-    ``n_x x n_y`` array (arrays of at most 2^15 entries are minimized in one
-    dense block): about fifteen arrays of ``max(n_x, n_y)`` entries, and the
-    temporaries of one pass of ``_range_minima`` over at most 2^13 entries.
-    Every entry is evaluated as in the dense formula, so the minima are
-    exact, not interpolated.
+    splits the block's row range there, down to single columns; empty
+    blocks are dropped at each level.  That costs O((n_x + n_y) log n_y)
+    time and O(n_x + n_y) memory, never an ``n_x x n_y`` array (arrays of
+    at most 2^15 entries are minimized in one dense block,
+    ``cost.cost_matrix``): about fourteen arrays of ``max(n_x, n_y)``
+    entries, and the temporaries of one pass of ``_range_minima`` over at
+    most 2^13 entries.  Every entry is evaluated as in the dense formula, so
+    the minima are exact, not interpolated.
     """
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -350,8 +349,7 @@ def c_transform(
         max(float(x.max() - y.min()), float(y.max() - x.min()), 1e-3)
     )
     if x.size * y.size <= _DENSE_ENTRIES:
-        block = np.asarray(cost.C(x[:, None] - y[None, :]), dtype=float)
-        return np.min(block - phi[:, None], axis=0)
+        return np.min(cost.cost_matrix(x, y) - phi[:, None], axis=0)
     xo, yo = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
     xs, ps, ys = x[xo], phi[xo], y[yo]
 
@@ -359,24 +357,16 @@ def c_transform(
         return np.asarray(cost.C(xs[rows] - ys[cols]), dtype=float) - ps[rows]
 
     out = np.empty(y.size)
-    # open blocks: columns a..b-1 whose minimizing rows lie in rlo..rhi
+    # open blocks: columns a..b-1 (never empty) whose minimizing rows lie in rlo..rhi
     a, b = np.array([0]), np.array([y.size])
     rlo, rhi = np.array([0]), np.array([x.size - 1])
-    leaves = []
-    while True:
-        wide = b - a > _MONGE_BLOCK
-        leaves.append((a[~wide], b[~wide], rlo[~wide], rhi[~wide]))
-        a, b, rlo, rhi = a[wide], b[wide], rlo[wide], rhi[wide]
-        if not a.size:
-            break
+    while a.size:
         mid = (a + b) // 2
         out[mid], arg = _range_minima(value, mid, rlo, rhi)
         a, b = np.concatenate([a, mid + 1]), np.concatenate([mid, b])
         rlo, rhi = np.concatenate([rlo, arg]), np.concatenate([arg, rhi])
-    a, b, rlo, rhi = (np.concatenate(t) for t in zip(*leaves))
-    width = b - a
-    cols = np.arange(int(width.sum())) + np.repeat(a - (np.cumsum(width) - width), width)
-    out[cols] = _range_minima(value, cols, np.repeat(rlo, width), np.repeat(rhi, width))[0]
+        keep = b > a
+        a, b, rlo, rhi = a[keep], b[keep], rlo[keep], rhi[keep]
     result = np.empty(y.size)
     result[yo] = out
     return result

@@ -53,8 +53,13 @@ def test_version_flag(capsys):
 
 
 def test_missing_command_is_a_usage_error(capsys):
+    """No command, or a command without ``--scenario``, exits 1 with an
+    ``/args`` message, not argparse's exit 2."""
     assert main([]) == 1
     assert "command is required" in capsys.readouterr().err
+    assert main(["solve"]) == 1
+    err = capsys.readouterr().err
+    assert "/args: " in err and "--scenario" in err
 
 
 def test_unknown_scenario_key_reports_pointer(tmp_path, capsys):
@@ -263,13 +268,23 @@ def test_solver_edits_on_a_file_without_a_solver_section(tmp_path):
     ("potential", {"kind": "poly", "coeffs": [0.0, float("inf")]}, "/potential/coeffs"),
     ("interval", {"lo": 0.0, "hi": float("inf")}, "/interval/hi"),
     ("cost", {"kind": "convex_difference", "p": float("inf")}, "/cost/p"),
+    ("cost", {"kind": "convex_difference", "p": 1.0}, "/cost/p"),
 ])
 def test_non_finite_scenario_numbers_are_rejected(tmp_path, capsys, section, value, pointer):
-    """``NaN`` and ``Infinity``, which Python's JSON reader accepts, and an
-    integer too large for a float fail validation with the field's pointer."""
+    """``NaN`` and ``Infinity``, which Python's JSON reader accepts, an
+    integer too large for a float and a cost exponent ``p <= 1`` fail
+    validation with the field's pointer."""
     scn = _write_scenario(tmp_path / "s.json", **{section: value})
     assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
     assert f"{pointer}: " in capsys.readouterr().err
+
+
+def test_power_cost_loads_as_its_formula(tmp_path):
+    """A ``convex_difference`` cost with exponent ``p`` loads as
+    ``C(t) = |t|^p / p``."""
+    scn = _write_scenario(tmp_path / "s.json", cost={"kind": "convex_difference", "p": 3})
+    t = np.array([-2.0, -0.5, 0.0, 0.25, 1.5])
+    assert np.array_equal(load_scenario(str(scn)).cost.C(t), np.abs(t) ** 3 / 3)
 
 
 def test_gaussian_source_that_underflows_everywhere_is_a_validation_error(tmp_path, capsys):
@@ -342,7 +357,8 @@ def test_verify_purity_writes_the_keys_the_benchmark_and_ci_read(tmp_path):
 def test_verify_numerical_failure_exits_2_with_verify_json(tmp_path, monkeypatch, capsys):
     """A solver ``RuntimeError`` or a certificate ``ValueError`` in verify's
     own solve exits 2 with the message in verify.json; a ``ValueError`` in
-    one check still marks only that check inapplicable."""
+    one check still marks only that check inapplicable, and a
+    ``RuntimeError`` in one check marks it failed and exits 2."""
     import cnot.cli
     import cnot.verify
 
@@ -372,6 +388,15 @@ def test_verify_numerical_failure_exits_2_with_verify_json(tmp_path, monkeypatch
     results = json.loads((out / "verify.json").read_text())["results"]
     assert results["purity"] == {"status": "inapplicable", "detail": "not this one"}
     assert "residual_eq" in results["eq"]
+
+    monkeypatch.setattr(cnot.cli, "purity_check", raising(RuntimeError("overflowed")))
+    out = tmp_path / "failed_check"
+    assert main(["verify", "--scenario", str(scn), "--out", str(out),
+                 "--checks", "eq,purity"]) == 2
+    results = json.loads((out / "verify.json").read_text())["results"]
+    assert results["purity"] == {"status": "failed", "detail": "overflowed"}
+    assert "residual_eq" in results["eq"]
+    assert "numerical failure; see verify.json" in capsys.readouterr().err
 
 
 def test_verify_eq_reuses_the_solve_certificate(tmp_path, monkeypatch):

@@ -65,6 +65,15 @@ def test_jko_step_validation():
         jko_step(scenario, other, tau=0.1)
 
 
+def test_jko_step_that_does_not_converge_raises():
+    """A step whose inner solve stops at its iteration cap raises a
+    ``RuntimeError`` that names the step."""
+    scenario = _scenario()
+    nu0 = two_bumps_density(scenario.grid)
+    with pytest.raises(RuntimeError, match="did not converge at a single step"):
+        jko_step(scenario, nu0, tau=0.1, inner=SolverParams(max_iters=1))
+
+
 def test_trajectory_rejects_increasing_objective():
     """The trajectory container enforces the descent property."""
     nu = uniform_density(Grid(Interval(0.0, 1.0), 16))

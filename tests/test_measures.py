@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cnot import (
+    CostSpec,
     DiscreteDensity,
     Grid,
     Interval,
@@ -16,6 +17,7 @@ from cnot import (
     quantile_to_density,
     two_bumps_density,
     uniform_density,
+    wasserstein_cost_1d,
 )
 from cnot.measures import _bin_segments
 
@@ -48,8 +50,17 @@ def test_grid_geometry():
 
 
 def test_density_validation():
-    """Densities must be finite, non-negative, and integrate to one."""
+    """Densities must be finite, non-negative, and integrate to one; their
+    quantile resolution is an integer m >= 2 (a numpy integer passes, a
+    float does not), also where a transport cost takes it."""
     grid = Grid(Interval(0.0, 1.0), 8)
+    for m in (2.5, 4.0, 1):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            density_to_quantile(uniform_density(grid), m)
+    assert density_to_quantile(uniform_density(grid), np.int64(8)).m == 8
+    with pytest.raises(ValueError, match="integer >= 2"):
+        wasserstein_cost_1d(uniform_density(grid), uniform_density(grid),
+                            CostSpec.quadratic(), m=2.5)
     with pytest.raises(ValueError):
         DiscreteDensity(grid, np.full(8, 2.0))
     with pytest.raises(ValueError):

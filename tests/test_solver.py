@@ -174,6 +174,21 @@ def test_objective_rejects_bad_quantiles():
     assert problem.point(flat) is None
 
 
+def test_an_overflowing_gap_is_priced_inf_without_a_warning():
+    """A gap so small that ``F(u)`` overflows prices the objective +inf, and
+    a solve started there is refused as an infinite start, both inside the
+    solve's error state: no ``RuntimeWarning`` escapes (pytest makes one an
+    error)."""
+    grid = Grid(Interval(0.0, 1.0), 16)
+    model = EnergyModel(grid=grid, congestion=CongestionSpec.power(8.0))
+    scenario = Scenario(mu=uniform_density(grid), cost=CostSpec.quadratic(), model=model, m=32)
+    G = np.linspace(0.0, 1.0, 32)
+    G[1] = 1e-300
+    assert _QuantileProblem(scenario).value(G) == np.inf
+    with pytest.raises(ValueError, match="infinite objective"):
+        minimize_quantile(scenario, G0=G)
+
+
 def _isotonic_min_max(y, w):
     """Weighted isotonic fit by the min-max formula
     ``x_i = max_{j <= i} min_{k >= i} mean_w(y[j..k])`` (cubic, no PAVA)."""

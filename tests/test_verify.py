@@ -101,6 +101,15 @@ def test_equilibrium_residual_erodes_support_edges():
             equilibrium_residual(scenario, nu, tax=tax)
 
 
+def test_equilibrium_residual_without_a_core_keeps_the_support():
+    """A support of isolated cells erodes to nothing; the equality set then
+    falls back to the whole support."""
+    scenario = _uniform_scenario(n=16)
+    nu = density_from_values(scenario.grid, np.tile([1.0, 0.0], 8))
+    report = equilibrium_residual(scenario, nu)
+    assert report.support_cells == report.core_cells == 8
+
+
 def test_purity_of_computed_equilibrium():
     """The equilibrium coupling is the monotone graph: the certified LP value
     on the coarsened atoms is the north-west-corner walk's cost."""

@@ -29,6 +29,7 @@ from cnot import (
     wasserstein_cost_1d,
     welfare,
 )
+from cnot.welfare import _uniqueness_flags
 
 
 def _plain_uniform(n=64, convention="shifted"):
@@ -313,6 +314,21 @@ def test_cost_of_anarchy_warns_outside_uniqueness_regime():
     with pytest.warns(UserWarning, match="uniqueness"):
         report = cost_of_anarchy(scenario)
     assert any("uniqueness" in w for w in report.warnings)
+
+
+def test_uniqueness_flags_a_congestion_that_fails_mccanns_probe():
+    """``F(s) = s^2 + 1`` builds (``F' = f``, ``f_inv`` inverts ``f``), but
+    ``s F(1/s) = s + 1/s`` is not non-increasing: the congestion fails
+    McCann's probe and is the one uniqueness condition flagged."""
+    congestion = CongestionSpec.custom(
+        f=lambda s: 2.0 * np.asarray(s), F=lambda s: np.asarray(s) ** 2 + 1.0,
+        f_inv=lambda t: np.asarray(t) / 2.0,
+    )
+    assert not congestion.satisfies_mccann
+    grid = Grid(Interval(0.0, 1.0), 16)
+    model = EnergyModel(grid=grid, congestion=congestion)
+    scenario = Scenario(mu=uniform_density(grid), cost=CostSpec.quadratic(), model=model, m=64)
+    assert _uniqueness_flags(scenario) == ["congestion fails the displacement-convexity probe"]
 
 
 def test_social_scenario_shares_geometry():
