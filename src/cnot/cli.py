@@ -35,7 +35,7 @@ from .measures import (
     two_bumps_density,
     uniform_density,
 )
-from .solver import Scenario, SolverParams, minimize_quantile
+from .solver import Scenario, SolverParams, _uniqueness_flags, minimize_quantile
 from .transport import CostSpec
 from .verify import (
     ResidualReport,
@@ -45,7 +45,7 @@ from .verify import (
     purity_check,
     transport_derivative_check,
 )
-from .welfare import _uniqueness_flags, cost_of_anarchy
+from .welfare import cost_of_anarchy
 
 __all__ = ["ScenarioError", "load_scenario", "run", "main"]
 
@@ -332,6 +332,7 @@ def _result_payload(result) -> dict:
         "converged": result.converged,
         "projected_gradient": result.metadata["projected_gradient"],
         "stalled": result.metadata["stalled"],
+        "coarse_levels": result.metadata["levels"],
         "m": result.scenario.m,
         "n": result.scenario.n,
     }

@@ -13,6 +13,7 @@ first variation is
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,8 +37,18 @@ __all__ = [
 _PROBE_S = np.logspace(-2.0, 2.0, 81)
 
 
+def _positive_finite(s: np.ndarray) -> bool:
+    """Whether every value of ``s`` is finite and > 0 (NaN is neither): there
+    the entropy antiderivatives take their closed forms with no error-state
+    guard and no masking, the bits of their guarded forms at half the cost
+    or less."""
+    return 0.0 < s.min(initial=math.inf) and s.max(initial=-math.inf) < math.inf
+
+
 def _entropy_F_shifted(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
+    if _positive_finite(s):
+        return s * np.log(s) - s
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(s > 0.0, s * np.log(np.where(s > 0.0, s, 1.0)) - s, 0.0)
     return out
@@ -45,12 +56,15 @@ def _entropy_F_shifted(s: np.ndarray) -> np.ndarray:
 
 def _entropy_F_plain(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
+    if _positive_finite(s):
+        return s * np.log(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(s > 0.0, s * np.log(np.where(s > 0.0, s, 1.0)), 0.0)
     return out
 
 
 def _log(s: np.ndarray) -> np.ndarray:
+    # one np.log either way: a guard-free test would cost more than the guard
     with np.errstate(divide="ignore"):
         return np.log(np.asarray(s, dtype=float))
 

@@ -23,7 +23,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
 from types import ModuleType
@@ -89,6 +89,23 @@ class Scenario:
         return self.model.grid.n
 
 
+def _uniqueness_flags(scenario: Scenario) -> list:
+    """The uniqueness-regime conditions ``scenario`` fails, in words; empty
+    inside the regime, where every start reaches the one equilibrium."""
+    missing = []
+    if not scenario.cost.strictly_convex_on(scenario.interval.length):
+        missing.append("cost not strictly convex")
+    if not scenario.model.congestion.satisfies_mccann:
+        missing.append("congestion fails the displacement-convexity probe")
+    kernel = scenario.model.kernel
+    if kernel is not None and not kernel.declared_convex:
+        missing.append("interaction kernel not declared convex")
+    potential = scenario.model.potential
+    if potential is not None and not potential.declared_convex:
+        missing.append("potential not declared convex")
+    return missing
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Projected-Newton stopping parameters: the iteration cap and the
@@ -114,8 +131,12 @@ class EquilibriumResult:
     ``residual_sup`` and ``residual_eq`` read it.  A caller that reads none
     of these pays nothing for the certificate; an error the certificate
     raises surfaces on that first read, not from the solve.  ``metadata``
-    holds what the solve decided: the final ``projected_gradient`` norm and
-    whether it ``stalled``; the problem solved is ``scenario``.
+    holds what the solve decided: the final ``projected_gradient`` norm,
+    whether it ``stalled`` and the coarse ``levels`` its start was solved on
+    (see ``minimize_quantile``); the problem solved is ``scenario``.
+    ``iterations``, ``converged`` and ``stalled`` describe the solve at
+    resolution ``scenario.m`` alone; each coarse level's ``m``,
+    ``iterations`` and ``converged`` are in ``levels``.
     """
 
     nu: DiscreteDensity
@@ -429,8 +450,14 @@ def minimize_quantile(
 ) -> EquilibriumResult:
     """Projected Newton descent on the quantile objective.
 
-    Starts from the source quantile unless ``G0`` (a quantile or its values)
-    is given.  Each iteration solves the tridiagonal curvature model of the
+    Starts from ``G0`` (a quantile or its values) when it is given.  A cold
+    start (no ``G0``, no ``prox``) at ``m >= 8192`` inside the uniqueness
+    regime is nested iteration: the same scenario is solved at ``ceil(m/2)``
+    (recursively, down to the first level below 8192) and its quantile,
+    interpolated linearly in probability onto the ``m`` nodes, is the start.
+    Every other cold start, and one whose coarse level does not converge or
+    whose objective is not finite, is the source quantile.  Each iteration
+    solves the tridiagonal curvature model of the
     objective (the congestion Hessian is exactly tridiagonal in quantile
     coordinates, and it carries essentially all of the stiffness) for a
     Newton direction, clips trial points to the box (and the pinned
@@ -445,7 +472,10 @@ def minimize_quantile(
 
     Non-convergence is reported through ``converged=False``, not an error;
     ``metadata["stalled"]`` marks a solve stopped because no backtracked
-    step was accepted or the accepted step vanished.  The certificate
+    step was accepted or the accepted step vanished.  ``iterations`` counts
+    the iterations at ``m``; ``metadata["levels"]`` lists each coarse
+    level's ``{"m", "iterations", "converged"}``, coarsest first, and is
+    empty when the start was not solved on coarse levels.  The certificate
     fields of the result are computed on first read (see
     ``EquilibriumResult``).
     """
@@ -464,23 +494,68 @@ def _binned(scenario: Scenario, G, J, iterations, converged, metadata) -> Equili
     return EquilibriumResult(nu, G, J, iterations, converged, scenario, metadata)
 
 
+# The smallest m whose cold start solves at ceil(m/2) first.  Measured on a
+# shared 2-vCPU VM (medians of 9-15 solves of the shipped physics): at
+# m = 4096 one coarse level is neutral on figure-1, 10 % slower on
+# cubic_attraction and 2.5x slower on congested_gaussian, whose m = 2048
+# level stalls; from m = 8192 on it saves 10-60 % on figure-1 and
+# congested_gaussian and is neutral or better on cubic_attraction.
+_COARSE_MIN_M = 8192
+
+
+def _coarse_start(problem: _QuantileProblem, params: SolverParams) -> tuple:
+    """Nested iteration: ``(start, levels)`` for a cold solve of ``problem``.
+
+    At ``m >= _COARSE_MIN_M`` inside the uniqueness regime, without a
+    proximal anchor, the same scenario is solved at ``ceil(m/2)`` (itself
+    from a coarse start, down to the first level below ``_COARSE_MIN_M``),
+    and its quantile, interpolated linearly in probability onto the ``m``
+    nodes ``j/(m-1)`` into a fresh array, is the start.  ``levels`` lists
+    each coarse solve's ``{"m", "iterations", "converged"}``, coarsest
+    first.  The start is None when there is no coarse solve or it did not
+    converge: the caller then starts from ``H``.  Inside the regime every
+    start reaches the one equilibrium, so the start changes the work, not
+    the answer."""
+    scenario = problem.scenario
+    if problem.prox is not None or scenario.m < _COARSE_MIN_M or _uniqueness_flags(scenario):
+        return None, []
+    coarse = _QuantileProblem(replace(scenario, m=(scenario.m + 1) // 2))
+    G, _, iterations, converged, metadata = _projected_newton(coarse, params)
+    coarse = None  # its H is released before the fine start is built
+    levels = metadata["levels"] + [
+        {"m": G.values.size, "iterations": iterations, "converged": converged}]
+    if not converged:
+        return None, levels
+    nodes = np.linspace(0.0, 1.0, scenario.m)
+    return np.interp(nodes, np.linspace(0.0, 1.0, G.values.size), G.values), levels
+
+
 @np.errstate(over="ignore", divide="ignore")
 def _projected_newton(problem: _QuantileProblem, params: SolverParams, G0=None) -> tuple:
     """The Newton loop of ``minimize_quantile`` on ``problem``, which bins no
-    density: ``(G, J, iterations, converged, metadata)``.  The solve's error
+    density: ``(G, J, iterations, converged, metadata)``.  Without ``G0`` it
+    starts from ``_coarse_start`` where that gives a start of finite
+    objective, and from ``problem.H`` otherwise.  The solve's error
     state ignores overflow and division by zero, so a trial whose tiny gap
     overflows ``F(u)`` is priced +inf and rejected without a warning."""
     scenario = problem.scenario
     iv, mode = scenario.interval, scenario.support_mode
-    # copies: the box map writes in place, and G0 may be the proximal anchor
-    G = np.array(problem.H if G0 is None else _quantile_values(G0))
-    if G.size != scenario.m:
-        raise ValueError("G0 must have the scenario's quantile resolution m")
-    G = _trial_point(G, iv, mode)
-    point = problem.point(G)
-    J = problem.value_at(point) if point is not None else float("inf")
-    if not np.isfinite(J):
-        raise ValueError("initial quantile has non-positive gaps (infinite objective)")
+
+    def priced(G: np.ndarray) -> tuple:
+        """The box map of ``G``, in place, and its ``(point, J)``."""
+        point = problem.point(_trial_point(G, iv, mode))
+        return point, (problem.value_at(point) if point is not None else math.inf)
+
+    G, levels = _coarse_start(problem, params) if G0 is None else (None, [])
+    point, J = priced(G) if G is not None else (None, math.inf)
+    if not math.isfinite(J):  # no coarse start, or one of infinite objective
+        # copies: the box map writes in place, and G0 may be the proximal anchor
+        G = np.array(problem.H if G0 is None else _quantile_values(G0))
+        if G.size != scenario.m:
+            raise ValueError("G0 must have the scenario's quantile resolution m")
+        point, J = priced(G)
+        if not math.isfinite(J):
+            raise ValueError("initial quantile has non-positive gaps (infinite objective)")
 
     iterations = 0
     converged = False
@@ -521,7 +596,7 @@ def _projected_newton(problem: _QuantileProblem, params: SolverParams, G0=None) 
         cand_point = d = grad = None
         grad = problem.gradient(point)
 
-    metadata = {"projected_gradient": pg_norm, "stalled": stalled}
+    metadata = {"projected_gradient": pg_norm, "stalled": stalled, "levels": levels}
     return QuantileFn(G, iv, support_mode=mode), float(J), iterations, converged, metadata
 
 

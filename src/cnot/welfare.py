@@ -31,6 +31,7 @@ from .solver import (
     EquilibriumResult,
     Scenario,
     SolverParams,
+    _uniqueness_flags,
     minimize_quantile,
 )
 from .transport import wasserstein_cost_1d
@@ -124,21 +125,6 @@ def taxed_stationarity_residual(
     """First-order condition of the taxed game at ``nu_star``: the equality
     residual of ``verify.equilibrium_residual`` with ``tax`` added."""
     return equilibrium_residual(scenario, nu_star, tax=tax).residual_eq
-
-
-def _uniqueness_flags(scenario: Scenario) -> list:
-    missing = []
-    if not scenario.cost.strictly_convex_on(scenario.interval.length):
-        missing.append("cost not strictly convex")
-    if not scenario.model.congestion.satisfies_mccann:
-        missing.append("congestion fails the displacement-convexity probe")
-    kernel = scenario.model.kernel
-    if kernel is not None and not kernel.declared_convex:
-        missing.append("interaction kernel not declared convex")
-    potential = scenario.model.potential
-    if potential is not None and not potential.declared_convex:
-        missing.append("potential not declared convex")
-    return missing
 
 
 def cost_of_anarchy(

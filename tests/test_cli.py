@@ -141,6 +141,22 @@ def test_solve_writes_artifacts(tmp_path):
     assert diag["J"] == pytest.approx(result.J_value, abs=1e-12)
 
 
+def test_solve_records_the_coarse_levels_of_its_start(tmp_path):
+    """``diagnostics.json`` lists each coarse level the start solved under
+    ``coarse_levels``: none at m = 192, and 4096 then 8192 for the shipped
+    figure-1 scenario at m = 16384."""
+    scn = _write_scenario(tmp_path / "s.json")
+    figure1 = Path(__file__).resolve().parents[1] / "scenarios" / "figure1.json"
+    levels = []
+    for name, path in (("small", scn), ("figure1", figure1)):
+        out = tmp_path / name
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+        levels.append(json.loads((out / "diagnostics.json").read_text())["coarse_levels"])
+    assert levels[0] == []
+    assert [level["m"] for level in levels[1]] == [4096, 8192]
+    assert all(level["converged"] for level in levels[1])
+
+
 def test_solve_reruns_are_bit_identical(tmp_path):
     scn = _write_scenario(tmp_path / "s.json")
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -104,6 +104,26 @@ def test_marginal_externality_values():
     assert np.allclose(log.marginal_externality(near_zero), 1.0, rtol=0.0, atol=1e-6)
 
 
+def test_entropy_antiderivatives_keep_the_bits_of_their_guarded_form():
+    """Both entropy antiderivatives equal, bit for bit, the masked form
+    ``where(s > 0, s log s [- s], 0)`` under an error-state guard: on finite
+    positive values, which take the closed form without the guard, and on
+    values with 0, inf and NaN, which keep the guard, with no RuntimeWarning
+    (an error in this suite)."""
+
+    def masked(s, shifted):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = s * np.log(np.where(s > 0.0, s, 1.0))
+            return np.where(s > 0.0, value - s if shifted else value, 0.0)
+
+    positive = np.random.default_rng(3).uniform(1e-9, 50.0, 257)
+    edges = np.array([0.0, 1e-300, 0.5, 1.0, np.inf, np.nan])
+    for s in (positive, edges, positive.reshape(1, -1)):
+        for convention in ("shifted", "plain"):
+            F = CongestionSpec.entropy(convention).F(s)
+            assert F.tobytes() == masked(s, convention == "shifted").tobytes(), (convention, s)
+
+
 def test_mccann_flags():
     """Entropy and power congestion both satisfy the convexity condition."""
     assert CongestionSpec.entropy().satisfies_mccann

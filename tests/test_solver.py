@@ -450,15 +450,100 @@ def test_minimize_certificate_fields():
 
 
 def test_metadata_holds_only_what_the_solve_decided():
-    """``metadata`` carries the stop-test norm and the stall flag and
-    nothing that copies the scenario or the caller's parameters, in free,
-    pinned and proximal solves alike."""
+    """``metadata`` carries the stop-test norm, the stall flag and the coarse
+    levels of the start (none at this m) and nothing that copies the
+    scenario or the caller's parameters, in free, pinned and proximal solves
+    alike."""
     scenario = _congested_scenario(n=32, m=128)
     pinned = replace(scenario, support_mode="fixed_endpoints")
     anchor = np.array(density_to_quantile(scenario.mu, scenario.m).values)
     for result in (minimize_quantile(scenario), minimize_quantile(pinned),
                    minimize_quantile(scenario, prox=(anchor, 0.1))):
-        assert set(result.metadata) == {"projected_gradient", "stalled"}
+        assert set(result.metadata) == {"projected_gradient", "stalled", "levels"}
+        assert result.metadata["levels"] == []
+
+
+def _figure1_bundle(m, **edits):
+    """The shipped figure-1 physics at ``m`` quantile points and ``m/4`` cells."""
+    from cnot.cli import _bundle_from_raw
+
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    raw = json.loads((scenarios / "figure1.json").read_text())
+    return _bundle_from_raw(dict(raw, grid_n=m // 4, quantile_m=m, **edits), scenarios)
+
+
+@pytest.mark.parametrize("m, support_mode", [(8192, "free"), (32768, "free"),
+                                             (8192, "fixed_endpoints")])
+def test_coarse_start_reaches_the_equilibrium_of_the_source_start(m, support_mode):
+    """A cold figure-1 solve at m >= 8192 starts from the equilibrium at
+    ceil(m/2) and converges to the one the source-quantile start reaches:
+    the same J to 1e-10 relative and the same M to 1e-8, in fewer fine
+    iterations, with free or pinned endpoints."""
+    bundle = _figure1_bundle(m, support_mode=support_mode)
+    scenario, params = bundle.scenario, bundle.params
+    cascaded = minimize_quantile(scenario, params)
+    source = minimize_quantile(scenario, params, G0=_QuantileProblem(scenario).H)
+    assert cascaded.converged and source.converged
+    assert abs(cascaded.J_value - source.J_value) <= 1e-10 * abs(source.J_value)
+    assert abs(cascaded.M - source.M) <= 1e-8
+    assert cascaded.iterations < source.iterations
+    assert source.metadata["levels"] == []
+
+
+def test_coarse_levels_halve_down_to_the_first_level_below_the_threshold(monkeypatch):
+    """``levels`` lists the coarse solves, coarsest first, from the first m
+    below 8192 up to ceil(m/2).  It is empty below m = 8192, with ``G0``,
+    with a proximal anchor and outside the uniqueness regime; below m = 8192
+    the regime is never probed."""
+    import cnot.solver
+
+    bundle = _figure1_bundle(32768)
+    levels = minimize_quantile(bundle.scenario, bundle.params).metadata["levels"]
+    assert [level["m"] for level in levels] == [4096, 8192, 16384]
+    assert all(level["converged"] and level["iterations"] >= 1 for level in levels)
+
+    few = SolverParams(max_iters=3)
+    scenario = _figure1_bundle(8192).scenario
+    H = _QuantileProblem(scenario).H
+    outside = _figure1_bundle(8192, kernel={"kind": "quadratic_distance", "kappa": -1e-4}).scenario
+    assert cnot.solver._uniqueness_flags(outside)
+    for result in (minimize_quantile(scenario, few, G0=H),
+                   minimize_quantile(scenario, few, prox=(H, 0.1)),
+                   minimize_quantile(outside, few)):
+        assert result.metadata["levels"] == []
+    assert len(minimize_quantile(scenario, few).metadata["levels"]) == 1
+
+    def unprobed(scenario):
+        raise AssertionError("the regime was probed below the threshold")
+
+    monkeypatch.setattr(cnot.solver, "_uniqueness_flags", unprobed)
+    small = _figure1_bundle(4096)
+    assert minimize_quantile(small.scenario, small.params).metadata["levels"] == []
+
+
+def test_a_failed_coarse_start_falls_back_to_the_source_start(monkeypatch):
+    """A coarse level that does not converge, or a coarse start of infinite
+    objective, leaves the solve at m on the source-quantile start, bit for
+    bit; the failed level is recorded with ``converged`` False."""
+    import cnot.solver
+
+    scenario = _figure1_bundle(8192).scenario
+    H = _QuantileProblem(scenario).H
+
+    def same_bits(a, b):
+        return (a.G.values.tobytes() == b.G.values.tobytes() and a.J_value == b.J_value
+                and a.iterations == b.iterations and a.converged == b.converged)
+
+    two = SolverParams(max_iters=2)
+    unconverged = minimize_quantile(scenario, two)
+    assert same_bits(unconverged, minimize_quantile(scenario, two, G0=H))
+    assert unconverged.metadata["levels"] == [{"m": 4096, "iterations": 2, "converged": False}]
+
+    params = _figure1_bundle(8192).params
+    monkeypatch.setattr(cnot.solver, "_coarse_start",
+                        lambda problem, params: (np.zeros(problem.m), []))
+    assert same_bits(minimize_quantile(scenario, params),
+                     minimize_quantile(scenario, params, G0=H))
 
 
 def test_certificate_is_computed_on_first_read(monkeypatch):

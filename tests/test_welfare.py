@@ -29,7 +29,7 @@ from cnot import (
     wasserstein_cost_1d,
     welfare,
 )
-from cnot.welfare import _uniqueness_flags
+from cnot.solver import _uniqueness_flags
 
 
 def _plain_uniform(n=64, convention="shifted"):

@@ -7,9 +7,10 @@ Newton loop (``solver._projected_newton``), the whole solve
 (``minimize_quantile``: the loop, then binning the density) and the
 certificate (``equilibrium_residual``).  Prints the seconds of an untraced
 solve, the three peaks against their bounds and the process's ``ru_maxrss``;
-exits 1 when a peak exceeds its bound.
+exits 1 when the solve does not converge or a peak exceeds its bound.
 
     python3 tools/solve_peaks.py            # n = 65536, in a fresh process
+    python3 tools/solve_peaks.py 262144     # m about 10^6
     python3 tools/solve_peaks.py 8192
 
 The tier-1 suite checks the same bounds at a smaller size.
@@ -84,8 +85,9 @@ def main(argv: list) -> int:
     print(f"  ru_maxrss {rss:.1f} MB")
     if over:
         print(f"traced peak over its bound: {', '.join(over)}", file=sys.stderr)
-        return 1
-    return 0
+    if not peaks["converged"]:
+        print("figure-1 solve did not converge", file=sys.stderr)
+    return 1 if over or not peaks["converged"] else 0
 
 
 if __name__ == "__main__":
