@@ -135,8 +135,10 @@ class EquilibriumResult:
     whether it ``stalled`` and the coarse ``levels`` its start was solved on
     (see ``minimize_quantile``); the problem solved is ``scenario``.
     ``iterations``, ``converged`` and ``stalled`` describe the solve at
-    resolution ``scenario.m`` alone; each coarse level's ``m``,
-    ``iterations`` and ``converged`` are in ``levels``.
+    resolution ``scenario.m`` alone; ``levels`` holds each coarse level's
+    ``m``, ``iterations`` and ``converged``, up to the first that did not
+    converge or the last before a start of infinite objective (the solve at
+    ``m`` then started from the source quantile).
     """
 
     nu: DiscreteDensity
@@ -446,44 +448,40 @@ def minimize_quantile(
     scenario: Scenario,
     params: Optional[SolverParams] = None,
     G0: Optional[QuantileFn | np.ndarray] = None,
-    prox: Optional[tuple[np.ndarray, float]] = None,
 ) -> EquilibriumResult:
     """Projected Newton descent on the quantile objective.
 
     Starts from ``G0`` (a quantile or its values) when it is given.  A cold
-    start (no ``G0``, no ``prox``) at ``m >= 8192`` inside the uniqueness
-    regime is nested iteration: the same scenario is solved at ``ceil(m/2)``
-    (recursively, down to the first level below 8192) and its quantile,
+    start (no ``G0``) at ``m >= 8192`` inside the uniqueness regime is nested
+    iteration: the same scenario is solved at ``ceil(m/2)``, ``ceil(m/4)``,
+    ..., down to the first level below 8192, coarsest first, each level
+    starting from the quantile of the one before; the finest quantile,
     interpolated linearly in probability onto the ``m`` nodes, is the start.
-    Every other cold start, and one whose coarse level does not converge or
-    whose objective is not finite, is the source quantile.  Each iteration
-    solves the tridiagonal curvature model of the
-    objective (the congestion Hessian is exactly tridiagonal in quantile
-    coordinates, and it carries essentially all of the stiffness) for a
-    Newton direction, clips trial points to the box (and the pinned
-    endpoints), rejects any trial that is not strictly increasing (its
-    objective is ``+inf``) and accepts under the Armijo rule
-    ``J(cand) <= J + 1e-4 * <grad, cand - G>``, halving from a unit step.
+    Every other cold start is the source quantile, and so is one whose
+    levels stop at a level that does not converge or whose start, or the
+    interpolated start at ``m``, has no finite objective.  Each iteration
+    solves the tridiagonal curvature model of the objective (the congestion
+    Hessian is exactly tridiagonal in quantile coordinates, and it carries
+    essentially all of the stiffness) for a Newton direction, clips trial
+    points to the box (and the pinned endpoints), rejects any trial that is
+    not strictly increasing (its objective is ``+inf``) and accepts under
+    the Armijo rule ``J(cand) <= J + 1e-4 * <grad, cand - G>``, halving
+    from a unit step.
     The objective is ``+inf`` at a zero gap, so only the box can bind
     (Bertsekas 1982): the start point is the box map of the start values,
     and the solve stops when the projected-gradient sup-norm
-    ``max|G - box(G - grad)|`` falls below ``grad_tol``.  ``prox`` adds a
-    proximal anchor (see ``_QuantileProblem.anchored``) for minimizing-movement use.
+    ``max|G - box(G - grad)|`` falls below ``grad_tol``.
 
     Non-convergence is reported through ``converged=False``, not an error;
     ``metadata["stalled"]`` marks a solve stopped because no backtracked
     step was accepted or the accepted step vanished.  ``iterations`` counts
     the iterations at ``m``; ``metadata["levels"]`` lists each coarse
-    level's ``{"m", "iterations", "converged"}``, coarsest first, and is
-    empty when the start was not solved on coarse levels.  The certificate
-    fields of the result are computed on first read (see
-    ``EquilibriumResult``).
+    level solved, ``{"m", "iterations", "converged"}``, coarsest first, up
+    to the first that did not converge, and is empty when the start was not
+    solved on coarse levels.  The certificate fields of the result are
+    computed on first read (see ``EquilibriumResult``).
     """
-    problem = _QuantileProblem(scenario)
-    if prox is not None:
-        problem = problem.anchored(*prox)
-    newton = _projected_newton(problem, params or SolverParams(), G0)
-    del problem  # the objective's arrays are released before the density is binned
+    newton = _projected_newton(_QuantileProblem(scenario), params or SolverParams(), G0)
     return _binned(scenario, *newton)
 
 
@@ -506,38 +504,52 @@ _COARSE_MIN_M = 8192
 def _coarse_start(problem: _QuantileProblem, params: SolverParams) -> tuple:
     """Nested iteration: ``(start, levels)`` for a cold solve of ``problem``.
 
-    At ``m >= _COARSE_MIN_M`` inside the uniqueness regime, without a
-    proximal anchor, the same scenario is solved at ``ceil(m/2)`` (itself
-    from a coarse start, down to the first level below ``_COARSE_MIN_M``),
-    and its quantile, interpolated linearly in probability onto the ``m``
-    nodes ``j/(m-1)`` into a fresh array, is the start.  ``levels`` lists
-    each coarse solve's ``{"m", "iterations", "converged"}``, coarsest
-    first.  The start is None when there is no coarse solve or it did not
-    converge: the caller then starts from ``H``.  Inside the regime every
-    start reaches the one equilibrium, so the start changes the work, not
-    the answer."""
+    At ``m >= _COARSE_MIN_M`` inside the uniqueness regime, the same
+    scenario is solved at ``ceil(m/2)``, ``ceil(m/4)``, ..., down to the
+    first size below ``_COARSE_MIN_M``, coarsest first: the coarsest level
+    from its own ``H``, each finer one from the quantile of the level
+    before, interpolated linearly in probability onto its nodes into a fresh
+    array; the finest quantile, so interpolated onto the ``m`` nodes, is the
+    start.  ``levels`` lists each level solved, coarsest first.  The loop
+    stops at the first level that does not converge or whose start prices
+    ``+inf``; the start is None then, or without coarse levels, and the
+    caller starts from ``H``.  Inside the regime every start reaches the
+    one equilibrium, so the start changes the work, not the answer."""
     scenario = problem.scenario
-    if problem.prox is not None or scenario.m < _COARSE_MIN_M or _uniqueness_flags(scenario):
+    if scenario.m < _COARSE_MIN_M or _uniqueness_flags(scenario):
         return None, []
-    coarse = _QuantileProblem(replace(scenario, m=(scenario.m + 1) // 2))
-    G, _, iterations, converged, metadata = _projected_newton(coarse, params)
-    coarse = None  # its H is released before the fine start is built
-    levels = metadata["levels"] + [
-        {"m": G.values.size, "iterations": iterations, "converged": converged}]
-    if not converged:
-        return None, levels
-    nodes = np.linspace(0.0, 1.0, scenario.m)
-    return np.interp(nodes, np.linspace(0.0, 1.0, G.values.size), G.values), levels
+    sizes = [(scenario.m + 1) // 2]
+    while sizes[-1] >= _COARSE_MIN_M:
+        sizes.append((sizes[-1] + 1) // 2)
+
+    def onto(values: np.ndarray, size: int) -> np.ndarray:
+        return np.interp(np.linspace(0.0, 1.0, size), np.linspace(0.0, 1.0, values.size), values)
+
+    G, levels = None, []
+    for size in reversed(sizes):
+        coarse = _QuantileProblem(replace(scenario, m=size))
+        start = coarse.H if G is None else onto(G, size)
+        G = None  # the coarser quantile is released before this level is solved
+        if not math.isfinite(coarse.value(start)):  # a gap rounded to zero, or F(u) overflowed
+            return None, levels
+        G, _, iterations, converged, _ = _projected_newton(coarse, params, start)
+        coarse = start = None  # released before the next start is built
+        levels.append({"m": size, "iterations": iterations, "converged": converged})
+        if not converged:
+            return None, levels
+        G = G.values
+    return onto(G, scenario.m), levels
 
 
 @np.errstate(over="ignore", divide="ignore")
 def _projected_newton(problem: _QuantileProblem, params: SolverParams, G0=None) -> tuple:
     """The Newton loop of ``minimize_quantile`` on ``problem``, which bins no
-    density: ``(G, J, iterations, converged, metadata)``.  Without ``G0`` it
-    starts from ``_coarse_start`` where that gives a start of finite
-    objective, and from ``problem.H`` otherwise.  The solve's error
-    state ignores overflow and division by zero, so a trial whose tiny gap
-    overflows ``F(u)`` is priced +inf and rejected without a warning."""
+    density: ``(G, J, iterations, converged, metadata)``.  It starts from
+    ``G0`` when it is given; without it, from ``_coarse_start`` where that
+    gives a start of finite objective, and from ``problem.H`` otherwise.
+    The solve's error state ignores overflow and division by zero, so a
+    trial whose tiny gap overflows ``F(u)`` is priced +inf and rejected
+    without a warning."""
     scenario = problem.scenario
     iv, mode = scenario.interval, scenario.support_mode
 

@@ -533,7 +533,7 @@ def test_jko_stops_solving_at_its_fixed_point(tmp_path, monkeypatch):
     import cnot.dynamics as dynamics
     from cnot import density_to_quantile, two_bumps_density
     from cnot.cli import _load_bundle
-    from cnot.solver import _QuantileProblem
+    from cnot.solver import _binned, _projected_newton, _QuantileProblem
 
     path = Path(__file__).resolve().parents[1] / "scenarios" / "uniform.json"
     binned = dynamics._binned  # once per step solved
@@ -552,7 +552,8 @@ def test_jko_stops_solving_at_its_fixed_point(tmp_path, monkeypatch):
     G = density_to_quantile(densities[0], scenario.m).values
     rows = [(0, problem.value(G), 0.0)]
     for k in range(1, 21):
-        result = minimize_quantile(scenario, bundle.params, G0=G, prox=(G, 0.1))
+        newton = _projected_newton(problem.anchored(G, 0.1), bundle.params, G0=G)
+        result = _binned(scenario, *newton)
         assert result.converged
         G_new = result.G.values
         rows.append((k, problem.value(G_new), float(np.sqrt(np.sum((G_new - G) ** 2) / scenario.m))))

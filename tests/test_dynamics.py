@@ -23,6 +23,7 @@ from cnot import (
     two_bumps_density,
     uniform_density,
 )
+from cnot.solver import _binned, _projected_newton, _QuantileProblem
 
 
 def _scenario(n=64, m=256, kappa=2.0):
@@ -175,8 +176,7 @@ def test_jko_flow_bins_one_density_per_step(monkeypatch):
 def test_jko_flow_builds_the_source_quantile_once(monkeypatch):
     """Every step of a flow and its closing direct solve share one
     objective: ``density_to_quantile(scenario.mu, m)`` runs once per flow,
-    and the trajectory is the one independent ``minimize_quantile`` steps
-    give."""
+    and the trajectory is the one independent proximal solves give."""
     import cnot.dynamics
     import cnot.solver
 
@@ -195,6 +195,7 @@ def test_jko_flow_builds_the_source_quantile_once(monkeypatch):
     monkeypatch.undo()
     G = density_to_quantile(nu0, scenario.m).values
     for point in traj.points[1:]:
-        result = minimize_quantile(scenario, params.inner, G0=G, prox=(G, params.tau))
+        problem = _QuantileProblem(scenario).anchored(G, params.tau)
+        result = _binned(scenario, *_projected_newton(problem, params.inner, G0=G))
         assert np.array_equal(point.nu.values, result.nu.values)
         G = result.G.values

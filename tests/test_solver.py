@@ -1,6 +1,7 @@
 """Tests for the quantile objective and the projected-Newton equilibrium solver."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,7 +34,9 @@ from cnot import (
 from cnot.solver import (
     _CURV_MAX,
     _CURV_MIN,
+    _binned,
     _newton_direction,
+    _projected_newton,
     _QuantileProblem,
     _trial_point,
 )
@@ -50,6 +53,13 @@ def _uniform_scenario(n=64, m=129, convention="shifted", support_mode="free"):
         m=m,
         support_mode=support_mode,
     )
+
+
+def _proximal(scenario, anchor, tau, params=SolverParams()):
+    """The solve of ``scenario`` with the proximal anchor ``(anchor, tau)``,
+    started from the anchor, as the JKO steps run it."""
+    problem = _QuantileProblem(scenario).anchored(anchor, tau)
+    return _binned(scenario, *_projected_newton(problem, params, G0=anchor))
 
 
 def _congested_scenario(n=64, m=256):
@@ -397,7 +407,7 @@ def test_solves_never_call_pava(monkeypatch):
     solves = {
         "free": lambda: minimize_quantile(free, params).J_value,
         "fixed_endpoints": lambda: minimize_quantile(pinned, params).J_value,
-        "prox": lambda: minimize_quantile(pinned, params, G0=anchor, prox=(anchor, 0.1)).J_value,
+        "prox": lambda: _proximal(pinned, anchor, 0.1, params).J_value,
         "jko_step": lambda: jko_step(free, two_bumps_density(free.grid), 0.1, params).values,
         "social": lambda: minimize_social_cost(free, params).J_value,
     }
@@ -458,7 +468,7 @@ def test_metadata_holds_only_what_the_solve_decided():
     pinned = replace(scenario, support_mode="fixed_endpoints")
     anchor = np.array(density_to_quantile(scenario.mu, scenario.m).values)
     for result in (minimize_quantile(scenario), minimize_quantile(pinned),
-                   minimize_quantile(scenario, prox=(anchor, 0.1))):
+                   _proximal(scenario, anchor, 0.1)):
         assert set(result.metadata) == {"projected_gradient", "stalled", "levels"}
         assert result.metadata["levels"] == []
 
@@ -492,9 +502,9 @@ def test_coarse_start_reaches_the_equilibrium_of_the_source_start(m, support_mod
 
 def test_coarse_levels_halve_down_to_the_first_level_below_the_threshold(monkeypatch):
     """``levels`` lists the coarse solves, coarsest first, from the first m
-    below 8192 up to ceil(m/2).  It is empty below m = 8192, with ``G0``,
-    with a proximal anchor and outside the uniqueness regime; below m = 8192
-    the regime is never probed."""
+    below 8192 up to ceil(m/2).  It is empty below m = 8192, with ``G0`` and
+    outside the uniqueness regime; below m = 8192 the regime is never
+    probed."""
     import cnot.solver
 
     bundle = _figure1_bundle(32768)
@@ -507,9 +517,7 @@ def test_coarse_levels_halve_down_to_the_first_level_below_the_threshold(monkeyp
     H = _QuantileProblem(scenario).H
     outside = _figure1_bundle(8192, kernel={"kind": "quadratic_distance", "kappa": -1e-4}).scenario
     assert cnot.solver._uniqueness_flags(outside)
-    for result in (minimize_quantile(scenario, few, G0=H),
-                   minimize_quantile(scenario, few, prox=(H, 0.1)),
-                   minimize_quantile(outside, few)):
+    for result in (minimize_quantile(scenario, few, G0=H), minimize_quantile(outside, few)):
         assert result.metadata["levels"] == []
     assert len(minimize_quantile(scenario, few).metadata["levels"]) == 1
 
@@ -544,6 +552,56 @@ def test_a_failed_coarse_start_falls_back_to_the_source_start(monkeypatch):
                         lambda problem, params: (np.zeros(problem.m), []))
     assert same_bits(minimize_quantile(scenario, params),
                      minimize_quantile(scenario, params, G0=H))
+
+
+def test_a_failed_coarse_level_stops_the_cascade(monkeypatch):
+    """A cold figure-1 solve at m = 32768 whose coarsest level (m = 4096)
+    does not converge solves no finer level: ``levels`` holds that one
+    level, and the solve at m has the bits of the source-quantile start.
+    A level whose interpolated start prices +inf (here m = 8192, made so
+    by a patched objective) is not solved either: ``levels`` stops at the
+    level before, and the solve at m again starts from the source quantile."""
+    import cnot.solver
+
+    bundle = _figure1_bundle(32768)
+    scenario = bundle.scenario
+    H = _QuantileProblem(scenario).H
+
+    def same_bits(a, b):
+        return (a.G.values.tobytes() == b.G.values.tobytes() and a.J_value == b.J_value
+                and a.iterations == b.iterations)
+
+    five = SolverParams(max_iters=5)
+    cold = minimize_quantile(scenario, five)
+    assert cold.metadata["levels"] == [{"m": 4096, "iterations": 5, "converged": False}]
+    assert same_bits(cold, minimize_quantile(scenario, five, G0=H))
+
+    value = _QuantileProblem.value
+    monkeypatch.setattr(cnot.solver._QuantileProblem, "value",
+                        lambda self, G: math.inf if self.m == 8192 else value(self, G))
+    cold = minimize_quantile(scenario, bundle.params)
+    assert [(level["m"], level["converged"]) for level in cold.metadata["levels"]] == [(4096, True)]
+    assert cold.converged and same_bits(cold, minimize_quantile(scenario, bundle.params, G0=H))
+
+
+def test_coarse_levels_are_solved_from_explicit_starts(monkeypatch):
+    """A cold figure-1 solve at m = 32768 enters the Newton loop without a
+    start exactly once, at m: every coarse level is given its start, and
+    the levels are still 4096, 8192 and 16384, all converged."""
+    import cnot.solver
+
+    calls = []
+
+    def spy(problem, params, G0=None):
+        calls.append((problem.m, G0 is None))
+        return _projected_newton(problem, params, G0)
+
+    monkeypatch.setattr(cnot.solver, "_projected_newton", spy)
+    bundle = _figure1_bundle(32768)
+    levels = minimize_quantile(bundle.scenario, bundle.params).metadata["levels"]
+    assert calls == [(32768, True), (4096, False), (8192, False), (16384, False)]
+    assert [level["m"] for level in levels] == [4096, 8192, 16384]
+    assert all(level["converged"] for level in levels)
 
 
 def test_certificate_is_computed_on_first_read(monkeypatch):
@@ -833,15 +891,16 @@ def test_proximal_anchor_pins_solution():
     """A tiny proximal step keeps the minimizer near the anchor."""
     scenario = _uniform_scenario(m=129)
     anchor = np.linspace(0.1, 0.9, scenario.m)
-    near = minimize_quantile(scenario, prox=(anchor, 1e-6))
+    near = _proximal(scenario, anchor, 1e-6)
     assert np.max(np.abs(near.G.values - anchor)) < 1e-3
-    far = minimize_quantile(scenario, prox=(anchor, 1e6))
+    far = _proximal(scenario, anchor, 1e6)
     assert np.max(np.abs(far.G.values - anchor)) > 1e-2
+    problem = _QuantileProblem(scenario)
     with pytest.raises(ValueError, match="anchor"):
-        minimize_quantile(scenario, prox=(anchor[:-1], 1.0))
+        problem.anchored(anchor[:-1], 1.0)
     for tau in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite tau > 0"):
-            minimize_quantile(scenario, prox=(anchor, tau))
+            problem.anchored(anchor, tau)
 
 
 def test_best_response_validation():

@@ -6,8 +6,10 @@ it started with, divided by ``8m`` bytes (one array of ``m`` floats): the
 Newton loop (``solver._projected_newton``), the whole solve
 (``minimize_quantile``: the loop, then binning the density) and the
 certificate (``equilibrium_residual``).  Prints the seconds of an untraced
-solve, the three peaks against their bounds and the process's ``ru_maxrss``;
-exits 1 when the solve does not converge or a peak exceeds its bound.
+solve, each coarse level of its nested-iteration start (``m``, iterations,
+converged), the three peaks against their bounds and the process's
+``ru_maxrss``; exits 1 when the solve or one of its coarse levels does not
+converge or a peak exceeds its bound.
 
     python3 tools/solve_peaks.py            # n = 65536, in a fresh process
     python3 tools/solve_peaks.py 262144     # m about 10^6
@@ -64,6 +66,7 @@ def traced_peaks(n: int) -> dict:
         "n": n,
         "m": scenario.m,
         "converged": result.converged,
+        "levels": result.metadata["levels"],
         "solve_s": seconds,
         "newton": newton / array,
         "solve": solve / array,
@@ -76,6 +79,9 @@ def main(argv: list) -> int:
     peaks = traced_peaks(n)
     print(f"figure-1 solve, n = {n}, m = {peaks['m']}: {peaks['solve_s']:.3f} s, "
           f"converged {peaks['converged']}")
+    for level in peaks["levels"]:
+        print(f"  coarse level m = {level['m']}: {level['iterations']} iterations, "
+              f"converged {level['converged']}")
     over = []
     for stage, bound in BOUNDS.items():
         print(f"  {stage:12s} traced peak {peaks[stage]:6.2f} arrays of 8m bytes (bound {bound:g})")
@@ -85,9 +91,10 @@ def main(argv: list) -> int:
     print(f"  ru_maxrss {rss:.1f} MB")
     if over:
         print(f"traced peak over its bound: {', '.join(over)}", file=sys.stderr)
-    if not peaks["converged"]:
-        print("figure-1 solve did not converge", file=sys.stderr)
-    return 1 if over or not peaks["converged"] else 0
+    unconverged = not peaks["converged"] or not all(level["converged"] for level in peaks["levels"])
+    if unconverged:
+        print("figure-1 solve or one of its coarse levels did not converge", file=sys.stderr)
+    return 1 if over or unconverged else 0
 
 
 if __name__ == "__main__":
