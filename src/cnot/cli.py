@@ -331,6 +331,7 @@ def _result_payload(result) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "projected_gradient": result.metadata["projected_gradient"],
+        "stop_reason": result.metadata["stop_reason"],
         "stalled": result.metadata["stalled"],
         "coarse_levels": result.metadata["levels"],
         "m": result.scenario.m,

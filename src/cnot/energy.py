@@ -73,6 +73,17 @@ def _log1(s: np.ndarray) -> np.ndarray:
     return 1.0 + _log(s)
 
 
+def _entropy_slope(u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+    """``F(u) - u F'(u) = -u`` in both entropy conventions (and the social
+    spec's ``F = u log u``, ``F' = 1 + log u``)."""
+    return np.negative(u)
+
+
+def _entropy_curvature(u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+    """``u^3 f'(u) = u^2`` for ``f' = 1/u``."""
+    return np.multiply(u, u)
+
+
 def _fd_positive(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Central difference of ``fn`` on ``(0, inf)``, step ``1e-6 s``: the
     relative step keeps the stencil inside the half-line, where congestion
@@ -94,8 +105,11 @@ class CongestionSpec:
 
     ``F_prime`` is ``F'``: ``1 + log`` for plain entropy and ``f`` for every
     other spec.  The constructor probes that ``f`` is increasing, that ``F``
-    is an antiderivative of ``F_prime`` (by central differences) and that
-    ``f_inv`` inverts ``f``.  The family's closed forms live here:
+    is an antiderivative of ``F_prime`` (by central differences), that
+    ``f_inv`` inverts ``f`` and that the closed forms ``slope_form`` and
+    ``curvature_form``, where given, equal ``gap_slope`` and
+    ``gap_curvature``'s generic formulas (relative 1e-9).  The family's
+    closed forms live here: ``gap_slope``, ``gap_curvature``,
     ``marginal_externality`` and the social counterpart ``social``.
     """
 
@@ -106,6 +120,10 @@ class CongestionSpec:
     kind: str = "custom"
     convention: Optional[str] = None
     params: dict = field(default_factory=dict)
+    slope_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+        default=None, compare=False, repr=False)
+    curvature_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+        default=None, compare=False, repr=False)
     satisfies_mccann: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
@@ -122,12 +140,52 @@ class CongestionSpec:
         rt = np.asarray(self.f_inv(fv), dtype=float)
         if np.max(np.abs(rt - _PROBE_S) / _PROBE_S) > 1e-8:
             raise ValueError("congestion f_inv must invert f")
+        # the closed forms against the formulas they replace
+        F_s = np.asarray(self.F(_PROBE_S), dtype=float)
+        for name, form, generic in (("slope_form", self.slope_form, self._generic_slope),
+                                    ("curvature_form", self.curvature_form,
+                                     self._generic_curvature)):
+            if form is not None:
+                want = generic(_PROBE_S, F_s)
+                got = np.asarray(form(_PROBE_S, F_s), dtype=float)
+                if not np.all(np.abs(got - want) <= 1e-9 * np.abs(want)):
+                    raise ValueError(f"congestion {name} must equal its generic formula")
         object.__setattr__(self, "satisfies_mccann", mccann_check(self))
 
     @property
     def F_prime(self) -> Callable[[np.ndarray], np.ndarray]:
         """``F'``: ``1 + log`` for plain entropy, ``f`` for every other spec."""
         return _log1 if self.convention == "plain" else self.f
+
+    def gap_slope(self, u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+        """``F(u) - u F'(u)`` at ``u > 0`` given ``F_u = F(u)``, a fresh array:
+        the derivative of a gap's congestion energy ``g F(1/((m-1) g))`` in
+        ``g``, at ``u = 1/((m-1) g)``.  The closed form ``slope_form`` where
+        the family has one (``-u`` for entropy, ``-alpha F(u)`` for power),
+        else the formula through ``F_prime``."""
+        if self.slope_form is not None:
+            return self.slope_form(u, F_u)
+        return self._generic_slope(u, F_u)
+
+    def gap_curvature(self, u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+        """``u^3 f'(u)`` at ``u > 0`` given ``F_u = F(u)``, a fresh array: the
+        second derivative of a gap's congestion energy in ``g`` is
+        ``(m-1) u^3 f'(u)``.  The closed form ``curvature_form`` where the
+        family has one (``u^2`` for entropy, ``alpha (alpha+1) u F(u)`` for
+        power), else the formula through ``f_prime``."""
+        if self.curvature_form is not None:
+            return self.curvature_form(u, F_u)
+        return self._generic_curvature(u, F_u)
+
+    def _generic_slope(self, u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+        out = np.multiply(u, np.asarray(self.F_prime(u), dtype=float))
+        return np.subtract(F_u, out, out=out)
+
+    def _generic_curvature(self, u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+        out = np.multiply(u, u)
+        out *= u  # u^3 as products, not pow
+        out *= np.asarray(self.f_prime(u), dtype=float)
+        return out
 
     @staticmethod
     def entropy(convention: str = "shifted") -> "CongestionSpec":
@@ -147,6 +205,8 @@ class CongestionSpec:
             f_prime=lambda s: 1.0 / np.asarray(s, dtype=float),
             kind="entropy",
             convention=convention,
+            slope_form=_entropy_slope,
+            curvature_form=_entropy_curvature,
         )
 
     @staticmethod
@@ -171,9 +231,18 @@ class CongestionSpec:
         def f_prime(s: np.ndarray) -> np.ndarray:
             return a * alpha * np.asarray(s, dtype=float) ** (alpha - 1.0)
 
+        def slope(u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+            return np.multiply(F_u, -alpha)
+
+        def curvature(u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+            out = np.multiply(u, F_u)
+            out *= alpha * (alpha + 1.0)
+            return out
+
         return CongestionSpec(
             f=f, F=F, f_inv=f_inv, f_prime=f_prime,
             kind="power", params={"alpha": alpha, "a": a},
+            slope_form=slope, curvature_form=curvature,
         )
 
     @staticmethod
@@ -213,6 +282,7 @@ class CongestionSpec:
                 f=_log1, F=_entropy_F_plain,
                 f_inv=lambda t: np.exp(np.asarray(t, dtype=float) - 1.0),
                 f_prime=self.f_prime,
+                slope_form=_entropy_slope, curvature_form=_entropy_curvature,
             )
         if self.kind == "power":
             alpha, a = self.params["alpha"], self.params["a"]
@@ -397,7 +467,10 @@ class InteractionKernel:
         """What ``sample_energy``, ``sample_gradient`` and ``sample_curvature``
         share at sorted samples ``G``; the caller builds it once per point.
 
-        For the cubic kernel: the centred samples ``Gc`` with the exclusive
+        For the quadratic kernel: the mean of ``G`` alone, about which
+        ``|G_j - G_k|^2`` expands in the centred samples ``Gc = G - mean``
+        without the cancellation of ``m sum G^2 - (sum G)^2`` far from the
+        origin.  For the cubic kernel: the centred samples ``Gc`` with the exclusive
         prefix sums of ``Gc``, ``Gc^2`` and ``Gc^3``, through which
         ``|G_j - G_k|^3`` and its derivatives expand on sorted ``G``.
         Centring first keeps the cancelling cubes small.  Cubes here and in
@@ -405,6 +478,8 @@ class InteractionKernel:
         through ``pow``, which on mixed-sign input costs some forty times as
         much.  None for every other kind.
         """
+        if self.kind == "quadratic_distance":
+            return (float(G.mean()),)
         if self.kind != "cubic_distance":
             return None
         # Gc and its three prefix sums, the rows of one array
@@ -423,8 +498,11 @@ class InteractionKernel:
         (``sums``: ``sample_sums(G)``)."""
         m = G.size
         if self.kind == "quadratic_distance":
-            s1 = G.sum()
-            return float(self.kappa * (m * np.dot(G, G) - s1 * s1) / (m * m))
+            # (m sum G^2 - (sum G)^2) / m^2 = sum Gc^2 / m, in the centred
+            # samples; a pairwise sum, as every other sum of the objective
+            Gc = np.subtract(G, sums[0])
+            Gc *= Gc
+            return float(self.kappa * Gc.sum() / m)
         if self.kind == "product":
             s1 = G.sum()
             return float(self.kappa * s1 * s1 / (2.0 * m * m))
@@ -439,7 +517,9 @@ class InteractionKernel:
         """Gradient of ``sample_energy`` in the sorted samples ``G``."""
         m = G.size
         if self.kind == "quadratic_distance":
-            return 2.0 * self.kappa * (m * G - G.sum()) / (m * m)
+            Gc = np.subtract(G, sums[0])
+            Gc *= 2.0 * self.kappa / m  # 2 kappa (m G - sum G) / m^2
+            return Gc
         if self.kind == "product":
             return np.full(m, self.kappa * G.sum() / (m * m))
         if self.kind == "cubic_distance":

@@ -132,11 +132,12 @@ class EquilibriumResult:
     of these pays nothing for the certificate; an error the certificate
     raises surfaces on that first read, not from the solve.  ``metadata``
     holds what the solve decided: the final ``projected_gradient`` norm,
-    whether it ``stalled`` and the coarse ``levels`` its start was solved on
-    (see ``minimize_quantile``); the problem solved is ``scenario``.
-    ``iterations``, ``converged`` and ``stalled`` describe the solve at
-    resolution ``scenario.m`` alone; ``levels`` holds each coarse level's
-    ``m``, ``iterations`` and ``converged``, up to the first that did not
+    the ``stop_reason``, whether it ``stalled`` and the coarse ``levels``
+    its start was solved on (see ``minimize_quantile``); the problem solved
+    is ``scenario``.  ``iterations``, ``converged``, ``stop_reason`` and
+    ``stalled`` describe the solve at resolution ``scenario.m`` alone;
+    ``levels`` holds each coarse level's ``m``, ``iterations``,
+    ``converged`` and ``stop_reason``, up to the first that did not
     converge or the last before a start of infinite objective (the solve at
     ``m`` then started from the source quantile).
     """
@@ -206,7 +207,7 @@ class _QuantileProblem:
         self.m = scenario.m
         self.H = density_to_quantile(scenario.mu, scenario.m).values
         self.cost = scenario.cost
-        self.C_second = _fd_derivative(scenario.cost.C_prime)
+        self.C_second = scenario.cost.C_second or _fd_derivative(scenario.cost.C_prime)
         self.model = scenario.model
         self.prox: Optional[tuple[np.ndarray, float]] = None
 
@@ -259,10 +260,7 @@ class _QuantileProblem:
         m = self.m
         grad = np.negative(np.asarray(self.cost.C_prime(self.H - p.G), dtype=float))
         grad /= m
-        F_prime = np.asarray(self.model.congestion.F_prime(p.u), dtype=float)
-        psi = np.multiply(p.u, F_prime)
-        F_prime = None
-        np.subtract(p.F_u, psi, out=psi)  # F(u) - u F'(u)
+        psi = self.model.congestion.gap_slope(p.u, p.F_u)  # F(u) - u F'(u)
         grad[1:] += psi
         grad[:-1] -= psi
         if self.model.potential is not None:
@@ -281,26 +279,32 @@ class _QuantileProblem:
 
         Returns ``(diag, sub)``: ``m`` diagonal and ``m - 1`` subdiagonal
         entries.  The congestion term is exactly tridiagonal in the quantile
-        values; the separable cost and potential terms contribute their
-        second derivatives (clipped to be non-negative) on the diagonal:
-        the potential's ``v_second`` (closed form for ``poly``), the cost's
-        ``C_second``, the central difference of ``C_prime``
-        (``transport._fd_derivative``).  Interaction kernels
+        values, its band ``(m-1) u^3 f'(u)`` taken from the point's ``u`` and
+        ``F(u)`` (``CongestionSpec.gap_curvature``); the separable cost and
+        potential terms contribute their second derivatives (clipped to be
+        non-negative) on the diagonal: the potential's ``v_second`` (closed
+        form for ``poly``) and the cost's ``C_second`` (the constant 1 for
+        the quadratic cost, closed form for ``power``, else the central
+        difference of ``C_prime``).  Interaction kernels
         keep only their diagonal part.  Entries are clipped to a positive
         range that keeps the tridiagonal Cholesky factorization finite — the
         line search absorbs any remaining model error.  It runs in the
         solve's error state (``_projected_newton``), where ``psi2`` may read inf.
         """
-        m, G, u = self.m, p.G, p.u
-        diag = self.C_second(self.H - G)  # a fresh array: _fd_derivative's quotient
-        np.maximum(diag, 0.0, out=diag)
-        diag /= m
+        m, G = self.m, p.G
+        if self.cost.kind == "quadratic":
+            diag = np.full(m, 1.0 / m)  # C'' = 1
+        else:
+            diag = np.asarray(self.C_second(self.H - G), dtype=float)  # a fresh array
+            np.maximum(diag, 0.0, out=diag)
+            diag /= m
         if self.model.potential is not None:
             v2 = np.asarray(self.model.potential.v_second(G), dtype=float)
             diag += np.maximum(v2, 0.0) / m
         if self.model.kernel is not None:
             diag += self.model.kernel.sample_curvature(G, p.sums)
-        psi2 = (m - 1) * u**3 * np.asarray(self.model.congestion.f_prime(u), dtype=float)
+        psi2 = self.model.congestion.gap_curvature(p.u, p.F_u)
+        psi2 *= m - 1
         # in place, each bound first: the bytes of np.where(finite, np.clip(...), _CURV_MAX)
         finite = np.isfinite(psi2)
         np.minimum(_CURV_MAX, np.maximum(0.0, psi2, out=psi2), out=psi2)
@@ -402,6 +406,37 @@ _CURV_MAX = 1e30
 _CURV_MIN = 1e-10
 _EDGE_TOL = 1e-12
 
+# metadata["stop_reason"] of a solve: the two that count as converged, then
+# the two stalls (no backtracked trial accepted; an accepted step too small
+# to move G), and max_iters
+_CONVERGED = ("grad_tol", "round_off_floor")
+_STALLED = ("line_search_failed", "step_vanished")
+
+
+def _round_off_floor(m: int) -> float:
+    """``c eps`` of the round-off floor stop at resolution ``m``: where the
+    free-set Newton decrement ``lambda^2`` is at most ``c eps max(1, |J|)``,
+    below what the line search can see of J, a solve tries only the full
+    Newton step and stops as converged (``round_off_floor``) when the
+    Armijo test rejects it.
+
+    ``c`` comes from the rounding of J's sums.  J adds a few component sums
+    (cost, congestion, potential, kernel, anchor), each a numpy pairwise
+    sum of at most ``m`` terms.  Each term passes through at most
+    ``k = 25 + ceil(log2(m / 128))`` roundings in the sum: 15 accumulator
+    additions, 3 combining levels and 7 tail additions inside a 128-term
+    block, then one per halving above it.  At most 12 more form the term
+    (the gap, its scaling and reciprocal, ``F``, the product) and divide and
+    join its sum.  To first order one evaluation of J is then off by at most
+    ``(k + 12) u S``, with ``u = eps/2`` and ``S`` the sum of the terms'
+    magnitudes, taken as ``max(1, |J|)``.  The Armijo test compares two
+    such evaluations, and the full Newton step's model decrease is
+    ``lambda^2 / 2``; it is lost in their rounding once
+    ``lambda^2 / 2 <= 2 (k + 12) u S``, that is ``c = 2 (k + 12)``:
+    74 at m <= 128, 90 at m = 32768."""
+    k = 25 + max(0, math.ceil(math.log2(m / 128)))
+    return 2.0 * (k + 12) * np.finfo(float).eps
+
 
 def _newton_direction(
     G: np.ndarray,
@@ -409,18 +444,24 @@ def _newton_direction(
     diag: np.ndarray,
     sub: np.ndarray,
     scenario: Scenario,
-) -> np.ndarray:
-    """Solve the tridiagonal model system for a descent direction.
+) -> tuple[np.ndarray, float]:
+    """Solve the tridiagonal model system for a descent direction; return it
+    with the free-set Newton decrement ``lambda^2 = sum_free d_j grad_j``.
 
-    Coordinates pressed against the box are frozen out of the system and
-    given diagonally scaled components instead.  In ``fixed_endpoints`` mode
-    the two ends are constants, not unknowns: their components are 0, so
-    they enter neither the descent test nor the fallback.  The system is
-    solved by ``solveh_banded``, a direct LAPACK ``dptsv`` call (tridiagonal
-    Cholesky) without finiteness passes: ``grad`` is checked finite by the
-    caller.  If the model is not positive definite or the result is not a
-    descent direction, fall back to the diagonally preconditioned gradient,
-    built only then or to fill the frozen coordinates.
+    Coordinates pressed against the box (the ``active`` mask) are frozen out
+    of the system and given diagonally scaled components instead; the rest
+    are the free set, where ``d`` solves the model restricted to it, so
+    ``lambda^2`` is ``grad^T H^-1 grad`` there (Bertsekas 1982; Boyd &
+    Vandenberghe section 9.5) and the frozen components do not enter it.
+    In ``fixed_endpoints`` mode the two ends are constants, not unknowns:
+    their components are 0, so they enter neither the descent test nor the
+    fallback.  The system is solved by ``solveh_banded``, a direct LAPACK
+    ``dptsv`` call (tridiagonal Cholesky) without finiteness passes:
+    ``grad`` is checked finite by the caller.  The frozen coordinates take
+    the components of the diagonally preconditioned gradient.  If the model
+    is not positive definite or the result is not a descent direction, the
+    whole direction falls back to that gradient, built only then; the
+    fallback is no Newton step, and its decrement is reported as ``inf``.
     """
     lo, hi = scenario.interval.lo + _EDGE_TOL, scenario.interval.hi - _EDGE_TOL
     active = ((G <= lo) & (grad > 0.0)) | ((G >= hi) & (grad < 0.0))
@@ -436,12 +477,20 @@ def _newton_direction(
 
     d = solveh_banded(diag, np.where(active[:-1] | active[1:], 0.0, sub), grad)
     if d is None:  # a leading minor is not positive definite
-        return fallback()
-    if active.any():
-        d[active] = fallback()[active]
-    if not np.isfinite(d).all() or float(np.dot(d, grad)) <= 0.0:
-        return fallback()
-    return d
+        return fallback(), math.inf
+    frozen = np.flatnonzero(active)
+    if frozen.size:
+        d[frozen] = 0.0
+        decrement = float(np.dot(d, grad))  # over the free set
+        d[frozen] = grad[frozen] / diag[frozen]  # the fallback's components
+        if pinned:
+            d[0] = d[-1] = 0.0
+        slope = float(np.dot(d, grad))
+    else:
+        decrement = slope = float(np.dot(d, grad))
+    if not np.isfinite(d).all() or slope <= 0.0:
+        return fallback(), math.inf
+    return d, decrement
 
 
 def minimize_quantile(
@@ -470,13 +519,20 @@ def minimize_quantile(
     The objective is ``+inf`` at a zero gap, so only the box can bind
     (Bertsekas 1982): the start point is the box map of the start values,
     and the solve stops when the projected-gradient sup-norm
-    ``max|G - box(G - grad)|`` falls below ``grad_tol``.
+    ``max|G - box(G - grad)|`` falls below ``grad_tol``.  Where the
+    free-set Newton decrement is at most ``c eps max(1, |J|)``
+    (``_round_off_floor``) the model's decrease is lost in the rounding of
+    J: only the full step is tried, and the solve stops as converged when
+    it is not accepted.
 
-    Non-convergence is reported through ``converged=False``, not an error;
-    ``metadata["stalled"]`` marks a solve stopped because no backtracked
-    step was accepted or the accepted step vanished.  ``iterations`` counts
-    the iterations at ``m``; ``metadata["levels"]`` lists each coarse
-    level solved, ``{"m", "iterations", "converged"}``, coarsest first, up
+    ``metadata["stop_reason"]`` names why the solve stopped: ``grad_tol``
+    or ``round_off_floor`` (converged), ``line_search_failed`` (no
+    backtracked step was accepted), ``step_vanished`` (the accepted step did
+    not move ``G``) or ``max_iters``.  Non-convergence is reported through
+    ``converged=False``, not an error; ``metadata["stalled"]`` marks the two
+    stalls.  ``iterations`` counts the iterations at ``m``;
+    ``metadata["levels"]`` lists each coarse level solved,
+    ``{"m", "iterations", "converged", "stop_reason"}``, coarsest first, up
     to the first that did not converge, and is empty when the start was not
     solved on coarse levels.  The certificate fields of the result are
     computed on first read (see ``EquilibriumResult``).
@@ -532,9 +588,10 @@ def _coarse_start(problem: _QuantileProblem, params: SolverParams) -> tuple:
         G = None  # the coarser quantile is released before this level is solved
         if not math.isfinite(coarse.value(start)):  # a gap rounded to zero, or F(u) overflowed
             return None, levels
-        G, _, iterations, converged, _ = _projected_newton(coarse, params, start)
+        G, _, iterations, converged, metadata = _projected_newton(coarse, params, start)
         coarse = start = None  # released before the next start is built
-        levels.append({"m": size, "iterations": iterations, "converged": converged})
+        levels.append({"m": size, "iterations": iterations, "converged": converged,
+                       "stop_reason": metadata["stop_reason"]})
         if not converged:
             return None, levels
         G = G.values
@@ -570,22 +627,28 @@ def _projected_newton(problem: _QuantileProblem, params: SolverParams, G0=None) 
             raise ValueError("initial quantile has non-positive gaps (infinite objective)")
 
     iterations = 0
-    converged = False
-    stalled = False
+    stop_reason = "max_iters"
     pg_norm = float("inf")
+    floor = _round_off_floor(scenario.m)
     grad = problem.gradient(point)
     for iterations in range(1, params.max_iters + 1):
-        pg_norm = float(np.abs(G - _trial_point(G - grad, iv, mode)).max())
+        pg = np.subtract(G, grad)  # |G - box(G - grad)|, its bits in one buffer
+        np.subtract(G, _trial_point(pg, iv, mode), out=pg)
+        pg_norm = float(np.abs(pg, out=pg).max())
+        pg = None
         if pg_norm <= params.grad_tol:
-            converged = True
+            stop_reason = "grad_tol"
             break
         diag, sub = problem.curvature(point)
         point = None  # from here on only G and J of the current point are read
-        d = _newton_direction(G, grad, diag, sub, scenario)
+        d, decrement = _newton_direction(G, grad, diag, sub, scenario)
         diag = sub = None
+        # at J's round-off floor a step's change of J is lost in its rounding,
+        # and a shorter step's more so: only the full step is tried
+        at_floor = decrement <= floor * max(1.0, abs(J))
         accepted = False
         step = _STEP0
-        for _ in range(_MAX_BACKTRACKS):
+        for _ in range(1 if at_floor else _MAX_BACKTRACKS):
             trial = np.multiply(d, -step)
             trial += G  # G - step * d: the same bits, in one buffer
             cand_point = problem.point(_trial_point(trial, iv, mode))
@@ -602,13 +665,16 @@ def _projected_newton(problem: _QuantileProblem, params: SolverParams, G0=None) 
                 cand_point = None  # released before the next trial is built
             step *= _BETA
         if not accepted or moved <= 1e-16 * (1.0 + np.abs(G).max()):
-            stalled = True
+            stop_reason = ("round_off_floor" if at_floor
+                           else "step_vanished" if accepted else "line_search_failed")
             break
         G, J, point = cand_point.G, J_cand, cand_point
         cand_point = d = grad = None
         grad = problem.gradient(point)
 
-    metadata = {"projected_gradient": pg_norm, "stalled": stalled, "levels": levels}
+    converged = stop_reason in _CONVERGED
+    metadata = {"projected_gradient": pg_norm, "stop_reason": stop_reason,
+                "stalled": stop_reason in _STALLED, "levels": levels}
     return QuantileFn(G, iv, support_mode=mode), float(J), iterations, converged, metadata
 
 

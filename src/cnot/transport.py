@@ -11,7 +11,7 @@ refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,16 +39,19 @@ def quantile_resolution(n: int) -> int:
     return 16 * n
 
 
+_FD_STEP = 1e-6  # relative step of _fd_derivative
+
+
 def _fd_derivative(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
     """Central difference of ``fn`` in its first argument, step ``1e-6 (1 + |t|)``;
     further arguments pass through.  The one difference rule on the real line:
-    custom costs, kernels and potentials, and the solver's ``C''``."""
+    custom costs, kernels and potentials, and ``C''`` of a custom cost."""
 
     def deriv(t: np.ndarray, *args) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         h = np.abs(t)
         h += 1.0
-        h *= 1e-6  # 1e-6 (1 + |t|), in one buffer
+        h *= _FD_STEP  # 1e-6 (1 + |t|), in one buffer
         out = np.asarray(fn(t + h, *args), dtype=float) - np.asarray(fn(t - h, *args), dtype=float)
         h *= 2.0
         out /= h
@@ -61,6 +64,11 @@ def _fd_derivative(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
 class CostSpec:
     """Translation-invariant transport cost ``c(x, y) = C(x - y)``.
 
+    ``C_second`` is ``C''`` in closed form, given for ``quadratic`` and
+    ``power``.  It is None for a ``convex_difference`` cost; the quantile
+    solver takes the central difference of ``C_prime`` (``_fd_derivative``)
+    in its place.
+
     Building a cost probes nothing.  ``strictly_convex_on(radius)`` probes
     ``C`` for strict convexity on ``[-radius, radius]``; operations that rely
     on monotone couplings call ``require_strictly_convex`` with their own
@@ -70,14 +78,16 @@ class CostSpec:
     C: Callable[[np.ndarray], np.ndarray]
     C_prime: Callable[[np.ndarray], np.ndarray]
     kind: str = "convex_difference"
+    C_second: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
     @staticmethod
     def quadratic() -> "CostSpec":
-        """The classical cost ``c(x, y) = |x - y|^2 / 2``."""
+        """The classical cost ``c(x, y) = |x - y|^2 / 2``, with ``C'' = 1``."""
         return CostSpec(
             C=lambda t: 0.5 * np.square(t),
             C_prime=lambda t: np.asarray(t, dtype=float),
             kind="quadratic",
+            C_second=lambda t: np.ones(np.shape(t)),
         )
 
     @staticmethod
@@ -93,10 +103,20 @@ class CostSpec:
         """``C(t) = |t|^p / p`` with ``p > 1`` (strictly convex)."""
         if not 1.0 < p < math.inf:
             raise ValueError("power cost needs a finite p > 1")
+
+        def C_second(t: np.ndarray) -> np.ndarray:
+            # (p-1)|t|^(p-2), with |t| floored at the difference step: for
+            # p < 2 C'' is infinite at t = 0, where every cold start begins
+            a = np.maximum(np.abs(t), _FD_STEP)
+            a **= p - 2.0
+            a *= p - 1.0
+            return a
+
         return CostSpec(
             C=lambda t: np.abs(t) ** p / p,
             C_prime=lambda t: np.abs(t) ** (p - 1.0) * np.sign(t),
             kind="convex_difference",
+            C_second=C_second,
         )
 
     def strictly_convex_on(self, radius: float) -> bool:

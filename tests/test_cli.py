@@ -780,8 +780,7 @@ def test_sweep_over_the_grid_or_m_starts_each_run_cold(tmp_path, param, values):
 def test_figure1_sweep_over_kappa_converges_from_each_previous_run(tmp_path):
     """On the figure-1 physics kappa = 0.5, 1, 2, 4 are all inside the
     uniqueness regime, so runs 1-3 start from the previous run's quantile
-    and every run converges (solved cold, kappa = 2 stalls at a projected
-    gradient of about 2e-7 and the sweep exits 2)."""
+    and every run converges."""
     path = Path(__file__).resolve().parents[1] / "scenarios" / "figure1.json"
     out = tmp_path / "out"
     assert main(["sweep", "--scenario", str(path), "--out", str(out),
@@ -791,6 +790,39 @@ def test_figure1_sweep_over_kappa_converges_from_each_previous_run(tmp_path):
     warm = [json.loads((out / r[1] / "diagnostics.json").read_text())["warm_start"]
             for r in rows]
     assert warm == [False, True, True, True]
+
+
+def test_cold_figure1_solve_at_kappa_2_converges(tmp_path):
+    """A cold ``cnot solve`` of the figure-1 physics at kernel.kappa = 2
+    exits 0, and ``diagnostics.json`` names why it stopped (before the
+    nested-iteration start, this solve stalled at a projected gradient of
+    about 2e-7)."""
+    raw = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "figure1.json")
+                     .read_text())
+    raw["kernel"]["kappa"] = 2.0
+    path = tmp_path / "figure1_kappa2.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert diagnostics["converged"] and diagnostics["stop_reason"] in ("grad_tol", "round_off_floor")
+    assert diagnostics["stalled"] is False
+
+
+def test_congested_gaussian_sweep_over_quantile_m_converges(tmp_path):
+    """``cnot sweep`` of congested_gaussian over quantile_m = 512, 1024,
+    2048 exits 0, every run converged.  The m = 2048 solve once stalled at
+    J's round-off floor (a projected gradient of 1.6e-8 against grad_tol
+    1e-8); a stall there now ends as ``round_off_floor``."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "congested_gaussian.json"
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out),
+                 "--param", "quantile_m", "--values", "512,1024,2048"]) == 0
+    rows = [r.split(",") for r in (out / "summary.csv").read_text().split()[1:]]
+    assert [(r[2], r[7]) for r in rows] == [("0", "True")] * 3
+    reasons = [json.loads((out / r[1] / "diagnostics.json").read_text())["stop_reason"]
+               for r in rows]
+    assert set(reasons) <= {"grad_tol", "round_off_floor"}
 
 
 def test_solve_writes_the_bytes_of_per_value_formatting(tmp_path):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnot import (
     CongestionSpec,
@@ -35,6 +37,53 @@ def test_entropy_conventions_share_f():
     assert np.allclose(plain.F(s) - shifted.F(s), s)
     with pytest.raises(ValueError):
         CongestionSpec.entropy("other")
+
+
+_CLOSED_FORM_SPECS = {
+    "entropy_shifted": lambda: CongestionSpec.entropy("shifted"),
+    "entropy_plain": lambda: CongestionSpec.entropy("plain"),
+    "entropy_social": lambda: CongestionSpec.entropy().social(),
+    "power_integer": lambda: CongestionSpec.power(8.0, 1.0),
+    "power_fractional": lambda: CongestionSpec.power(0.37, 3.1),
+    "power_integer_social": lambda: CongestionSpec.power(2.0, 0.7).social(),
+    "power_fractional_social": lambda: CongestionSpec.power(5.8434929, 0.18674856).social(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_SPECS))
+@settings(max_examples=60, deadline=None)
+@given(u=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
+def test_congestion_closed_forms_match_their_generic_formulas(name, u):
+    """Each named family's ``gap_slope`` and ``gap_curvature`` are closed
+    forms (``-u`` and ``u^2`` for entropy in both conventions and its social
+    spec, ``-alpha F(u)`` and ``alpha (alpha+1) u F(u)`` for power and its
+    social spec), and each matches ``F(u) - u F'(u)`` and ``u^3 f'(u)``
+    through ``F_prime`` and ``f_prime`` to 1e-12 relative on [1e-3, 1e3]."""
+    spec = _CLOSED_FORM_SPECS[name]()
+    assert spec.slope_form is not None and spec.curvature_form is not None
+    u = np.array(u)
+    F_u = np.asarray(spec.F(u), dtype=float)
+    slope = F_u - u * np.asarray(spec.F_prime(u), dtype=float)
+    curvature = u**3 * np.asarray(spec.f_prime(u), dtype=float)
+    assert np.all(np.abs(spec.gap_slope(u, F_u) - slope) <= 1e-12 * np.abs(slope))
+    assert np.all(np.abs(spec.gap_curvature(u, F_u) - curvature) <= 1e-12 * np.abs(curvature))
+
+
+def test_congestion_checks_its_closed_forms():
+    """A closed form that differs from its generic formula is refused at
+    construction; a custom spec has none, and its ``gap_slope`` and
+    ``gap_curvature`` are the generic formulas."""
+    entropy = CongestionSpec.entropy()
+    fields = dict(f=entropy.f, F=entropy.F, f_inv=entropy.f_inv, f_prime=entropy.f_prime)
+    with pytest.raises(ValueError, match="slope_form"):
+        CongestionSpec(**fields, slope_form=lambda u, F_u: u)
+    with pytest.raises(ValueError, match="curvature_form"):
+        CongestionSpec(**fields, curvature_form=lambda u, F_u: u * u * (1.0 + 1e-6))
+    custom = CongestionSpec.custom(**fields)
+    assert custom.slope_form is None and custom.curvature_form is None
+    u = np.array([0.5, 2.0])
+    assert np.allclose(custom.gap_slope(u, custom.F(u)), -u, rtol=1e-14)
+    assert np.allclose(custom.gap_curvature(u, custom.F(u)), u * u, rtol=1e-14)
 
 
 def test_power_congestion_values():
@@ -362,17 +411,14 @@ def _sorted_samples_with_ties(lo=2.0, hi=5.0):
 def test_kernel_sample_forms_match_dense_sums(name):
     """Energy and gradient on sorted samples (with ties) equal the dense
     O(m^2) sums of phi and dphi_dy, also on samples far from the origin,
-    where the cubic kernel's moment expansion holds only once centred.  The
-    quadratic closed form is not centred and keeps only about 9 digits
-    there, so it is held to the dense sums near the origin only."""
-    samples = [_sorted_samples_with_ties()]
-    if name != "quadratic":
-        samples.append(_sorted_samples_with_ties(1000.0, 1001.0))
+    where the cubic and quadratic kernels' moment expansions hold only once
+    centred (uncentred, the quadratic form kept only about 9 digits there)."""
+    samples = [_sorted_samples_with_ties(), _sorted_samples_with_ties(1000.0, 1001.0)]
     for G in samples:
         m = G.size
         kern = _SAMPLE_KERNELS[name](1.3)
         sums = kern.sample_sums(G)
-        assert (sums is None) == (name != "cubic")
+        assert (sums is None) == (name not in ("cubic", "quadratic"))
         energy = np.sum(kern.phi(G[:, None], G[None, :])) / (2.0 * m * m)
         assert kern.sample_energy(G, sums) == pytest.approx(energy, rel=1e-12, abs=1e-14)
         grad = np.sum(kern.dphi_dy(G[:, None], G[None, :]), axis=1) / (m * m)

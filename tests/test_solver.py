@@ -1,5 +1,6 @@
 """Tests for the quantile objective and the projected-Newton equilibrium solver."""
 
+import itertools
 import json
 import math
 import os
@@ -249,21 +250,25 @@ def test_weighted_fixed_endpoint_projection_matches_brute_force():
         assert np.array_equal(_weighted_pava_trial(y2, iv, "fixed_endpoints", w), v)
 
 
-def _curvature_differencing_v_prime(problem, p):
-    """Reference curvature model that takes the cost's ``C''`` and the
-    potential's ``v''`` as central differences of ``C_prime`` and
-    ``v_prime``, step ``1e-6 (1 + |t|)``, in line."""
+def _curvature_differencing_v_prime(problem, p, alpha):
+    """Reference curvature model for power congestion ``alpha`` that takes
+    the congestion band as ``(m-1) alpha (alpha+1) u F(u)``, the cost's
+    ``C''`` as 1 for the quadratic cost and as the central difference of
+    ``C_prime`` for any other, and the potential's ``v''`` as the central
+    difference of ``v_prime``, steps ``1e-6 (1 + |t|)``, in line."""
     m, G, u = problem.m, p.G, p.u
-    with np.errstate(over="ignore", divide="ignore"):
-        psi2 = (m - 1) * u**3 * np.asarray(problem.model.congestion.f_prime(u), dtype=float)
+    psi2 = u * p.F_u * (alpha * (alpha + 1.0)) * (m - 1)
     psi2 = np.where(np.isfinite(psi2), np.minimum(_CURV_MAX, np.maximum(0.0, psi2)), _CURV_MAX)
-    z = problem.H - p.G
-    h = 1e-6 * (1.0 + np.abs(z))
-    c2 = (
-        np.asarray(problem.cost.C_prime(z + h), dtype=float)
-        - np.asarray(problem.cost.C_prime(z - h), dtype=float)
-    ) / (2.0 * h)
-    diag = np.maximum(c2, 0.0) / m
+    if problem.cost.kind == "quadratic":
+        diag = np.ones(m) / m
+    else:
+        z = problem.H - p.G
+        h = 1e-6 * (1.0 + np.abs(z))
+        c2 = (
+            np.asarray(problem.cost.C_prime(z + h), dtype=float)
+            - np.asarray(problem.cost.C_prime(z - h), dtype=float)
+        ) / (2.0 * h)
+        diag = np.maximum(c2, 0.0) / m
     h = 1e-6 * (1.0 + np.abs(G))
     v2 = (
         np.asarray(problem.model.potential.v_prime(G + h), dtype=float)
@@ -280,8 +285,10 @@ def _curvature_differencing_v_prime(problem, p):
 
 def test_curvature_with_a_custom_potential_differences_v_prime():
     """A potential built without ``v_second`` enters the curvature model
-    through the central difference of ``v_prime``, and the cost through
-    that of ``C_prime``, bit for bit."""
+    through the central difference of ``v_prime``, bit for bit.  The
+    quadratic cost enters it through its ``C'' = 1``, with no differencing,
+    and a ``convex_difference`` cost through the central difference of its
+    ``C_prime``; the power congestion band is its closed form."""
     grid = Grid(Interval(-1.0, 2.0), 32)
     potential = PotentialSpec(
         v=lambda x: np.cosh(np.asarray(x)) + 0.3 * np.asarray(x) ** 3,
@@ -293,21 +300,68 @@ def test_curvature_with_a_custom_potential_differences_v_prime():
         kernel=InteractionKernel.cubic_distance(0.7),
         potential=potential,
     )
-    scenario = Scenario(
-        mu=gaussian_truncated_density(grid, 0.4, 0.6),
-        cost=CostSpec.quadratic(),
-        model=model,
-        m=48,
+    quartic = CostSpec.convex_difference(
+        C=lambda t: np.asarray(t, dtype=float) ** 4 / 4.0 + np.square(t),
+        C_prime=lambda t: np.asarray(t, dtype=float) ** 3 + 2.0 * np.asarray(t, dtype=float),
     )
-    problem = _QuantileProblem(scenario)
     rng = np.random.default_rng(12)
-    for _ in range(5):
-        G = np.sort(rng.uniform(-1.0, 2.0, scenario.m)) + np.linspace(0.0, 1e-3, scenario.m)
-        p = problem.point(G)
-        diag, sub = problem.curvature(p)
-        ref_diag, ref_sub = _curvature_differencing_v_prime(problem, p)
-        assert np.array_equal(diag, ref_diag)
-        assert np.array_equal(sub, ref_sub)
+    for cost in (CostSpec.quadratic(), quartic):
+        scenario = Scenario(
+            mu=gaussian_truncated_density(grid, 0.4, 0.6), cost=cost, model=model, m=48,
+        )
+        problem = _QuantileProblem(scenario)
+        for _ in range(5):
+            G = np.sort(rng.uniform(-1.0, 2.0, scenario.m)) + np.linspace(0.0, 1e-3, scenario.m)
+            p = problem.point(G)
+            diag, sub = problem.curvature(p)
+            ref_diag, ref_sub = _curvature_differencing_v_prime(problem, p, 2.0)
+            assert np.array_equal(diag, ref_diag)
+            assert np.array_equal(sub, ref_sub)
+
+
+def test_named_families_take_the_newton_terms_in_closed_form(monkeypatch):
+    """For entropy (both conventions), power (integer and fractional alpha)
+    and their social specs, the gradient and the curvature model read the
+    point's ``u`` and ``F(u)`` alone: no ``f``, ``F``, ``F'`` or ``f'`` is
+    evaluated, so no ``pow`` and no ``log``; only pricing the point calls
+    ``F``.  With a quadratic or power cost, neither the problem nor a whole
+    solve calls ``_fd_derivative``."""
+    import cnot.energy
+    import cnot.solver
+
+    def no_differencing(fn):
+        raise AssertionError("a named family took a central difference")
+
+    monkeypatch.setattr(cnot.solver, "_fd_derivative", no_differencing)
+    calls = []
+
+    def counted(fn):
+        def wrapper(s):
+            calls.append(fn)
+            return fn(s)
+        return wrapper
+
+    monkeypatch.setattr(cnot.energy, "_log1", counted(cnot.energy._log1))  # plain F'
+    specs = [CongestionSpec.entropy("shifted"), CongestionSpec.entropy("plain"),
+             CongestionSpec.entropy().social(), CongestionSpec.power(8.0),
+             CongestionSpec.power(0.37, 3.1), CongestionSpec.power(2.0, 0.7).social()]
+    grid = Grid(Interval(0.0, 1.0), 16)
+    G = np.sort(np.random.default_rng(4).uniform(0.0, 1.0, 40))
+    for spec, cost in itertools.product(specs, (CostSpec.quadratic(), CostSpec.power(1.5))):
+        congestion = replace(spec, f=counted(spec.f), F=counted(spec.F),
+                             f_prime=counted(spec.f_prime))
+        scenario = Scenario(mu=gaussian_truncated_density(grid, 0.5, 0.2), cost=cost,
+                            model=EnergyModel(grid=grid, congestion=congestion), m=40)
+        problem = _QuantileProblem(scenario)
+        calls.clear()  # the spec's construction probes its callables
+        point = problem.point(G)
+        assert calls == [spec.F]
+        calls.clear()
+        problem.gradient(point)
+        problem.curvature(point)
+        assert calls == []
+        assert minimize_quantile(replace(scenario, model=replace(scenario.model,
+                                                                 congestion=spec))).converged
 
 
 def test_trial_point_matches_weighted_pava_trial():
@@ -362,8 +416,10 @@ def test_curvature_clamps_psi2_with_the_bytes_of_np_where():
     """The congestion band ``psi2`` of the curvature model is clamped in
     place; on NaN, +-inf, -0.0, negative values and values above 1e30 it
     has the bytes of ``np.where(np.isfinite(psi2), clip(psi2, 0, 1e30),
-    1e30)``, and the diagonal it feeds stays finite and positive.  At
-    m = 64 every special value occurs."""
+    1e30)``, and the diagonal it feeds stays finite and positive.  The
+    values come through the ``f_prime`` of a custom congestion, whose band
+    is the generic ``(m-1) u^3 f'(u)``; at m = 64 every special value
+    occurs."""
     specials = np.array(
         [np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, 2.5, 1e29, 1e31, 1e300, 5e-324, -5e-324]
     )
@@ -371,12 +427,14 @@ def test_curvature_clamps_psi2_with_the_bytes_of_np_where():
     for m in (2, 3, 17, 64):
         base = _uniform_scenario(n=8, m=m)
         values = rng.permutation(np.resize(specials, m - 1))
-        congestion = replace(base.model.congestion, f_prime=lambda s: values)
+        entropy = base.model.congestion
+        congestion = CongestionSpec.custom(f=entropy.f, F=entropy.F, f_inv=entropy.f_inv,
+                                           f_prime=lambda s: values)
         problem = _QuantileProblem(replace(base, model=replace(base.model, congestion=congestion)))
         G = np.sort(rng.uniform(0.0, 1.0, m))
         p = problem.point(G)
         with np.errstate(over="ignore", invalid="ignore"):
-            psi2 = (m - 1) * p.u**3 * values
+            psi2 = p.u * p.u * p.u * values * (m - 1)
             expected = np.where(
                 np.isfinite(psi2), np.minimum(_CURV_MAX, np.maximum(0.0, psi2)), _CURV_MAX
             )
@@ -444,6 +502,29 @@ def test_minimize_two_starts_agree():
     assert np.max(np.abs(a.nu.values - b.nu.values)) < 1e-4
 
 
+def test_a_quadratic_kernel_solve_shifted_by_1000_is_the_shifted_solve():
+    """The quadratic kernel's energy and gradient expand about the samples'
+    mean, so a scenario moved by +1000 (interval and source) converges, and
+    its quantile is the unmoved one + 1000 to 1e-8 of the interval length.
+    Uncentred, ``m sum G^2 - (sum G)^2`` cancelled there: this scenario
+    stalled, as did 23 of the 94 corpus scenarios without a product
+    kernel."""
+    results = []
+    for shift in (0.0, 1000.0):
+        lo, hi = -0.43489950038130587 + shift, 1.6280463408720376 + shift
+        grid = Grid(Interval(lo, hi), 64)
+        model = EnergyModel(grid=grid, congestion=CongestionSpec.entropy(),
+                            kernel=InteractionKernel.quadratic_distance(1.6976082947371727))
+        scenario = Scenario(mu=gaussian_truncated_density(grid, 0.44876512093406207 + shift,
+                                                          0.31663841228608774),
+                            cost=CostSpec.power(3.5255470903369144), model=model, m=64)
+        results.append(minimize_quantile(scenario, SolverParams(grad_tol=1e-8)))
+    base, moved = results
+    assert base.converged and moved.metadata["stop_reason"] == "grad_tol"
+    length = hi - lo
+    assert np.max(np.abs(moved.G.values - (base.G.values + 1000.0))) <= 1e-8 * length
+
+
 def test_minimize_certificate_fields():
     """The result carries a coherent certificate: residuals, M, and metadata."""
     scenario = _congested_scenario(n=128, m=1024)
@@ -459,17 +540,42 @@ def test_minimize_certificate_fields():
     assert result.nu.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_a_solve_below_the_round_off_floor_stops_as_converged():
+    """With a ``grad_tol`` no arithmetic reaches, a solve ends at J's
+    round-off floor: the full Newton step whose decrease is lost in J's
+    rounding is rejected, and the solve stops as converged with stop reason
+    ``round_off_floor``, not stalled, at the J of a solve that met its
+    ``grad_tol``.  Without the floor stop it stalled.  The floor's ``c`` is
+    ``2 (k + 12)`` with ``k = 25 + ceil(log2(m/128))``."""
+    from cnot.solver import _round_off_floor
+
+    eps = np.finfo(float).eps
+    assert _round_off_floor(64) == _round_off_floor(128) == 74 * eps
+    assert _round_off_floor(32768) == 90 * eps
+    for mode in ("free", "fixed_endpoints"):
+        scenario = replace(_congested_scenario(n=32, m=128), support_mode=mode)
+        reference = minimize_quantile(scenario, SolverParams(grad_tol=1e-9))
+        floor = minimize_quantile(scenario, SolverParams(grad_tol=1e-300))
+        assert reference.metadata["stop_reason"] == "grad_tol"
+        assert floor.converged and floor.metadata["stop_reason"] == "round_off_floor"
+        assert floor.metadata["stalled"] is False
+        assert floor.J_value == pytest.approx(reference.J_value, rel=1e-13)
+        assert floor.iterations < 100
+
+
 def test_metadata_holds_only_what_the_solve_decided():
-    """``metadata`` carries the stop-test norm, the stall flag and the coarse
-    levels of the start (none at this m) and nothing that copies the
-    scenario or the caller's parameters, in free, pinned and proximal solves
-    alike."""
+    """``metadata`` carries the stop-test norm, the stop reason, the stall
+    flag derived from it and the coarse levels of the start (none at this
+    m) and nothing that copies the scenario or the caller's parameters, in
+    free, pinned and proximal solves alike."""
     scenario = _congested_scenario(n=32, m=128)
     pinned = replace(scenario, support_mode="fixed_endpoints")
     anchor = np.array(density_to_quantile(scenario.mu, scenario.m).values)
     for result in (minimize_quantile(scenario), minimize_quantile(pinned),
                    _proximal(scenario, anchor, 0.1)):
-        assert set(result.metadata) == {"projected_gradient", "stalled", "levels"}
+        assert set(result.metadata) == {"projected_gradient", "stop_reason", "stalled", "levels"}
+        assert result.metadata["stop_reason"] == "grad_tol"
+        assert result.converged and result.metadata["stalled"] is False
         assert result.metadata["levels"] == []
 
 
@@ -545,7 +651,8 @@ def test_a_failed_coarse_start_falls_back_to_the_source_start(monkeypatch):
     two = SolverParams(max_iters=2)
     unconverged = minimize_quantile(scenario, two)
     assert same_bits(unconverged, minimize_quantile(scenario, two, G0=H))
-    assert unconverged.metadata["levels"] == [{"m": 4096, "iterations": 2, "converged": False}]
+    assert unconverged.metadata["levels"] == [
+        {"m": 4096, "iterations": 2, "converged": False, "stop_reason": "max_iters"}]
 
     params = _figure1_bundle(8192).params
     monkeypatch.setattr(cnot.solver, "_coarse_start",
@@ -573,7 +680,8 @@ def test_a_failed_coarse_level_stops_the_cascade(monkeypatch):
 
     five = SolverParams(max_iters=5)
     cold = minimize_quantile(scenario, five)
-    assert cold.metadata["levels"] == [{"m": 4096, "iterations": 5, "converged": False}]
+    assert cold.metadata["levels"] == [
+        {"m": 4096, "iterations": 5, "converged": False, "stop_reason": "max_iters"}]
     assert same_bits(cold, minimize_quantile(scenario, five, G0=H))
 
     value = _QuantileProblem.value
@@ -671,14 +779,16 @@ def test_minimize_fixed_endpoints_pins_support():
 
 def test_newton_direction_falls_back_when_banded_solve_fails():
     """A tridiagonal model that is not positive definite makes the banded
-    Cholesky raise; the direction is then the diagonally scaled gradient."""
+    Cholesky raise; the direction is then the diagonally scaled gradient,
+    which is no Newton step: its decrement reads inf."""
     scenario = _uniform_scenario(n=8, m=3)
     G = np.array([0.25, 0.5, 0.75])
     grad = np.array([1.0, -1.0, 0.5])
     diag = np.array([1.0, 2.0, 4.0])
     sub = np.array([-3.0, -3.0])
-    d = _newton_direction(G, grad, diag, sub, scenario)
+    d, decrement = _newton_direction(G, grad, diag, sub, scenario)
     assert np.array_equal(d, grad / diag)
+    assert decrement == math.inf
 
 
 def test_newton_direction_keeps_pinned_endpoints_still():
@@ -690,17 +800,19 @@ def test_newton_direction_keeps_pinned_endpoints_still():
     diag = np.array([1.0, 2.0, 4.0, 1e-5])
     pinned = _uniform_scenario(n=8, m=4, support_mode="fixed_endpoints")
     for sub in (np.array([-0.1, -0.1, -0.1]), np.array([-3.0, -3.0, -3.0])):
-        d = _newton_direction(G, grad, diag, sub, pinned)
+        d, _ = _newton_direction(G, grad, diag, sub, pinned)
         assert d[0] == 0.0 and d[-1] == 0.0
         assert np.dot(d, grad) > 0.0
-    d = _newton_direction(G, grad, diag, sub, _uniform_scenario(n=8, m=4))
+    d, _ = _newton_direction(G, grad, diag, sub, _uniform_scenario(n=8, m=4))
     assert d[-1] == grad[-1] / diag[-1]
 
 
 def _banded_newton_direction(G, grad, diag, sub, scenario):
     """``_newton_direction`` computed through ``scipy.linalg.solveh_banded``
     with its default finiteness checks, on a freshly built ``(2, m)`` lower
-    band and a copied subdiagonal."""
+    band and a copied subdiagonal: the direction and the decrement
+    ``sum d_j grad_j`` over the coordinates off the box (inf for the
+    fallback)."""
     iv = scenario.interval
     active = ((G <= iv.lo + 1e-12) & (grad > 0.0)) | ((G >= iv.hi - 1e-12) & (grad < 0.0))
     pinned = scenario.support_mode == "fixed_endpoints"
@@ -717,17 +829,20 @@ def _banded_newton_direction(G, grad, diag, sub, scenario):
     try:
         d = solveh_banded(ab, grad, lower=True)
     except np.linalg.LinAlgError:
-        return fallback
+        return fallback, math.inf
+    free = ~active
+    decrement = float(np.dot(d[free], grad[free]))
     if active.any():
         d[active] = fallback[active]
     if not np.all(np.isfinite(d)) or float(np.dot(d, grad)) <= 0.0:
-        return fallback
-    return d
+        return fallback, math.inf
+    return d, decrement
 
 
 def test_newton_direction_matches_banded_solve():
-    """The direct LAPACK ``dptsv`` call gives bit for bit the direction of
-    the checked ``scipy.linalg.solveh_banded`` reference on random
+    """The direct LAPACK ``dptsv`` call gives bit for bit the direction and
+    the free-set decrement of the checked ``scipy.linalg.solveh_banded``
+    reference on random
     positive-definite tridiagonals (free, pinned, and with a box-active
     end), and on indefinite ones (free and pinned), where both take the
     diagonally scaled fallback."""
@@ -752,9 +867,11 @@ def test_newton_direction_matches_banded_solve():
         elif case == "box_active":
             G[-1], grad[-1] = 1.0, -abs(grad[-1])
         sub_before = sub.copy()
-        d = _newton_direction(G, grad, diag, sub, scenario)
+        d, decrement = _newton_direction(G, grad, diag, sub, scenario)
         assert np.array_equal(sub, sub_before)
-        assert np.array_equal(d, _banded_newton_direction(G, grad, diag, sub, scenario))
+        ref_d, ref_decrement = _banded_newton_direction(G, grad, diag, sub, scenario)
+        assert np.array_equal(d, ref_d)
+        assert decrement == pytest.approx(ref_decrement, rel=1e-12)
         fallback = grad / diag
         if scenario is pinned:
             fallback[[0, -1]] = 0.0

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnot import (
     CostSpec,
@@ -24,7 +26,7 @@ from cnot import (
     wasserstein_cost_1d,
 )
 from cnot.cli import _load_bundle
-from cnot.transport import _staircase
+from cnot.transport import _fd_derivative, _staircase
 from cnot.verify import _PURITY_ATOMS, _coarsen_atoms
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +67,33 @@ def test_cost_conventions():
     for p in (1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite p > 1"):
             CostSpec.power(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1.05, 4.0),
+       t=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=8),
+       signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=8, max_size=8))
+def test_cost_second_derivative_matches_the_difference_of_c_prime(p, t, signs):
+    """``C_second`` of the quadratic and power costs is the closed form
+    ``C''`` (1 and ``(p-1)|t|^(p-2)``): away from 0 it matches the central
+    difference of ``C_prime`` to 1e-6 relative.  A ``convex_difference``
+    cost has none."""
+    t = np.array(t) * np.array(signs[: len(t)])
+    for cost in (CostSpec.quadratic(), CostSpec.power(p)):
+        want = _fd_derivative(cost.C_prime)(t)
+        assert np.allclose(cost.C_second(t), want, rtol=1e-6, atol=0.0)
+    assert CostSpec.convex_difference(lambda t: np.abs(t) ** 3).C_second is None
+
+
+def test_power_cost_second_derivative_is_finite_at_zero():
+    """For p < 2, ``C''`` is infinite at t = 0, where a cold solve starts
+    (G = H); ``C_second`` floors ``|t|`` at the difference step 1e-6 there,
+    so the curvature model stays finite, and is exact from 1e-6 on."""
+    for p in (1.2, 1.5, 3.0):
+        second = CostSpec.power(p).C_second(np.array([0.0, -0.0, 1e-9, 1e-6, -0.5]))
+        assert np.all(np.isfinite(second)) and np.all(second > 0.0)
+        assert second[0] == second[1] == second[2] == second[3] == (p - 1.0) * 1e-6 ** (p - 2.0)
+        assert second[4] == pytest.approx((p - 1.0) * 0.5 ** (p - 2.0), rel=1e-15)
 
 
 def test_strict_convexity_probe():

@@ -4,8 +4,9 @@ Solves the 150 corpus scenarios (``perfbench/workloads.corpus_raw``), the
 four ladder rungs of the figure-1 physics (n = 1024 to 8192, m = 4n) and the
 four shipped scenarios, each with its own solver parameters.  One line per
 solve: its name, a sha256 prefix over the bytes of ``G`` and ``nu``,
-``repr(J)``, the iteration count, ``converged``, ``stalled`` and the final
-projected-gradient norm (or the error a solve raised).  The last line digests all of them.
+``repr(J)``, the iteration count, ``converged``, ``stalled``, the stop
+reason and the final projected-gradient norm (or the error a solve raised).
+The last line digests all of them.
 
     python3 tools/solve_digest.py            # from the checkout to check
 
@@ -50,7 +51,8 @@ def digest_line(name: str, doc: dict, base_dir: Path) -> str:
     return (
         f"{name} {data.hexdigest()[:16]} J={result.J_value!r} "
         f"iterations={result.iterations} converged={result.converged} "
-        f"stalled={result.metadata['stalled']} pg={result.metadata['projected_gradient']!r}"
+        f"stalled={result.metadata['stalled']} stop={result.metadata['stop_reason']} "
+        f"pg={result.metadata['projected_gradient']!r}"
     )
 
 
