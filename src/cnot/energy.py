@@ -383,6 +383,49 @@ def _dense_rows(fn: Callable, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _family(terms: tuple, split: bool = False, centred: bool = True) -> tuple:
+    """``(levels, cross, split, centred, terms)``: ``levels[o]`` are the Horner
+    levels of ``d^o/dy^o phi / kappa`` in ``ybar``, top first, each the
+    ``(b, c a!/(a-o)!)`` of its one term; ``cross = sum c a b`` is the self
+    pair's ``d^2 phi/dy dz (y, y) / kappa`` (each table has ``a + b = 2``, or 0)."""
+    (total,) = {a + b for a, b, _ in terms}  # homogeneous
+    top, coeff = max(a for a, _, _ in terms), {a: c for a, _, c in terms}
+    levels = tuple(tuple((total - a, coeff[a] * math.perm(a, o)) if a in coeff else (0, 0.0)
+                         for a in range(max(top, o), o - 1, -1)) for o in range(3))
+    return levels, sum(a * b * c for a, b, c in terms), split, centred, terms
+
+
+# phi / kappa = sum c ybar^a zbar^b over the terms (a, b, c), times sign(y - z)
+# where split at z = y.  ybar = y - y[m // 2]: the middle point, a median of
+# equally weighted points, lies within one standard deviation of their mean,
+# so it keeps the moments small at no cost.  The product's moments do not
+# cancel, so it is not centred.
+_FAMILIES = {
+    "quadratic_distance": _family(((2, 0, 1.0), (1, 1, -2.0), (0, 2, 1.0))),
+    "cubic_distance": _family(((3, 0, 1.0), (2, 1, -3.0), (1, 2, 3.0), (0, 3, -1.0)), split=True),
+    "product": _family(((1, 1, 1.0),), centred=False),
+}
+
+
+def _split_horner(levels: tuple, moments: tuple, alpha: float, beta: float) -> np.ndarray:
+    """``sum_i ybar^i c_i (alpha P_b + beta T_b)`` over a split family's
+    ``levels`` by Horner's rule in one buffer and a scratch one; the top level
+    is ``b = 0``, and one weight's ``P_0 = j + 1`` is built here."""
+    _, _, totals, ybar, prefix = moments
+    first, out, tmp = len(totals) - len(prefix), None, None
+    for b, c in levels:
+        if out is None:
+            out = np.arange(1.0, ybar.size + 1) if b < first else prefix[b - first].copy()
+            out *= alpha * c
+        else:
+            out *= ybar
+            tmp = np.multiply(prefix[b - first], alpha * c, out=tmp)
+            out += tmp
+        if beta:
+            out += beta * c * totals[b]
+    return out
+
+
 @dataclass(frozen=True)
 class InteractionKernel:
     """Symmetric pairwise interaction ``phi(y, z)``.
@@ -394,10 +437,13 @@ class InteractionKernel:
     convexity fails on segments of the interval's square.  The probes are a
     fixed low-discrepancy sample of the square with its corners.
 
-    The family's closed forms live here: the grid ``field``, the quantile
-    objective's ``sample_energy``, ``sample_gradient`` and
-    ``sample_curvature`` on sorted samples (with ``sample_sums``, what the
-    three share at one point), and ``scaled``.
+    One moment engine serves the structured families, each a table
+    (``_FAMILIES``): from the ``moments`` of sorted points, ``sums`` gives
+    ``S_o[j] = sum_k w_k d^o/dy^o phi(y_j, y_k)``, ``o = 0, 1, 2``, in O(m)
+    by Horner's rule over ``T_b = sum w ybar^b`` or, split at ``z = y``, its
+    prefix sums; ``field``, ``energy``, ``gradient`` and ``curvature`` read
+    it.  Custom kernels go densely.  Powers are products: ``x**3`` calls
+    ``pow``, some forty times the cost on mixed-sign input.
     """
 
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -433,161 +479,100 @@ class InteractionKernel:
             if np.max(lhs - rhs) > 1e-9 * scale:
                 raise ValueError("interaction kernel declared convex fails the midpoint probe")
 
-    def field(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``sum_k phi(points_i, points_k) weights_k`` for every ``i``.
-
-        ``points`` must be sorted non-decreasing.  Structured kernels use
-        closed-form moment expansions, O(n); the distance kernels expand the
-        points centred on their mean, so that far from the origin the
-        moments do not cancel.  The cubic kernel splits at ``z = y`` on the
-        sorted points, through prefix sums.  Only custom kernels evaluate
-        ``phi`` densely, a block of rows at a time.
-        """
-        y = np.asarray(points, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        if self.kind == "quadratic_distance":
-            yc = y - float(y.mean())
-            m0, m1, m2 = float(w.sum()), float(yc @ w), float((yc * yc) @ w)
-            return self.kappa * (yc * yc * m0 - 2.0 * yc * m1 + m2)
-        if self.kind == "product":
-            return self.kappa * y * float(y @ w)
-        if self.kind == "cubic_distance":
-            yc = y - float(y.mean())
-            yc2 = yc * yc
-            yc3 = yc2 * yc
-            c0, c1 = np.cumsum(w), np.cumsum(w * yc)
-            c2, c3 = np.cumsum(w * yc * yc), np.cumsum(w * yc3)
-            left = yc3 * c0 - 3.0 * yc2 * c1 + 3.0 * yc * c2 - c3
-            r0, r1, r2, r3 = c0[-1] - c0, c1[-1] - c1, c2[-1] - c2, c3[-1] - c3
-            right = r3 - 3.0 * yc * r2 + 3.0 * yc2 * r1 - yc3 * r0
-            return self.kappa * (left + right)
-        return _dense_rows(self.phi, y, w)
-
-    def sample_sums(self, G: np.ndarray) -> Optional[tuple]:
-        """What ``sample_energy``, ``sample_gradient`` and ``sample_curvature``
-        share at sorted samples ``G``; the caller builds it once per point.
-
-        For the quadratic kernel: the mean of ``G`` alone, about which
-        ``|G_j - G_k|^2`` expands in the centred samples ``Gc = G - mean``
-        without the cancellation of ``m sum G^2 - (sum G)^2`` far from the
-        origin.  For the cubic kernel: the centred samples ``Gc`` with the exclusive
-        prefix sums of ``Gc``, ``Gc^2`` and ``Gc^3``, through which
-        ``|G_j - G_k|^3`` and its derivatives expand on sorted ``G``.
-        Centring first keeps the cancelling cubes small.  Cubes here and in
-        the cubic kernel's other closed forms are products: ``x**3`` goes
-        through ``pow``, which on mixed-sign input costs some forty times as
-        much.  None for every other kind.
-        """
-        if self.kind == "quadratic_distance":
-            return (float(G.mean()),)
-        if self.kind != "cubic_distance":
+    def moments(self, y: np.ndarray, w) -> Optional[tuple]:
+        """``(centre, unit, T / unit, ybar, P / unit)`` of sorted ``y`` with
+        weights ``w``, an array or one number ``unit`` (else ``unit`` = 1);
+        ``P_b[j] = sum_{k<=j} w_k ybar_k^b`` and ``ybar`` only for a split
+        family (one weight keeps no ``P_0``).  None for custom kernels."""
+        family = _FAMILIES.get(self.kind)
+        if family is None:
             return None
-        # Gc and its three prefix sums, the rows of one array
-        out = np.empty((4, G.size))
-        Gc = np.subtract(G, G.mean(), out=out[0])
-        out[1:, 0] = 0.0
-        np.cumsum(Gc[:-1], out=out[1, 1:])
-        power = Gc * Gc
-        np.cumsum(power[:-1], out=out[2, 1:])
-        power *= Gc
-        np.cumsum(power[:-1], out=out[3, 1:])
-        return tuple(out)
+        levels, _, split, centred, _ = family
+        array, top = isinstance(w, np.ndarray), len(levels[0]) - 1
+        centre = float(y[y.size // 2]) if centred else 0.0
+        ybar = y - centre if centred else y
+        power, sums = (w if array else None), []  # (w / unit) ybar^b
+        for b in range(0 if array else 1, top + 1):
+            if power is None:
+                power = ybar
+            elif b and (power is w or power is ybar and (split or not centred or b < top)):
+                power = power * ybar  # w and ybar are read again
+            elif b:
+                power *= ybar
+            sums.append(np.cumsum(power) if split else float(np.add.reduce(power)))
+        unit, lead = (1.0, []) if array else (float(w), [float(y.size)])
+        if not split:
+            return centre, unit, lead + sums, None, None
+        return centre, unit, lead + [float(s[-1]) for s in sums], ybar, sums
 
-    def sample_energy(self, G: np.ndarray, sums: Optional[tuple]) -> float:
-        """``(1/(2 m^2)) sum_jk phi(G_j, G_k)`` on sorted samples ``G``
-        (``sums``: ``sample_sums(G)``)."""
-        m = G.size
-        if self.kind == "quadratic_distance":
-            # (m sum G^2 - (sum G)^2) / m^2 = sum Gc^2 / m, in the centred
-            # samples; a pairwise sum, as every other sum of the objective
-            Gc = np.subtract(G, sums[0])
-            Gc *= Gc
-            return float(self.kappa * Gc.sum() / m)
-        if self.kind == "product":
-            s1 = G.sum()
-            return float(self.kappa * s1 * s1 / (2.0 * m * m))
-        if self.kind == "cubic_distance":
-            Gc, q1, q2, q3 = sums
-            j = np.arange(m)
-            total = np.sum(j * (Gc * Gc * Gc) - 3.0 * Gc * Gc * q1 + 3.0 * Gc * q2 - q3)
-            return float(self.kappa * total / (m * m))
-        return float(np.sum(_dense_rows(self.phi, G, np.ones(m)))) / (2.0 * m * m)
+    def sums(self, order: int, points: np.ndarray, weights) -> np.ndarray:
+        """``S_order`` at sorted ``points`` with ``weights`` (an array or one
+        number), ``order`` 0, 1 or 2 (0 or 1 for custom kernels)."""
+        y = np.asarray(points, dtype=float)
+        w = weights if np.isscalar(weights) else np.asarray(weights, dtype=float)
+        if self.kind not in _FAMILIES:
+            return _dense_rows((self.phi, self.dphi_dy)[order], y, np.broadcast_to(w, y.shape))
+        return self._expand(order, y, self.moments(y, w), 1.0)
 
-    def sample_gradient(self, G: np.ndarray, sums: Optional[tuple]) -> np.ndarray:
-        """Gradient of ``sample_energy`` in the sorted samples ``G``."""
-        m = G.size
-        if self.kind == "quadratic_distance":
-            Gc = np.subtract(G, sums[0])
-            Gc *= 2.0 * self.kappa / m  # 2 kappa (m G - sum G) / m^2
-            return Gc
-        if self.kind == "product":
-            return np.full(m, self.kappa * G.sum() / (m * m))
-        if self.kind == "cubic_distance":
-            # 3 kappa (left - right) / m^2 with left = j Gc Gc - 2 Gc q1 + q2,
-            # right = (m-1-j) Gc Gc - 2 Gc r1 + r2 and the sums to the right
-            # r1 = sum Gc - q1 - Gc, r2 = sum Gc^2 - q2 - Gc^2: the operations of
-            # that expression in its order, so its bits, in four buffers
-            Gc, q1, q2, _ = sums
-            j = np.arange(m)
-            left = np.multiply(j, Gc)
-            left *= Gc
-            t = np.multiply(2.0, Gc)
-            t *= q1
-            left -= t
-            left += q2
-            np.subtract(m - 1, j, out=j)
-            right = np.multiply(j, Gc)
-            right *= Gc
-            j = None
-            np.subtract(Gc.sum(), q1, out=t)
-            t -= Gc  # r1
-            u = np.multiply(2.0, Gc)
-            u *= t
-            right -= u
-            np.subtract(np.dot(Gc, Gc), q2, out=t)
-            t -= np.multiply(Gc, Gc, out=u)  # r2
-            right += t
-            left -= right
-            left *= 3.0 * self.kappa
-            left /= m * m
-            return left
-        return _dense_rows(self.dphi_dy, G, np.ones(m)) / (m * m)
+    def field(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``sum_k phi(points_i, points_k) weights_k`` at sorted ``points``."""
+        return self.sums(0, points, weights)
 
-    def sample_curvature(self, G: np.ndarray, sums: Optional[tuple]) -> np.ndarray:
-        """Diagonal of the Hessian of ``sample_energy`` at sorted ``G``.
+    def _expand(self, order: int, y: np.ndarray, moments: tuple, outer, shift=0.0) -> np.ndarray:
+        """``outer (S_order + shift)``; a number ``outer`` folds into the coefficients."""
+        if isinstance(outer, np.ndarray):
+            return (self._expand(order, y, moments, 1.0) + shift) * outer
+        (levels, _, split, _, _), scale = _FAMILIES[self.kind], self.kappa * outer * moments[1]
+        if split:  # c P_b for the pairs k <= j, c (T_b - P_b) for the rest: the pair
+            # k = j and ties add 0 at every order, so either side may take them
+            out = _split_horner(levels[order], moments, 2.0 * scale, -scale)
+            if shift:
+                out += outer * shift
+            return out
+        centre, totals = moments[0], moments[2]
+        p = [scale * c * totals[b] for b, c in levels[order]]  # coefficients in ybar
+        p[-1] += outer * shift
+        while len(p) > 1 and p[0] == 0.0:  # kappa = 0, or no weight: p0 cannot divide
+            del p[0]
+        if len(p) == 1:  # np.empty and fill: np.full's bits at half its cost for small m
+            out = np.empty(y.size)
+            out.fill(p[0])
+            return out
+        out = np.subtract(y, centre - p[1] / p[0])  # p0 ybar + p1 in one buffer, two passes
+        out *= p[0]
+        for pi in p[2:]:
+            out *= y - centre
+            out += pi
+        return out
 
-        Zero for ``kappa <= 0`` and for custom kernels, so that a convex
-        curvature model never loses definiteness through the interaction.
-        """
-        m = G.size
-        if self.kappa > 0.0:
-            if self.kind == "quadratic_distance":
-                return np.full(m, 2.0 * self.kappa * (m - 1) / (m * m))
-            if self.kind == "product":
-                return np.full(m, self.kappa / (m * m))
-            if self.kind == "cubic_distance":
-                # 6 kappa max((2j - m + 1) Gc - q1 + r1, 0) / m^2 with
-                # r1 = sum Gc - q1 - Gc, in its order and two buffers
-                Gc, q1, _, _ = sums
-                r1 = np.subtract(Gc.sum(), q1)
-                r1 -= Gc
-                absdist = np.arange(m, dtype=float)
-                absdist *= 2.0
-                absdist -= m
-                absdist += 1.0
-                absdist *= Gc
-                absdist -= q1
-                absdist += r1
-                np.maximum(absdist, 0.0, out=absdist)
-                absdist *= 6.0 * self.kappa
-                absdist /= m * m
-                return absdist
-        return np.zeros(m)
+    def energy(self, y: np.ndarray, w, moments: Optional[tuple]) -> float:
+        """``(1/2) sum_jk w_j w_k phi(y_j, y_k)`` from ``moments(y, w)``, with
+        no ``S_0`` array: ``(kappa/2) sum c T_a T_b``, or for a split family
+        the pairs ``k < j`` (the antisymmetric part cancels, ``phi(y, y) = 0``)."""
+        if moments is None:
+            return 0.5 * float(np.broadcast_to(w, y.shape) @ self.sums(0, y, w))
+        (levels, _, split, _, terms), unit, T = _FAMILIES[self.kind], moments[1], moments[2]
+        if not split:
+            return 0.5 * self.kappa * unit * unit * sum([c * T[a] * T[b] for a, b, c in terms])
+        left = _split_horner(levels[0], moments, 1.0, 0.0)
+        left = float(left @ w) if isinstance(w, np.ndarray) else unit * float(np.add.reduce(left))
+        return self.kappa * unit * left
+
+    def gradient(self, y: np.ndarray, w, moments: Optional[tuple]) -> np.ndarray:
+        """Gradient of ``energy`` in the sorted points ``y``: ``w S_1``."""
+        return self.sums(1, y, w) * w if moments is None else self._expand(1, y, moments, w)
+
+    def curvature(self, y: np.ndarray, w, moments: Optional[tuple]) -> np.ndarray:
+        """Hessian diagonal of ``energy``: ``w S_2`` plus ``w^2 d^2 phi/dy dz
+        (y, y)``, each point's pair with itself.  Zero for ``kappa <= 0`` and
+        custom kernels, so a convex model keeps its definiteness."""
+        if self.kappa <= 0.0 or moments is None:
+            return np.zeros(y.size)
+        return self._expand(2, y, moments, w, self.kappa * _FAMILIES[self.kind][1] * w)
 
     def scaled(self, c: float) -> "InteractionKernel":
         """The kernel ``c * phi``, in the same family when it has one."""
-        if self.kind in ("quadratic_distance", "cubic_distance", "product"):
-            # each family's constructor is named after its kind
+        if self.kind in _FAMILIES:  # each family's constructor is named after its kind
             return getattr(InteractionKernel, self.kind)(c * self.kappa)
         phi, dphi = self.phi, self.dphi_dy
         return InteractionKernel.custom(

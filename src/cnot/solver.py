@@ -179,13 +179,15 @@ def _quantile_values(G) -> np.ndarray:
 class _Point:
     """What the objective, its gradient and its curvature share at one strictly
     increasing quantile ``G``: ``u = 1/((m-1) gaps)``, ``F(u)``, the kernel's
-    ``sample_sums`` and the congestion energy ``sum_j gaps_j F(u_j)``.  Built
-    once per priced point, it holds three quantile-sized arrays (``G``, ``u``
-    and ``F(u)``) besides the sums; the gaps are dropped once the energy is
-    taken, and ``z = H - G`` is formed where the cost terms need it.  Built
-    in the solve's error state (``_projected_newton``), it sets none."""
+    ``moments`` at the one weight ``1/m`` (its curvature's self-pair term,
+    ``w^2 d^2 phi/dy dz (y, y)``, reads the weight alone) and the congestion
+    energy ``sum_j gaps_j F(u_j)``.  Built once per priced point, it holds three
+    quantile-sized arrays (``G``, ``u`` and ``F(u)``) besides the moments;
+    the gaps are dropped once the energy is taken, and ``z = H - G`` is
+    formed where the cost terms need it.  Built in the solve's error state
+    (``_projected_newton``), it sets none."""
 
-    __slots__ = ("G", "u", "F_u", "sums", "congestion")
+    __slots__ = ("G", "u", "F_u", "moments", "congestion")
 
     def __init__(self, problem: "_QuantileProblem", G: np.ndarray, gaps: np.ndarray):
         self.G = G
@@ -194,7 +196,7 @@ class _Point:
         self.F_u = np.asarray(problem.model.congestion.F(self.u), dtype=float)
         self.congestion = float((gaps * self.F_u).sum())
         kernel = problem.model.kernel
-        self.sums = kernel.sample_sums(G) if kernel is not None else None
+        self.moments = kernel.moments(G, 1.0 / problem.m) if kernel is not None else None
 
 
 class _QuantileProblem:
@@ -246,7 +248,7 @@ class _QuantileProblem:
         if self.model.potential is not None:
             val += float(self.model.potential.v(p.G).sum() / m)
         if self.model.kernel is not None:
-            val += self.model.kernel.sample_energy(p.G, p.sums)
+            val += self.model.kernel.energy(p.G, 1.0 / m, p.moments)
         if self.prox is not None:
             anchor, tau = self.prox
             val += float(((p.G - anchor) ** 2).sum() / (2.0 * tau * m))
@@ -266,7 +268,7 @@ class _QuantileProblem:
         if self.model.potential is not None:
             grad += np.asarray(self.model.potential.v_prime(p.G), dtype=float) / m
         if self.model.kernel is not None:
-            grad += self.model.kernel.sample_gradient(p.G, p.sums)
+            grad += self.model.kernel.gradient(p.G, 1.0 / m, p.moments)
         if self.prox is not None:
             anchor, tau = self.prox
             grad += (p.G - anchor) / (tau * m)
@@ -285,11 +287,13 @@ class _QuantileProblem:
         non-negative) on the diagonal: the potential's ``v_second`` (closed
         form for ``poly``) and the cost's ``C_second`` (the constant 1 for
         the quadratic cost, closed form for ``power``, else the central
-        difference of ``C_prime``).  Interaction kernels
-        keep only their diagonal part.  Entries are clipped to a positive
-        range that keeps the tridiagonal Cholesky factorization finite — the
-        line search absorbs any remaining model error.  It runs in the
-        solve's error state (``_projected_newton``), where ``psi2`` may read inf.
+        difference of ``C_prime``).  Interaction kernels keep only their
+        diagonal part, ``w S_2`` plus the self-pair term ``w^2 d^2 phi/dy dz
+        (y, y)`` (``InteractionKernel.curvature``).  Entries are clipped to a
+        positive range that keeps the tridiagonal Cholesky factorization
+        finite — the line search absorbs any remaining model error.  It runs
+        in the solve's error state (``_projected_newton``), where ``psi2`` may
+        read inf.
         """
         m, G = self.m, p.G
         if self.cost.kind == "quadratic":
@@ -302,7 +306,7 @@ class _QuantileProblem:
             v2 = np.asarray(self.model.potential.v_second(G), dtype=float)
             diag += np.maximum(v2, 0.0) / m
         if self.model.kernel is not None:
-            diag += self.model.kernel.sample_curvature(G, p.sums)
+            diag += self.model.kernel.curvature(G, 1.0 / m, p.moments)
         psi2 = self.model.congestion.gap_curvature(p.u, p.F_u)
         psi2 *= m - 1
         # in place, each bound first: the bytes of np.where(finite, np.clip(...), _CURV_MAX)

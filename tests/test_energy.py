@@ -407,73 +407,107 @@ def _sorted_samples_with_ties(lo=2.0, hi=5.0):
     return np.sort(np.concatenate([rng.uniform(lo, hi, 60), np.full(6, 0.5 * (lo + hi))]))
 
 
+# d^2/dy^2 phi(y, z) of each structured family at kappa, densely
+_SECOND_DERIVATIVES = {
+    "quadratic": lambda kappa, y, z: np.full(np.broadcast(y, z).shape, 2.0 * kappa),
+    "cubic": lambda kappa, y, z: 6.0 * kappa * np.abs(y - z),
+    "product": lambda kappa, y, z: np.zeros(np.broadcast(y, z).shape),
+}
+
+
+def _engine_cases():
+    """Sorted points with ties in [2, 5] and in [1000, 1001], where the
+    moments cancel unless the points are centred, each with unequal weights."""
+    rng = np.random.default_rng(12)
+    near = np.sort(np.concatenate([rng.uniform(2.0, 5.0, 60), np.full(6, 3.5)]))
+    far = np.sort(np.concatenate([rng.uniform(1000.0, 1001.0, 60), np.full(4, 1000.25)]))
+    return [(G, rng.uniform(0.1, 1.0, G.size)) for G in (near, far)]
+
+
+@pytest.mark.parametrize("name, order", [
+    (name, order)
+    for name in sorted(_SAMPLE_KERNELS)
+    for order in range(2 if name == "custom" else 3)  # custom kernels give no S_2
+])
+def test_kernel_sums_match_dense_derivatives(name, order):
+    """The moment engine's ``S_o[j] = sum_k w_k d^o/dy^o phi(y_j, y_k)``
+    equals the dense sum to 1e-12 scaled, for o = 0, 1, 2 (custom kernels,
+    which evaluate densely: 0 and 1), with unequal weights, ties, and points
+    far from the origin; one weight ``1/m`` agrees with ``np.full(m, 1/m)``
+    to 1e-14 scaled."""
+    kern = _SAMPLE_KERNELS[name](1.3)
+    for G, w in _engine_cases():
+        y, z = G[:, None], G[None, :]
+        if order == 0:
+            block = kern.phi(y, z)
+        elif order == 1:
+            block = kern.dphi_dy(y, z)
+        else:
+            block = _SECOND_DERIVATIVES[name](1.3, y, z)
+        dense = np.asarray(block, dtype=float) @ w
+        got = kern.sums(order, G, w)
+        assert np.max(np.abs(got - dense)) < 1e-12 * (1.0 + np.max(np.abs(dense)))
+        one = kern.sums(order, G, 1.0 / G.size)
+        full = kern.sums(order, G, np.full(G.size, 1.0 / G.size))
+        assert np.max(np.abs(one - full)) <= 1e-14 * (1.0 + np.max(np.abs(full)))
+
+
 @pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
 def test_kernel_sample_forms_match_dense_sums(name):
     """Energy and gradient on sorted samples (with ties) equal the dense
-    O(m^2) sums of phi and dphi_dy, also on samples far from the origin,
-    where the cubic and quadratic kernels' moment expansions hold only once
-    centred (uncentred, the quadratic form kept only about 9 digits there)."""
-    samples = [_sorted_samples_with_ties(), _sorted_samples_with_ties(1000.0, 1001.0)]
-    for G in samples:
+    O(m^2) sums of phi and dphi_dy, with one weight 1/m and with unequal
+    weights, also on samples far from the origin, where the cubic and
+    quadratic kernels' moment expansions hold only once centred (uncentred,
+    the quadratic form kept only about 9 digits there)."""
+    kern = _SAMPLE_KERNELS[name](1.3)
+    for G, unequal in _engine_cases():
         m = G.size
-        kern = _SAMPLE_KERNELS[name](1.3)
-        sums = kern.sample_sums(G)
-        assert (sums is None) == (name not in ("cubic", "quadratic"))
-        energy = np.sum(kern.phi(G[:, None], G[None, :])) / (2.0 * m * m)
-        assert kern.sample_energy(G, sums) == pytest.approx(energy, rel=1e-12, abs=1e-14)
-        grad = np.sum(kern.dphi_dy(G[:, None], G[None, :]), axis=1) / (m * m)
-        tol = 1e-12 * (1.0 + np.max(np.abs(grad)))
-        assert np.max(np.abs(kern.sample_gradient(G, sums) - grad)) < tol
-
-
-def test_cubic_sample_sums_have_the_bytes_of_three_prefix_sums():
-    """The cubic kernel's exclusive prefix sums of ``Gc``, ``Gc^2`` and
-    ``Gc^3``, taken as one ``(3, m)`` cumsum, equal byte for byte the three
-    1-D ``concatenate([[0.0], cumsum(p)])[:-1]`` sums, m = 2 included."""
-    rng = np.random.default_rng(11)
-    kern = InteractionKernel.cubic_distance(1.3)
-    for m in (2, 3, 17, 66, 1000):
-        for lo, hi in ((-1.0, 2.0), (1000.0, 1001.0)):
-            G = np.sort(rng.uniform(lo, hi, m))
-            Gc = G - G.mean()
-            expected = [Gc] + [
-                np.concatenate([[0.0], np.cumsum(p)])[:-1] for p in (Gc, Gc * Gc, Gc * Gc * Gc)
-            ]
-            sums = kern.sample_sums(G)
-            assert len(sums) == 4
-            for got, want in zip(sums, expected):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for w in (1.0 / m, unequal):
+            wv = np.broadcast_to(w, G.shape)
+            moments = kern.moments(G, w)
+            energy = 0.5 * wv @ np.asarray(kern.phi(G[:, None], G[None, :]), dtype=float) @ wv
+            assert kern.energy(G, w, moments) == pytest.approx(energy, rel=1e-12, abs=1e-14)
+            grad = wv * (np.asarray(kern.dphi_dy(G[:, None], G[None, :]), dtype=float) @ wv)
+            tol = 1e-12 * (1.0 + np.max(np.abs(grad)))
+            assert np.max(np.abs(kern.gradient(G, w, moments) - grad)) < tol
+        one = kern.moments(G, 1.0 / m)
+        full = np.full(m, 1.0 / m)
+        assert kern.energy(G, 1.0 / m, one) == pytest.approx(
+            kern.energy(G, full, kern.moments(G, full)), rel=1e-14, abs=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
 def test_kernel_sample_curvature_is_energy_diagonal(name):
     """For kappa > 0 the curvature is the exact Hessian diagonal of the
-    sample energy (second differences in one coordinate, kept sorted); it
-    is zero for kappa <= 0 and for custom kernels."""
+    sample energy (second differences in one coordinate, kept sorted), with
+    one weight 1/m and with unequal weights; it is zero for kappa <= 0 and
+    for custom kernels."""
     G = _sorted_samples_with_ties()
     kern = _SAMPLE_KERNELS[name](1.3)
-    curv = kern.sample_curvature(G, kern.sample_sums(G))
-    assert curv.shape == G.shape
-    if name == "custom":
-        assert np.all(curv == 0.0)
-        return
-    h = 1e-2
-    energy = kern.sample_energy(G, kern.sample_sums(G))
-    rounding = 16.0 * np.finfo(float).eps * abs(energy) / h**2
-    gaps = np.diff(G)
-    room = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 2.0 * h
-    for j in np.flatnonzero(room):
-        up, down = G.copy(), G.copy()
-        up[j] += h
-        down[j] -= h
-        up_energy = kern.sample_energy(up, kern.sample_sums(up))
-        down_energy = kern.sample_energy(down, kern.sample_sums(down))
-        second = (up_energy - 2.0 * energy + down_energy) / h**2
-        assert curv[j] == pytest.approx(second, rel=1e-6, abs=rounding)
-    assert np.count_nonzero(room) >= 10
+    unequal = np.random.default_rng(13).uniform(0.1, 1.0, G.size) / G.size
+    for w in (1.0 / G.size, unequal):
+        curv = kern.curvature(G, w, kern.moments(G, w))
+        assert curv.shape == G.shape
+        if name == "custom":
+            assert np.all(curv == 0.0)
+            continue
+        h = 1e-2
+        energy = kern.energy(G, w, kern.moments(G, w))
+        rounding = 16.0 * np.finfo(float).eps * abs(energy) / h**2
+        gaps = np.diff(G)
+        room = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 2.0 * h
+        for j in np.flatnonzero(room):
+            up, down = G.copy(), G.copy()
+            up[j] += h
+            down[j] -= h
+            up_energy = kern.energy(up, w, kern.moments(up, w))
+            down_energy = kern.energy(down, w, kern.moments(down, w))
+            second = (up_energy - 2.0 * energy + down_energy) / h**2
+            assert curv[j] == pytest.approx(second, rel=1e-6, abs=rounding)
+        assert np.count_nonzero(room) >= 10
     for kappa in (0.0, -1.0):
         kern = _SAMPLE_KERNELS[name](kappa)
-        assert np.all(kern.sample_curvature(G, kern.sample_sums(G)) == 0.0)
+        assert np.all(kern.curvature(G, 1.0 / G.size, kern.moments(G, 1.0 / G.size)) == 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))

@@ -276,7 +276,7 @@ def _curvature_differencing_v_prime(problem, p, alpha):
     ) / (2.0 * h)
     diag += np.maximum(v2, 0.0) / m
     kernel = problem.model.kernel
-    diag += kernel.sample_curvature(G, kernel.sample_sums(G))
+    diag += kernel.curvature(G, 1.0 / m, kernel.moments(G, 1.0 / m))
     diag[:-1] += psi2
     diag[1:] += psi2
     np.maximum(_CURV_MIN / m, diag, out=diag)
@@ -1082,10 +1082,9 @@ def test_figure1_solve_holds_a_bounded_number_of_quantile_arrays():
 
 def test_cubic_kernel_newton_loop_holds_a_bounded_number_of_quantile_arrays():
     """At n = 8192 (m = 32768) the Newton loop of the cubic_attraction
-    physics never holds more than 14.5 arrays of m floats at once, as traced
-    by ``tracemalloc`` (16.3 before the cubic kernel's ``sample_sums``,
-    ``sample_gradient`` and ``sample_curvature`` wrote into a few buffers in
-    place)."""
+    physics never holds more than 13.1 arrays of m floats at once, as traced
+    by ``tracemalloc`` (16.3 before the cubic kernel's forms wrote into a few
+    buffers in place, 14.3 before the moment engine's Horner forms)."""
     from cnot.cli import _bundle_from_raw
     from cnot.solver import _QuantileProblem, _projected_newton
 
@@ -1095,4 +1094,4 @@ def test_cubic_kernel_newton_loop_holds_a_bounded_number_of_quantile_arrays():
     out, peak = probe._traced(
         lambda: _projected_newton(_QuantileProblem(bundle.scenario), bundle.params))
     assert out[3]
-    assert peak / (8.0 * bundle.scenario.m) <= 14.5
+    assert peak / (8.0 * bundle.scenario.m) <= 13.1
