@@ -159,7 +159,9 @@ class DiscreteDensity:
         """Generalized inverse CDF, ``G(p) = inf { x : F(x) >= p }``.
 
         ``G(0)`` is the infimum of the support so that ``G`` is the
-        increasing limit of ``G(p)`` as ``p -> 0+``.
+        increasing limit of ``G(p)`` as ``p -> 0+``, and ``G(1)`` its
+        supremum, the end of the last cell with mass, even where the
+        normalised cumulative sum rounds to 1 in an earlier cell.
         """
         p = np.asarray(p, dtype=float)
         if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
@@ -173,9 +175,9 @@ class DiscreteDensity:
         denom = cum[i] - cum[i - 1]
         safe = np.where(denom > 0.0, denom, 1.0)
         out = edges[i - 1] + np.where(denom > 0.0, (p - cum[i - 1]) / safe, 0.0) * self.grid.delta
-        positive = self.values > 0.0
-        support_lo = edges[int(np.argmax(positive))]
-        return np.where(p == 0.0, support_lo, out)
+        first, last = np.flatnonzero(self.values > 0.0)[[0, -1]]
+        out = np.where(p == 1.0, edges[last] + self.grid.delta, out)
+        return np.where(p == 0.0, edges[first], out)
 
 
 @dataclass(frozen=True)

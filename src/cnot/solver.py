@@ -222,39 +222,37 @@ class _QuantileProblem:
         problem.prox = (anchor, float(tau))
         return problem
 
-    def point(self, G: np.ndarray) -> Optional[_Point]:
-        """The shared pieces at ``G``, or None when a gap is ``<= 0`` (there
-        the objective is ``+inf``)."""
+    def price(self, G: np.ndarray) -> tuple[Optional[_Point], float]:
+        """``(point, J)``: the shared pieces at ``G`` and the objective there,
+        or ``(None, inf)`` when a gap is ``<= 0``.  The start, every
+        line-search trial and ``value`` price a point here."""
         gaps = G[1:] - G[:-1]  # np.diff's subtraction, without its wrapper
         if (gaps <= 0.0).any():
-            return None
-        return _Point(self, G, gaps)
+            return None, math.inf
+        p = _Point(self, G, gaps)
+        gaps = None  # released before the other terms are priced
+        m = self.m
+        val = float(self.cost.C(self.H - G).sum() / m)
+        val += p.congestion
+        if self.model.potential is not None:
+            val += float(self.model.potential.v(G).sum() / m)
+        if self.model.kernel is not None:
+            val += self.model.kernel.energy(G, 1.0 / m, p.moments)
+        if self.prox is not None:
+            anchor, tau = self.prox
+            val += float(((G - anchor) ** 2).sum() / (2.0 * tau * m))
+        if math.isnan(val):
+            raise ValueError("objective produced NaN")
+        return p, val
 
     @np.errstate(over="ignore", divide="ignore")
     def value(self, G: np.ndarray) -> float:
         """Objective at a non-decreasing ``G`` (+inf at a zero gap), in the
         solve's error state (``_projected_newton``)."""
-        p = self.point(G)
-        if p is None:
-            if np.any(np.diff(G) < 0.0):
-                raise ValueError("quantile values must be non-decreasing")
-            return float("inf")
-        return self.value_at(p)
-
-    def value_at(self, p: _Point) -> float:
-        m = self.m
-        val = float(self.cost.C(self.H - p.G).sum() / m)
-        val += p.congestion
-        if self.model.potential is not None:
-            val += float(self.model.potential.v(p.G).sum() / m)
-        if self.model.kernel is not None:
-            val += self.model.kernel.energy(p.G, 1.0 / m, p.moments)
-        if self.prox is not None:
-            anchor, tau = self.prox
-            val += float(((p.G - anchor) ** 2).sum() / (2.0 * tau * m))
-        if math.isnan(val):
-            raise ValueError("objective produced NaN")
-        return val
+        p, J = self.price(G)
+        if p is None and np.any(np.diff(G) < 0.0):
+            raise ValueError("quantile values must be non-decreasing")
+        return J
 
     def gradient(self, p: _Point) -> np.ndarray:
         """Exact gradient of the objective at ``p``, in the solve's error
@@ -453,18 +451,18 @@ def _newton_direction(
     with the free-set Newton decrement ``lambda^2 = sum_free d_j grad_j``.
 
     Coordinates pressed against the box (the ``active`` mask) are frozen out
-    of the system and given diagonally scaled components instead; the rest
-    are the free set, where ``d`` solves the model restricted to it, so
+    of the system, their couplings zeroed in ``sub`` (which ``dptsv``
+    overwrites anyway), and take diagonally scaled components; the rest are
+    the free set, where ``d`` solves the model restricted to it, so
     ``lambda^2`` is ``grad^T H^-1 grad`` there (Bertsekas 1982; Boyd &
     Vandenberghe section 9.5) and the frozen components do not enter it.
     In ``fixed_endpoints`` mode the two ends are constants, not unknowns:
     their components are 0, so they enter neither the descent test nor the
     fallback.  The system is solved by ``solveh_banded``, a direct LAPACK
     ``dptsv`` call (tridiagonal Cholesky) without finiteness passes:
-    ``grad`` is checked finite by the caller.  The frozen coordinates take
-    the components of the diagonally preconditioned gradient.  If the model
-    is not positive definite or the result is not a descent direction, the
-    whole direction falls back to that gradient, built only then; the
+    ``grad`` is checked finite by the caller.  If the model is not positive
+    definite or the result is not a descent direction, the whole direction
+    falls back to the diagonally scaled gradient, built only then; the
     fallback is no Newton step, and its decrement is reported as ``inf``.
     """
     lo, hi = scenario.interval.lo + _EDGE_TOL, scenario.interval.hi - _EDGE_TOL
@@ -472,29 +470,21 @@ def _newton_direction(
     pinned = scenario.support_mode == "fixed_endpoints"
     if pinned:
         active[0] = active[-1] = True
-
-    def fallback() -> np.ndarray:
-        scaled = grad / diag
-        if pinned:
-            scaled[0] = scaled[-1] = 0.0
-        return scaled
-
-    d = solveh_banded(diag, np.where(active[:-1] | active[1:], 0.0, sub), grad)
-    if d is None:  # a leading minor is not positive definite
-        return fallback(), math.inf
-    frozen = np.flatnonzero(active)
-    if frozen.size:
+    sub[active[:-1] | active[1:]] = 0.0  # the frozen coordinates' couplings
+    d = solveh_banded(diag, sub, grad)
+    if d is not None:  # else a leading minor is not positive definite
+        frozen = np.flatnonzero(active)
         d[frozen] = 0.0
         decrement = float(np.dot(d, grad))  # over the free set
         d[frozen] = grad[frozen] / diag[frozen]  # the fallback's components
         if pinned:
             d[0] = d[-1] = 0.0
-        slope = float(np.dot(d, grad))
-    else:
-        decrement = slope = float(np.dot(d, grad))
-    if not np.isfinite(d).all() or slope <= 0.0:
-        return fallback(), math.inf
-    return d, decrement
+        if np.isfinite(d).all() and float(np.dot(d, grad)) > 0.0:
+            return d, decrement
+    d = grad / diag
+    if pinned:
+        d[0] = d[-1] = 0.0
+    return d, math.inf
 
 
 def minimize_quantile(
@@ -616,8 +606,7 @@ def _projected_newton(problem: _QuantileProblem, params: SolverParams, G0=None) 
 
     def priced(G: np.ndarray) -> tuple:
         """The box map of ``G``, in place, and its ``(point, J)``."""
-        point = problem.point(_trial_point(G, iv, mode))
-        return point, (problem.value_at(point) if point is not None else math.inf)
+        return problem.price(_trial_point(G, iv, mode))
 
     G, levels = _coarse_start(problem, params) if G0 is None else (None, [])
     point, J = priced(G) if G is not None else (None, math.inf)
@@ -655,14 +644,13 @@ def _projected_newton(problem: _QuantileProblem, params: SolverParams, G0=None) 
         for _ in range(1 if at_floor else _MAX_BACKTRACKS):
             trial = np.multiply(d, -step)
             trial += G  # G - step * d: the same bits, in one buffer
-            cand_point = problem.point(_trial_point(trial, iv, mode))
+            cand_point, J_cand = priced(trial)
             trial = None
             if cand_point is not None:
                 direction = cand_point.G - G
                 decrease = float(np.dot(grad, direction))
                 moved = float(np.abs(direction, out=direction).max())
                 direction = None
-                J_cand = problem.value_at(cand_point)
                 if decrease <= 0.0 and J_cand <= J + _SIGMA * decrease:
                     accepted = True
                     break

@@ -180,7 +180,7 @@ def test_03_gradient_matches_finite_differences_across_families():
             raw = np.concatenate([[0.0], np.cumsum(gaps)])
             raw = iv.lo + pad + raw / raw[-1] * (iv.length - 2.0 * pad)
             h = 1e-6 * float(np.diff(raw).min())
-            grad = problem.gradient(problem.point(raw))
+            grad = problem.gradient(problem.price(raw)[0])
             fd = np.empty_like(grad)
             for k in range(scenario.m):
                 e = np.zeros(scenario.m)

@@ -136,6 +136,32 @@ def test_quantile_endpoint_conventions():
         d.quantile(np.array([1.5]))
 
 
+def test_quantile_ends_at_the_support_on_a_light_upper_tail():
+    """N(0, 0.5^2) truncated to [-8, 8] has mass in every cell, but its
+    normalised cumulative sum rounds to 1 near 4.1: the quantile still runs
+    from the infimum to the supremum of the support, symmetrically (the upper
+    end read 4.125 when p = 1 went to the first cell where the sum reached 1)."""
+    grid = Grid(Interval(-8.0, 8.0), 256)
+    H = density_to_quantile(gaussian_truncated_density(grid, 0.0, 0.5), 1024).values
+    assert H[0] == -8.0
+    assert H[-1] == 8.0 == -H[0]
+
+
+def test_quantile_at_one_keeps_its_bits_where_the_sum_does_not_saturate():
+    """Where the upper cells are empty and the cumulative sum first reaches 1
+    in the last cell with mass ``k``, ``quantile(1.0)`` is the interpolation
+    ``edges[k] + 1.0 * delta`` it always was, bit for bit."""
+    grid = Grid(Interval(-1.0, 2.0), 12)
+    values = np.r_[np.linspace(0.3, 1.7, 9), np.zeros(3)]
+    d = density_from_values(grid, values)
+    cum = np.concatenate([[0.0], np.cumsum(d.masses)])
+    cum = cum / cum[-1]
+    k = 8
+    assert cum[k] < 1.0 == cum[k + 1]
+    interpolated = grid.edges[k] + (1.0 - cum[k]) / (cum[k + 1] - cum[k]) * grid.delta
+    assert d.quantile(1.0) == interpolated == grid.edges[k] + grid.delta
+
+
 def test_uniform_quantile_is_identity():
     """Uniform density on [0,1] has quantile values j/(m-1) exactly."""
     grid = Grid(Interval(0.0, 1.0), 16)

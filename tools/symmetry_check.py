@@ -2,8 +2,12 @@
 
 Solves each of the 150 corpus scenarios (``perfbench/workloads.corpus_raw``)
 and its reflection ``y -> -y``: the interval ``[lo, hi]`` becomes
-``[-hi, -lo]`` and the source's mean is negated.  The corpus costs are even
-and its kernels (``|y - z|^2``, ``|y - z|^3``, ``y z``) reflection
+``[-hi, -lo]`` and the source's mean is negated.  Next to the corpus it
+solves one wide-interval game, ``WIDE``: a quadratic cost and entropy with
+the source N(0, 0.5^2) on [-6, 6], whose upper tail is lighter than the
+source's cumulative sum resolves, so its quantile's two ends are rounded
+differently unless both read the support's ends.  The costs are even
+and the kernels (``|y - z|^2``, ``|y - z|^3``, ``y z``) reflection
 invariant, so the reflected equilibrium is the mirrored one,
 ``G'(p) = -G(1 - p)``, at the same objective value.  Scenarios without a
 product kernel (which is not translation invariant) are also solved shifted
@@ -36,6 +40,13 @@ from workloads import corpus_raw  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
 G_TOL = 1e-8  # in units of the interval length L
+WIDE = {
+    "interval": {"lo": -6.0, "hi": 6.0}, "grid_n": 256, "quantile_m": 1024,
+    "mu": {"kind": "gaussian_truncated", "mean": 0.0, "sigma": 0.5},
+    "cost": {"kind": "quadratic"}, "congestion": {"kind": "entropy", "convention": "shifted"},
+    "kernel": {"kind": "none"}, "potential": {"kind": "none"}, "support_mode": "free",
+    "solver": {"grad_tol": 1e-8},
+}
 
 
 def solve(doc: dict):
@@ -88,6 +99,7 @@ def check(name: str, pairs: list) -> bool:
 
 def main() -> int:
     docs = {f"c{i:03d}": doc for i, doc in enumerate(corpus_raw())}
+    docs["wide"] = WIDE
     base = {key: solve(doc) for key, doc in docs.items()}
 
     def length(doc: dict) -> float:
