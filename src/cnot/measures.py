@@ -12,11 +12,12 @@ Conventions used throughout the package:
   (``support_mode="fixed_endpoints"``) are representable exactly.
 * ``density_to_quantile`` and ``quantile_to_density`` are inverse to each
   other up to O(1/m) in L1, exactly for piecewise-linear quantiles.
-* ``quantile_to_density`` and ``pushforward`` share one binning routine that
-  splits uniform segments over cells by overlap length in O(n + m) time and
-  memory.  A degenerate segment is an atom in the cell of its midpoint
-  (``Grid.cell_index``): on an interior edge it goes to the cell on the
-  right, at ``hi`` to the last cell.  Cells no segment reaches are exactly 0.
+* ``quantile_to_density`` and ``pushforward`` share one binning routine,
+  ``_bin_cdf``: both measures are monotone images, whose CDF is piecewise
+  linear between non-decreasing knots, and a cell's mass is read off that
+  CDF at its two edges.  An equal pair of knots is an atom: on an interior
+  edge it goes to the cell on the right, at ``hi`` to the last cell.  Cells
+  no segment reaches are exactly 0.  A map that decreases is refused.
 """
 from __future__ import annotations
 
@@ -102,12 +103,6 @@ class Grid:
     @property
     def edges(self) -> np.ndarray:
         return self.interval.lo + self.delta * np.arange(self.n + 1)
-
-    def cell_index(self, x: np.ndarray) -> np.ndarray:
-        """Index of the cell containing each point (points at hi go to the last cell)."""
-        x = np.asarray(x, dtype=float)
-        i = np.floor((x - self.interval.lo) / self.delta).astype(int)
-        return np.clip(i, 0, self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -286,112 +281,65 @@ def _median(values: np.ndarray) -> float:
     return float(0.0 + part[h] if odd else (0.0 + part[h - 1] + part[h]) / 2)
 
 
-def _bin_segments(
-    left: np.ndarray, right: np.ndarray, mass: np.ndarray, grid: Grid
-) -> np.ndarray:
-    """Cell masses of a measure made of uniform segments (atoms if degenerate).
+def _bin_cdf(knots: np.ndarray, P: np.ndarray, grid: Grid) -> np.ndarray:
+    """Cell masses of the measure whose CDF runs linearly from
+    ``(knots[j], P[j])`` to ``(knots[j+1], P[j+1])``.
 
-    Segment ``k`` spreads ``mass[k]`` uniformly over ``[left[k], right[k]]``
-    and is split across cells proportionally to overlap length, so the
-    binning is mass-exact.  A segment of width ``<= 1e-15 max(1, L)`` is an
-    atom and goes whole to ``grid.cell_index`` of its midpoint: an atom on an
-    interior edge goes to the cell on its right, an atom at ``hi`` to the
-    last cell.  Segments may overlap (non-monotone maps) and must lie inside
-    the grid interval (callers validate and clip).
-
-    Runs in O(n + k) time and memory for ``k`` segments on ``n`` cells: the
-    first and last (partial) cells of each segment are accumulated directly,
-    and its run of full cells goes into a difference array of densities
-    integrated by one ``cumsum``.  No mass is negative, and a cell that no
-    segment touches is exactly 0.  Runs of monotone knots never overlap, so
-    that sum is exact; where runs of a non-monotone map overlap it carries
-    the rounding of the heaviest overlapping density.
-
-    Besides its inputs it holds at most about six arrays of ``k`` entries at
-    once: the index and weight arrays that ``bincount`` reads (two entries a
-    segment, written in place in ``np.concatenate``'s order, so that the sums
-    keep their order), the widths and one temporary; with atoms, three more
-    for the copies of the other segments.
+    ``knots`` are non-decreasing and inside the grid interval; ``P`` is
+    non-decreasing, on any scale (the cells sum to ``P[-1] - P[0]``).  An
+    equal pair of knots is an atom of mass ``P[j+1] - P[j]``: on an interior
+    edge it goes to the cell on the right, at ``hi`` to the last cell.  Each
+    edge is placed once, by ``searchsorted``, in the segment ``s`` that holds
+    it, at the fraction ``f`` of that segment left of it.  A cell whose edges
+    fall in one segment takes ``w_s (f1 - f0)``; any other takes the head of
+    its first segment, the whole segments between and the tail of its last,
+    so no mass is negative and a cell no segment reaches is exactly 0.
+    O(n log m) time, O(n) memory besides the inputs.
     """
-    n, edges = grid.n, grid.edges
-    atom = right - left <= 1e-15 * max(1.0, grid.interval.length)
-    if atom.any():
-        l, r, w = left[~atom], right[~atom], mass[~atom]
-    else:
-        l, r, w = left, right, mass
-    na, k = int(atom.sum()), l.size
-    # bincount's input in np.concatenate's order: atoms, first cells, last cells
-    index = np.empty(na + 2 * k, dtype=np.intp)
-    index[:na] = grid.cell_index(0.5 * (left[atom] + right[atom]))
-    a, b = index[na : na + k], index[na + k :]
-    # first cell: e_a <= l < e_{a+1}; last cell: e_b < r <= e_{b+1}.  The
-    # floor estimate is off by at most one; comparing with the edges settles it
-    a[:] = grid.cell_index(l)
-    a += (l >= edges[a + 1]).astype(int) - (l < edges[a])
-    b[:] = grid.cell_index(r)
-    b += (r > edges[b + 1]).astype(int) - (r <= edges[b])
-    np.clip(a, 0, n - 1, out=a)
-    np.clip(b, 0, n - 1, out=b)
-    width = r - l
-    del r
-    weight = np.empty(na + 2 * k)
-    weight[:na] = mass[atom]
-    head, tail = weight[na : na + k], weight[na + k :]
-    split = a < b
-    # partial cells: the whole segment if it fits in one cell, else its two
-    # ends; edges gathered straight into place (indices are in range)
-    np.take(edges[1:], a, out=head, mode="clip")
-    head -= l
-    head /= width
-    head *= w
-    np.copyto(head, w, where=~split)
-    np.take(edges, b, out=tail, mode="clip")
-    tail -= l
-    del l
-    tail /= width
-    np.subtract(1.0, tail, out=tail)
-    tail *= w
-    tail[~split] = 0.0
-    del split
-    out = np.bincount(index, weight, minlength=n)
-    del weight, head, tail
-    run = b - a > 1
-    density = w[run] / width[run]
-    del w, width
-    a, b = a[run], b[run]
-    a += 1
-    del index, run
-    # full cells a..b-1 carry density * delta; cells no run covers stay 0
-    covered = np.cumsum(np.bincount(a, minlength=n + 1) - np.bincount(b, minlength=n + 1))
-    full = np.cumsum(np.bincount(a, density, n + 1) - np.bincount(b, density, n + 1))
-    out += np.where(covered[:n] > 0, np.maximum(full[:n], 0.0) * grid.delta, 0.0)
-    return out
+    edges, k = grid.edges, knots.size - 1
+    j = np.searchsorted(knots, edges)  # first knot at or right of each edge
+    j[-1] = k + 1  # hi reads the whole mass: atoms at hi go to the last cell
+    s = np.clip(j - 1, 0, k - 1)
+    # before the first knot f = 0, past the last f = 1; in between the
+    # segment holding an edge has positive width
+    f = (j > k).astype(float)
+    inner = (j > 0) & (j <= k)
+    si = s[inner]
+    f[inner] = (edges[inner] - knots[si]) / (knots[si + 1] - knots[si])
+    w = P[s + 1] - P[s]  # mass of the segment holding each edge
+    s0, s1, f0, f1, w0, w1 = s[:-1], s[1:], f[:-1], f[1:], w[:-1], w[1:]
+    split = P[s1] - P[s0 + 1] + w0 * (1.0 - f0) + w1 * f1
+    return np.where(s0 == s1, w0 * (f1 - f0), split)
 
 
 def quantile_to_density(G: QuantileFn, grid: Grid) -> DiscreteDensity:
-    """Push the uniform law through ``G``: bin the ``m-1`` inter-node segments
-    (mass ``1/(m-1)`` each) onto grid cells, split proportionally by overlap.
+    """Push the uniform law through ``G``: the CDF runs linearly from
+    ``(G.values[j], j/(m-1))`` to the next knot, binned by ``_bin_cdf`` (a
+    run of equal knots is an atom).
 
-    O(n + m) time and memory; see ``_bin_segments`` for the atom and edge
-    conventions (a run of equal knots is an atom)."""
+    The knots are clipped to the interval and made non-decreasing, so a
+    decrease ``QuantileFn`` tolerates (up to 1e-12) bins as an atom.  The CDF
+    counts segments, ``j`` for ``j/(m-1)``, so no cell loses digits to a
+    difference of probabilities near 1; the normalisation divides it out."""
     v = G.values
     tol = 1e-9 * max(1.0, grid.interval.length)
     if v[0] < grid.interval.lo - tol or v[-1] > grid.interval.hi + tol:
         raise ValueError("quantile leaves domain")
     v = np.clip(v, grid.interval.lo, grid.interval.hi)
-    mass = np.full(v.size - 1, 1.0 / (v.size - 1))
-    cell_mass = _bin_segments(v[:-1], v[1:], mass, grid)
+    np.maximum.accumulate(v, out=v)
+    cell_mass = _bin_cdf(v, np.arange(v.size, dtype=float), grid)
     return DiscreteDensity(grid, cell_mass / (cell_mass.sum() * grid.delta))
 
 
 def pushforward(T: np.ndarray, mu: DiscreteDensity) -> DiscreteDensity:
-    """Image of ``mu`` under a map given by its values at the grid nodes.
+    """Image of ``mu`` under a non-decreasing map given by its values at the
+    grid nodes.
 
     Each cell's mass is spread over the segment between the map's
     interpolated values at the cell edges (an atom when the segment is
-    degenerate), then binned back onto the same grid with proportional
-    splitting at cell boundaries so that mass is conserved exactly.  The map
-    need not be monotone (segments may overlap).  O(n) time and memory.
+    degenerate): the image's CDF runs linearly between those values, and
+    ``_bin_cdf`` bins it back onto the same grid.  A map that decreases
+    anywhere is refused.  O(n log n) time, O(n) memory.
     """
     T = np.asarray(T, dtype=float)
     grid = mu.grid
@@ -401,13 +349,10 @@ def pushforward(T: np.ndarray, mu: DiscreteDensity) -> DiscreteDensity:
     tol = 1e-9 * max(1.0, iv.length)
     if np.any(T < iv.lo - tol) or np.any(T > iv.hi + tol):
         raise ValueError("map values leave the grid interval")
+    if np.any(np.diff(T) < 0.0):
+        raise ValueError("map must be non-decreasing")
     T = np.clip(T, iv.lo, iv.hi)
     # map values at cell edges: midpoint interpolation inside, constant at the ends
-    edge_vals = np.empty(grid.n + 1)
-    edge_vals[1:-1] = 0.5 * (T[:-1] + T[1:])
-    edge_vals[0] = T[0]
-    edge_vals[-1] = T[-1]
-    lo = np.minimum(edge_vals[:-1], edge_vals[1:])
-    hi = np.maximum(edge_vals[:-1], edge_vals[1:])
-    cell_mass = _bin_segments(lo, hi, mu.masses, grid)
+    edge_vals = np.concatenate([T[:1], 0.5 * (T[:-1] + T[1:]), T[-1:]])
+    cell_mass = _bin_cdf(edge_vals, np.concatenate([[0.0], np.cumsum(mu.masses)]), grid)
     return DiscreteDensity(grid, cell_mass / (cell_mass.sum() * grid.delta))

@@ -42,7 +42,7 @@ from .measures import (
     density_to_quantile,
     quantile_to_density,
 )
-from .transport import CostSpec, _fd_derivative, kantorovich_potential_1d
+from .transport import CostSpec, kantorovich_potential_1d
 
 if TYPE_CHECKING:
     from .verify import ResidualReport
@@ -209,12 +209,11 @@ class _QuantileProblem:
         self.m = scenario.m
         self.H = density_to_quantile(scenario.mu, scenario.m).values
         self.cost = scenario.cost
-        self.C_second = scenario.cost.C_second or _fd_derivative(scenario.cost.C_prime)
         self.model = scenario.model
         self.prox: Optional[tuple[np.ndarray, float]] = None
 
     def anchored(self, anchor: np.ndarray, tau: float) -> "_QuantileProblem":
-        """A copy with the proximal anchor set, sharing ``H`` and ``C_second``."""
+        """A copy with the proximal anchor set, sharing ``H``."""
         anchor = np.ascontiguousarray(anchor, dtype=float)
         if anchor.shape != (self.m,) or not 0.0 < tau < math.inf:
             raise ValueError("proximal anchor must have length m and a finite tau > 0")
@@ -284,7 +283,7 @@ class _QuantileProblem:
         potential terms contribute their second derivatives (clipped to be
         non-negative) on the diagonal: the potential's ``v_second`` (closed
         form for ``poly``) and the cost's ``C_second`` (the constant 1 for
-        the quadratic cost, closed form for ``power``, else the central
+        the quadratic cost, closed form for ``power``, else the spec's central
         difference of ``C_prime``).  Interaction kernels keep only their
         diagonal part, ``w S_2`` plus the self-pair term ``w^2 d^2 phi/dy dz
         (y, y)`` (``InteractionKernel.curvature``).  Entries are clipped to a
@@ -297,7 +296,7 @@ class _QuantileProblem:
         if self.cost.kind == "quadratic":
             diag = np.full(m, 1.0 / m)  # C'' = 1
         else:
-            diag = np.asarray(self.C_second(self.H - G), dtype=float)  # a fresh array
+            diag = np.asarray(self.cost.C_second(self.H - G), dtype=float)  # a fresh array
             np.maximum(diag, 0.0, out=diag)
             diag /= m
         if self.model.potential is not None:

@@ -65,9 +65,8 @@ class CostSpec:
     """Translation-invariant transport cost ``c(x, y) = C(x - y)``.
 
     ``C_second`` is ``C''`` in closed form, given for ``quadratic`` and
-    ``power``.  It is None for a ``convex_difference`` cost; the quantile
-    solver takes the central difference of ``C_prime`` (``_fd_derivative``)
-    in its place.
+    ``power``.  When it is not given (a ``convex_difference`` cost), it is
+    the central difference of ``C_prime`` (``_fd_derivative``).
 
     Building a cost probes nothing.  ``strictly_convex_on(radius)`` probes
     ``C`` for strict convexity on ``[-radius, radius]``; operations that rely
@@ -79,6 +78,10 @@ class CostSpec:
     C_prime: Callable[[np.ndarray], np.ndarray]
     kind: str = "convex_difference"
     C_second: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.C_second is None:
+            object.__setattr__(self, "C_second", _fd_derivative(self.C_prime))
 
     @staticmethod
     def quadratic() -> "CostSpec":

@@ -77,12 +77,13 @@ def test_cost_second_derivative_matches_the_difference_of_c_prime(p, t, signs):
     """``C_second`` of the quadratic and power costs is the closed form
     ``C''`` (1 and ``(p-1)|t|^(p-2)``): away from 0 it matches the central
     difference of ``C_prime`` to 1e-6 relative.  A ``convex_difference``
-    cost has none."""
+    cost without one takes that central difference: 6|t| for |t|^3."""
     t = np.array(t) * np.array(signs[: len(t)])
     for cost in (CostSpec.quadratic(), CostSpec.power(p)):
         want = _fd_derivative(cost.C_prime)(t)
         assert np.allclose(cost.C_second(t), want, rtol=1e-6, atol=0.0)
-    assert CostSpec.convex_difference(lambda t: np.abs(t) ** 3).C_second is None
+    cubic = CostSpec.convex_difference(lambda t: np.abs(t) ** 3, lambda t: 3.0 * t * np.abs(t))
+    assert np.allclose(cubic.C_second(t), 6.0 * np.abs(t), rtol=1e-6, atol=0.0)
 
 
 def test_power_cost_second_derivative_is_finite_at_zero():

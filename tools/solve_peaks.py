@@ -4,10 +4,11 @@ Builds the figure-1 physics at ``n`` cells with ``m = 4n`` quantile points and
 measures with ``tracemalloc`` the peak memory each stage allocates above what
 it started with, divided by ``8m`` bytes (one array of ``m`` floats): the
 Newton loop (``solver._projected_newton``), the whole solve
-(``minimize_quantile``: the loop, then binning the density) and the
-certificate (``equilibrium_residual``).  Prints the seconds of an untraced
+(``minimize_quantile``: the loop, then binning the density), the binning
+alone (``quantile_to_density`` of the solved quantile) and the certificate
+(``equilibrium_residual``).  Prints the seconds of an untraced
 solve, each coarse level of its nested-iteration start (``m``, iterations,
-converged), the three peaks against their bounds and the process's
+converged), the four peaks against their bounds and the process's
 ``ru_maxrss``; exits 1 when the solve or one of its coarse levels does not
 converge or a peak exceeds its bound.
 
@@ -34,7 +35,7 @@ from cnot.cli import _bundle_from_raw  # noqa: E402
 from cnot.solver import _QuantileProblem, _projected_newton  # noqa: E402
 
 # the most quantile-sized arrays each stage may hold at once
-BOUNDS = {"newton": 12.0, "solve": 12.0, "certificate": 10.0}
+BOUNDS = {"newton": 12.0, "solve": 12.0, "binning": 5.0, "certificate": 10.0}
 
 
 def _traced(call):
@@ -61,6 +62,7 @@ def traced_peaks(n: int) -> dict:
     array = 8.0 * scenario.m
     newton = _traced(lambda: _projected_newton(_QuantileProblem(scenario), params))[1]
     solved, solve = _traced(lambda: cnot.minimize_quantile(scenario, params))
+    binning = _traced(lambda: cnot.quantile_to_density(solved.G, scenario.grid))[1]
     certificate = _traced(lambda: cnot.equilibrium_residual(scenario, solved.nu))[1]
     return {
         "n": n,
@@ -70,6 +72,7 @@ def traced_peaks(n: int) -> dict:
         "solve_s": seconds,
         "newton": newton / array,
         "solve": solve / array,
+        "binning": binning / array,
         "certificate": certificate / array,
     }
 
