@@ -104,12 +104,15 @@ class CongestionSpec:
     """Congestion cost ``f`` with antiderivative ``F`` and inverse.
 
     ``F_prime`` is ``F'``: ``1 + log`` for plain entropy and ``f`` for every
-    other spec.  The constructor probes that ``f`` is increasing, that ``F``
-    is an antiderivative of ``F_prime`` (by central differences), that
-    ``f_inv`` inverts ``f`` and that the closed forms ``slope_form`` and
-    ``curvature_form``, where given, equal ``gap_slope`` and
-    ``gap_curvature``'s generic formulas (relative 1e-9).  The family's
-    closed forms live here: ``gap_slope``, ``gap_curvature``,
+    other spec.  ``gap_slope(u, F(u))`` = ``F(u) - u F'(u)`` and
+    ``gap_curvature(u, F(u))`` = ``u^3 f'(u)``, fresh arrays, are the two
+    derivatives of a gap's congestion energy ``g F(1/((m-1) g))`` in ``g``
+    at ``u = 1/((m-1) g)`` (the second over ``m - 1``).  A named family
+    gives them in closed form; left out, each is its formula.  The
+    constructor probes that ``f`` is increasing, that ``F`` is an
+    antiderivative of ``F_prime`` (by central differences), that ``f_inv``
+    inverts ``f`` and that a given gap term equals its formula (relative
+    1e-9).  The family's closed forms live here: the gap terms,
     ``marginal_externality`` and the social counterpart ``social``.
     """
 
@@ -120,9 +123,9 @@ class CongestionSpec:
     kind: str = "custom"
     convention: Optional[str] = None
     params: dict = field(default_factory=dict)
-    slope_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+    gap_slope: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, compare=False, repr=False)
-    curvature_form: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+    gap_curvature: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, compare=False, repr=False)
     satisfies_mccann: bool = field(init=False, default=False)
 
@@ -140,52 +143,35 @@ class CongestionSpec:
         rt = np.asarray(self.f_inv(fv), dtype=float)
         if np.max(np.abs(rt - _PROBE_S) / _PROBE_S) > 1e-8:
             raise ValueError("congestion f_inv must invert f")
-        # the closed forms against the formulas they replace
+        # a given gap term against its formula; a missing one is the formula
+        F_prime, f_prime = self.F_prime, self.f_prime
+
+        def slope(u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+            out = np.multiply(u, np.asarray(F_prime(u), dtype=float))
+            return np.subtract(F_u, out, out=out)
+
+        def curvature(u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
+            out = np.multiply(u, u)
+            out *= u  # u^3 as products, not pow
+            out *= np.asarray(f_prime(u), dtype=float)
+            return out
+
         F_s = np.asarray(self.F(_PROBE_S), dtype=float)
-        for name, form, generic in (("slope_form", self.slope_form, self._generic_slope),
-                                    ("curvature_form", self.curvature_form,
-                                     self._generic_curvature)):
-            if form is not None:
-                want = generic(_PROBE_S, F_s)
-                got = np.asarray(form(_PROBE_S, F_s), dtype=float)
-                if not np.all(np.abs(got - want) <= 1e-9 * np.abs(want)):
-                    raise ValueError(f"congestion {name} must equal its generic formula")
+        for name, formula in (("gap_slope", slope), ("gap_curvature", curvature)):
+            form = getattr(self, name)
+            if form is None:
+                object.__setattr__(self, name, formula)
+                continue
+            want = formula(_PROBE_S, F_s)
+            got = np.asarray(form(_PROBE_S, F_s), dtype=float)
+            if not np.all(np.abs(got - want) <= 1e-9 * np.abs(want)):
+                raise ValueError(f"congestion {name} must equal its generic formula")
         object.__setattr__(self, "satisfies_mccann", mccann_check(self))
 
     @property
     def F_prime(self) -> Callable[[np.ndarray], np.ndarray]:
         """``F'``: ``1 + log`` for plain entropy, ``f`` for every other spec."""
         return _log1 if self.convention == "plain" else self.f
-
-    def gap_slope(self, u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
-        """``F(u) - u F'(u)`` at ``u > 0`` given ``F_u = F(u)``, a fresh array:
-        the derivative of a gap's congestion energy ``g F(1/((m-1) g))`` in
-        ``g``, at ``u = 1/((m-1) g)``.  The closed form ``slope_form`` where
-        the family has one (``-u`` for entropy, ``-alpha F(u)`` for power),
-        else the formula through ``F_prime``."""
-        if self.slope_form is not None:
-            return self.slope_form(u, F_u)
-        return self._generic_slope(u, F_u)
-
-    def gap_curvature(self, u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
-        """``u^3 f'(u)`` at ``u > 0`` given ``F_u = F(u)``, a fresh array: the
-        second derivative of a gap's congestion energy in ``g`` is
-        ``(m-1) u^3 f'(u)``.  The closed form ``curvature_form`` where the
-        family has one (``u^2`` for entropy, ``alpha (alpha+1) u F(u)`` for
-        power), else the formula through ``f_prime``."""
-        if self.curvature_form is not None:
-            return self.curvature_form(u, F_u)
-        return self._generic_curvature(u, F_u)
-
-    def _generic_slope(self, u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
-        out = np.multiply(u, np.asarray(self.F_prime(u), dtype=float))
-        return np.subtract(F_u, out, out=out)
-
-    def _generic_curvature(self, u: np.ndarray, F_u: np.ndarray) -> np.ndarray:
-        out = np.multiply(u, u)
-        out *= u  # u^3 as products, not pow
-        out *= np.asarray(self.f_prime(u), dtype=float)
-        return out
 
     @staticmethod
     def entropy(convention: str = "shifted") -> "CongestionSpec":
@@ -205,8 +191,8 @@ class CongestionSpec:
             f_prime=lambda s: 1.0 / np.asarray(s, dtype=float),
             kind="entropy",
             convention=convention,
-            slope_form=_entropy_slope,
-            curvature_form=_entropy_curvature,
+            gap_slope=_entropy_slope,
+            gap_curvature=_entropy_curvature,
         )
 
     @staticmethod
@@ -242,7 +228,7 @@ class CongestionSpec:
         return CongestionSpec(
             f=f, F=F, f_inv=f_inv, f_prime=f_prime,
             kind="power", params={"alpha": alpha, "a": a},
-            slope_form=slope, curvature_form=curvature,
+            gap_slope=slope, gap_curvature=curvature,
         )
 
     @staticmethod
@@ -282,7 +268,7 @@ class CongestionSpec:
                 f=_log1, F=_entropy_F_plain,
                 f_inv=lambda t: np.exp(np.asarray(t, dtype=float) - 1.0),
                 f_prime=self.f_prime,
-                slope_form=_entropy_slope, curvature_form=_entropy_curvature,
+                gap_slope=_entropy_slope, gap_curvature=_entropy_curvature,
             )
         if self.kind == "power":
             alpha, a = self.params["alpha"], self.params["a"]
@@ -641,7 +627,6 @@ class PotentialSpec:
 
     v: Callable[[np.ndarray], np.ndarray]
     v_prime: Callable[[np.ndarray], np.ndarray]
-    kind: str = "custom"
     declared_convex: bool = False
     v_second: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
@@ -674,7 +659,7 @@ class PotentialSpec:
         d2c = dc[1:] * np.arange(1, dc.size) if c.size > 2 else c[:1] * 0
         return PotentialSpec(
             v=_horner(c), v_prime=_horner(dc), v_second=_horner(d2c),
-            kind="poly", declared_convex=declared_convex,
+            declared_convex=declared_convex,
         )
 
 

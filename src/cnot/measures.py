@@ -13,11 +13,12 @@ Conventions used throughout the package:
 * ``density_to_quantile`` and ``quantile_to_density`` are inverse to each
   other up to O(1/m) in L1, exactly for piecewise-linear quantiles.
 * ``quantile_to_density`` and ``pushforward`` share one binning routine,
-  ``_bin_cdf``: both measures are monotone images, whose CDF is piecewise
-  linear between non-decreasing knots, and a cell's mass is read off that
-  CDF at its two edges.  An equal pair of knots is an atom: on an interior
-  edge it goes to the cell on the right, at ``hi`` to the last cell.  Cells
-  no segment reaches are exactly 0.  A map that decreases is refused.
+  ``_bin_cdf``: both measures are monotone images, given by non-decreasing
+  knots and the segment masses between them, and a cell's mass is read off
+  their piecewise-linear CDF at its two edges.  An equal pair of knots is an
+  atom: on an interior edge it goes to the cell on the right, at ``hi`` to
+  the last cell.  Cells no segment reaches are exactly 0.  A map that
+  decreases is refused.
 """
 from __future__ import annotations
 
@@ -281,22 +282,23 @@ def _median(values: np.ndarray) -> float:
     return float(0.0 + part[h] if odd else (0.0 + part[h - 1] + part[h]) / 2)
 
 
-def _bin_cdf(knots: np.ndarray, P: np.ndarray, grid: Grid) -> np.ndarray:
-    """Cell masses of the measure whose CDF runs linearly from
-    ``(knots[j], P[j])`` to ``(knots[j+1], P[j+1])``.
+def _bin_cdf(knots: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
+    """Cell masses of the measure that spreads the segment mass ``w[j]``
+    evenly from ``knots[j]`` to ``knots[j+1]``, in O(n log m) time.
 
-    ``knots`` are non-decreasing and inside the grid interval; ``P`` is
-    non-decreasing, on any scale (the cells sum to ``P[-1] - P[0]``).  An
-    equal pair of knots is an atom of mass ``P[j+1] - P[j]``: on an interior
-    edge it goes to the cell on the right, at ``hi`` to the last cell.  Each
-    edge is placed once, by ``searchsorted``, in the segment ``s`` that holds
-    it, at the fraction ``f`` of that segment left of it.  A cell whose edges
-    fall in one segment takes ``w_s (f1 - f0)``; any other takes the head of
-    its first segment, the whole segments between and the tail of its last,
-    so no mass is negative and a cell no segment reaches is exactly 0.
-    O(n log m) time, O(n) memory besides the inputs.
+    ``knots`` are non-decreasing and inside the grid interval; ``w >= 0`` is
+    on any scale (the cells sum to it).  An equal pair of knots is an atom:
+    on an interior edge it goes to the cell on the right, at ``hi`` to the
+    last cell.  Each edge is placed once, by ``searchsorted``, in the
+    segment ``s`` that holds it, at the fraction ``f`` of it left of the
+    edge.  A cell inside one segment takes ``w_s (f1 - f0)``; any other takes
+    its first segment's head, the segments between (a difference of their
+    cumulated masses ``P``) and its last segment's tail.  So no mass is
+    negative, a light segment keeps its digits and an unreached cell is 0.
     """
     edges, k = grid.edges, knots.size - 1
+    P = np.zeros(k + 1)
+    np.cumsum(w, out=P[1:])
     j = np.searchsorted(knots, edges)  # first knot at or right of each edge
     j[-1] = k + 1  # hi reads the whole mass: atoms at hi go to the last cell
     s = np.clip(j - 1, 0, k - 1)
@@ -306,28 +308,29 @@ def _bin_cdf(knots: np.ndarray, P: np.ndarray, grid: Grid) -> np.ndarray:
     inner = (j > 0) & (j <= k)
     si = s[inner]
     f[inner] = (edges[inner] - knots[si]) / (knots[si + 1] - knots[si])
-    w = P[s + 1] - P[s]  # mass of the segment holding each edge
-    s0, s1, f0, f1, w0, w1 = s[:-1], s[1:], f[:-1], f[1:], w[:-1], w[1:]
+    ws = w[s]  # mass of the segment holding each edge
+    s0, s1, f0, f1, w0, w1 = s[:-1], s[1:], f[:-1], f[1:], ws[:-1], ws[1:]
     split = P[s1] - P[s0 + 1] + w0 * (1.0 - f0) + w1 * f1
     return np.where(s0 == s1, w0 * (f1 - f0), split)
 
 
 def quantile_to_density(G: QuantileFn, grid: Grid) -> DiscreteDensity:
-    """Push the uniform law through ``G``: the CDF runs linearly from
-    ``(G.values[j], j/(m-1))`` to the next knot, binned by ``_bin_cdf`` (a
-    run of equal knots is an atom).
+    """Push the uniform law through ``G``: each segment from ``G.values[j]``
+    to the next knot carries the same mass, binned by ``_bin_cdf`` (a run
+    of equal knots is an atom).
 
     The knots are clipped to the interval and made non-decreasing, so a
-    decrease ``QuantileFn`` tolerates (up to 1e-12) bins as an atom.  The CDF
-    counts segments, ``j`` for ``j/(m-1)``, so no cell loses digits to a
-    difference of probabilities near 1; the normalisation divides it out."""
+    decrease ``QuantileFn`` tolerates (up to 1e-12) bins as an atom.  The
+    segment masses are 1, so the cumulated masses count segments and no
+    cell loses digits to a difference of probabilities near 1; the
+    normalisation divides the count out."""
     v = G.values
     tol = 1e-9 * max(1.0, grid.interval.length)
     if v[0] < grid.interval.lo - tol or v[-1] > grid.interval.hi + tol:
         raise ValueError("quantile leaves domain")
     v = np.clip(v, grid.interval.lo, grid.interval.hi)
     np.maximum.accumulate(v, out=v)
-    cell_mass = _bin_cdf(v, np.arange(v.size, dtype=float), grid)
+    cell_mass = _bin_cdf(v, np.broadcast_to(1.0, (v.size - 1,)), grid)
     return DiscreteDensity(grid, cell_mass / (cell_mass.sum() * grid.delta))
 
 
@@ -354,5 +357,5 @@ def pushforward(T: np.ndarray, mu: DiscreteDensity) -> DiscreteDensity:
     T = np.clip(T, iv.lo, iv.hi)
     # map values at cell edges: midpoint interpolation inside, constant at the ends
     edge_vals = np.concatenate([T[:1], 0.5 * (T[:-1] + T[1:]), T[-1:]])
-    cell_mass = _bin_cdf(edge_vals, np.concatenate([[0.0], np.cumsum(mu.masses)]), grid)
+    cell_mass = _bin_cdf(edge_vals, mu.masses, grid)
     return DiscreteDensity(grid, cell_mass / (cell_mass.sum() * grid.delta))

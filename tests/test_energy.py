@@ -21,6 +21,7 @@ from cnot import (
     mccann_check,
     uniform_density,
 )
+from cnot.energy import _entropy_curvature, _entropy_slope
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,15 +55,23 @@ _CLOSED_FORM_SPECS = {
 @settings(max_examples=60, deadline=None)
 @given(u=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
 def test_congestion_closed_forms_match_their_generic_formulas(name, u):
-    """Each named family's ``gap_slope`` and ``gap_curvature`` are closed
-    forms (``-u`` and ``u^2`` for entropy in both conventions and its social
-    spec, ``-alpha F(u)`` and ``alpha (alpha+1) u F(u)`` for power and its
-    social spec), and each matches ``F(u) - u F'(u)`` and ``u^3 f'(u)``
-    through ``F_prime`` and ``f_prime`` to 1e-12 relative on [1e-3, 1e3]."""
+    """Each named family's ``gap_slope`` and ``gap_curvature`` are its closed
+    forms, not the generic formulas: ``_entropy_slope`` and
+    ``_entropy_curvature`` (``-u`` and ``u^2``) for entropy in both
+    conventions and its social spec, ``-alpha F(u)`` and
+    ``alpha (alpha+1) u F(u)`` byte for byte for power and its social spec.
+    Each matches ``F(u) - u F'(u)`` and ``u^3 f'(u)`` through ``F_prime``
+    and ``f_prime`` to 1e-12 relative on [1e-3, 1e3]."""
     spec = _CLOSED_FORM_SPECS[name]()
-    assert spec.slope_form is not None and spec.curvature_form is not None
     u = np.array(u)
     F_u = np.asarray(spec.F(u), dtype=float)
+    if name.startswith("entropy"):
+        assert spec.gap_slope is _entropy_slope and spec.gap_curvature is _entropy_curvature
+    else:
+        alpha = spec.params["alpha"]
+        assert spec.gap_slope(u, F_u).tobytes() == (F_u * -alpha).tobytes()
+        assert (spec.gap_curvature(u, F_u).tobytes()
+                == (u * F_u * (alpha * (alpha + 1.0))).tobytes())
     slope = F_u - u * np.asarray(spec.F_prime(u), dtype=float)
     curvature = u**3 * np.asarray(spec.f_prime(u), dtype=float)
     assert np.all(np.abs(spec.gap_slope(u, F_u) - slope) <= 1e-12 * np.abs(slope))
@@ -70,20 +79,23 @@ def test_congestion_closed_forms_match_their_generic_formulas(name, u):
 
 
 def test_congestion_checks_its_closed_forms():
-    """A closed form that differs from its generic formula is refused at
-    construction; a custom spec has none, and its ``gap_slope`` and
-    ``gap_curvature`` are the generic formulas."""
+    """A gap term that differs from its formula is refused at construction;
+    a custom spec is given none, and the constructor fills ``gap_slope`` and
+    ``gap_curvature`` with the formulas through ``F_prime`` and
+    ``f_prime``, here ``-u`` and ``u^2``."""
     entropy = CongestionSpec.entropy()
     fields = dict(f=entropy.f, F=entropy.F, f_inv=entropy.f_inv, f_prime=entropy.f_prime)
-    with pytest.raises(ValueError, match="slope_form"):
-        CongestionSpec(**fields, slope_form=lambda u, F_u: u)
-    with pytest.raises(ValueError, match="curvature_form"):
-        CongestionSpec(**fields, curvature_form=lambda u, F_u: u * u * (1.0 + 1e-6))
+    with pytest.raises(ValueError, match="gap_slope"):
+        CongestionSpec(**fields, gap_slope=lambda u, F_u: u)
+    with pytest.raises(ValueError, match="gap_curvature"):
+        CongestionSpec(**fields, gap_curvature=lambda u, F_u: u * u * (1.0 + 1e-6))
     custom = CongestionSpec.custom(**fields)
-    assert custom.slope_form is None and custom.curvature_form is None
     u = np.array([0.5, 2.0])
-    assert np.allclose(custom.gap_slope(u, custom.F(u)), -u, rtol=1e-14)
-    assert np.allclose(custom.gap_curvature(u, custom.F(u)), u * u, rtol=1e-14)
+    F_u = custom.F(u)
+    assert custom.gap_slope(u, F_u).tobytes() == (F_u - u * custom.F_prime(u)).tobytes()
+    assert custom.gap_curvature(u, F_u).tobytes() == (u * u * u * custom.f_prime(u)).tobytes()
+    assert np.allclose(custom.gap_slope(u, F_u), -u, rtol=1e-14)
+    assert np.allclose(custom.gap_curvature(u, F_u), u * u, rtol=1e-14)
 
 
 def test_power_congestion_values():
